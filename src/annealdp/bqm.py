@@ -371,11 +371,15 @@ def read_model(path: str) -> IsingModel | QuboModel:
     if header is None:
         raise ParseError("empty model file", len(raw) or 1)
     kind, n = header
+    # repeated lines accumulate here; the constructors fold transposed pairs
+    terms: dict[tuple[int, int], float] = {}
+    for i, j, w in entries:
+        terms[(i, j)] = terms.get((i, j), 0.0) + w
     try:
         if kind == "qubo":
-            return QuboModel(n, {(i, j): w for i, j, w in entries})
-        biases = {i: w for i, j, w in entries if i == j}
-        couplings = {(i, j): w for i, j, w in entries if i != j}
+            return QuboModel(n, terms)
+        biases = {i: w for (i, j), w in terms.items() if i == j}
+        couplings = {(i, j): w for (i, j), w in terms.items() if i != j}
         return IsingModel(n, biases, couplings)
     except ValueError as exc:
         raise ParseError(str(exc), 1) from None

@@ -55,6 +55,7 @@ from .quadratize import min_over_aux, quadratize_full
 from .rbc import (
     DEFAULT_INIT,
     DEFAULT_PARAMS,
+    DegenerateEstimateError,
     PpiState,
     classical_ppi,
     collocation_grid,
@@ -717,6 +718,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except DegenerateEstimateError as exc:
+        print(f"error: degenerate estimate: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bqm import CapacityError, IsingModel, QuboModel, energy_of_bits
+from .bqm import _BLOCK_BITS, CapacityError, IsingModel, QuboModel, energy_of_bits
 from .pbf import Poly
 from .schedules import AnnealSchedule, GroupedSchedule
 
@@ -445,6 +445,102 @@ def _native_row(model, row: np.ndarray) -> tuple[int, ...]:
     return tuple(int(round(v)) for v in row)
 
 
+# A greedy candidate must beat the running best by more than this.
+_TIE_TOL = 1e-12
+
+
+def _native_terms(model) -> tuple[list[tuple[tuple[int, ...], float]], tuple[int, int]]:
+    """(variables, coefficient) per non-constant term, and the model's
+    (off, on) values: a term's value is its coefficient times the product
+    of its variables' values."""
+    if isinstance(model, Poly):
+        return [(tuple(k), c) for k, c in model.terms.items() if k], (0, 1)
+    lin, quad = _model_terms(model)
+    terms = [((i,), c) for i, c in lin.items()] + list(quad.items())
+    return terms, ((-1, 1) if isinstance(model, IsingModel) else (0, 1))
+
+
+def _fold(terms, pos: dict[int, int], state: Sequence[int]) -> dict[tuple[int, ...], float]:
+    """The terms touching a group with every other variable fixed at its
+    state value: a polynomial over the group's bit positions. Terms that
+    miss the group add the same constant to every candidate and drop out."""
+    local: dict[tuple[int, ...], float] = {}
+    for vars_, c in terms:
+        inside = tuple(pos[v] for v in vars_ if v in pos)
+        if not inside:
+            continue
+        for v in vars_:
+            if v not in pos:
+                c *= state[v]
+        if c != 0.0:
+            local[inside] = local.get(inside, 0.0) + c
+    return local
+
+
+def _local_energies(local, width: int, domain: tuple[int, int], start: int, stop: int) -> np.ndarray:
+    """Folded energies of the group assignments with indices [start, stop);
+    bit b of index m sets group variable b to domain[(m >> b) & 1]."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    lo, hi = domain
+    vals = [lo + (hi - lo) * ((idx >> b) & 1).astype(np.float64) for b in range(width)]
+    energies = np.zeros(stop - start)
+    for bits, c in local.items():
+        prod = vals[bits[0]]
+        for b in bits[1:]:
+            prod = prod * vals[b]
+        energies += c * prod
+    return energies
+
+
+def _last_improvement(energies: np.ndarray, best_e: float) -> tuple[int, float]:
+    """Where a scan of `energies` in order ends when it takes each entry
+    that beats the running best (initially best_e) by more than
+    _TIE_TOL. Returns (index, energy), or (-1, best_e) if it takes none.
+
+    Only strict prefix-minimum records can be taken: a taken entry lies
+    below the running best minus the tolerance, and no earlier entry lies
+    below that. The records decrease, so the next one taken after a value
+    is found by bisection, and a run of records each more than the
+    tolerance below the last is taken whole; only near-ties loop here.
+    """
+    before = np.minimum.accumulate(np.concatenate(([best_e], energies[:-1])))
+    rec = np.flatnonzero(energies < before)
+    vals = energies[rec]
+    neg = -vals
+    near = np.flatnonzero(vals[1:] >= vals[:-1] - _TIE_TOL)
+
+    def first_below(e) -> int:
+        return int(np.searchsorted(neg, -(e - _TIE_TOL), side="right"))
+
+    taken = -1
+    p = first_below(best_e)
+    while p < len(vals):
+        j = int(np.searchsorted(near, p))
+        taken = int(near[j]) if j < len(near) else len(vals) - 1
+        p = first_below(vals[taken])
+    if taken < 0:
+        return -1, best_e
+    return int(rec[taken]), float(vals[taken])
+
+
+def _best_assignment(terms, group: tuple[int, ...], domain, state: Sequence[int]) -> int:
+    """Index of the group assignment the first-improvement scan settles on,
+    starting from the group's current assignment."""
+    pos = {v: b for b, v in enumerate(group)}
+    local = _fold(terms, pos, state)
+    width = len(group)
+    best_m = sum(1 << b for b, v in enumerate(group) if state[v] == domain[1])
+    best_e = float(_local_energies(local, width, domain, best_m, best_m + 1)[0])
+    total = 1 << width
+    block = 1 << min(width, _BLOCK_BITS)
+    for start in range(0, total, block):
+        energies = _local_energies(local, width, domain, start, min(start + block, total))
+        k, best_e = _last_improvement(energies, best_e)
+        if k >= 0:
+            best_m = start + k
+    return best_m
+
+
 def sequential_greedy(
     model: IsingModel | QuboModel | Poly,
     groups: Sequence[Iterable[int]],
@@ -461,8 +557,18 @@ def sequential_greedy(
     the clamp, then relaxes the activation to its own argmin (ties
     deactivate). Ungrouped variables never move.
 
-    The model may also be a binary polynomial of any degree; the walk
-    evaluates it directly, so cubic-and-up problems need no reduction.
+    Each stage folds the fixed variables into the terms touching the
+    group, then scores all 2^|group| assignments with numpy, in the
+    fixed-size blocks bqm.brute_force uses and in enumeration order (bit
+    b of index m is (m >> b) & 1). Starting from the current assignment,
+    it takes each candidate that beats the running best by more than
+    1e-12, as a scalar scan over the candidates would. The tolerance is
+    absolute on purpose: it keeps every decision equal to that scan's,
+    which the tests hold the walk to. Whether it should scale with the
+    energies is an open question.
+
+    The model may also be a binary polynomial of any degree; its terms
+    are folded directly, so cubic-and-up problems need no reduction.
     """
     is_poly = isinstance(model, Poly)
     if is_poly:
@@ -491,38 +597,18 @@ def sequential_greedy(
     if len(initial) != n:
         raise ValueError(f"initial length {len(initial)} != n={n}")
 
-    domain = (-1, 1) if isinstance(model, IsingModel) else (0, 1)
+    terms, domain = _native_terms(model)
     state = [int(v) for v in initial]
-
-    if is_poly:
-        def energy() -> float:
-            return model.evaluate(state)
-    else:
-        def energy() -> float:
-            return energy_of_bits(model, _to_bits(model, state))
 
     for _ in range(cycles):
         for gi, group in enumerate(groups):
             act = activations[gi] if activations else None
             if act is not None:
                 state[act] = domain[1]
-            cur = tuple(state[v] for v in group)
-            best, best_e = cur, energy()
-            for m in range(1 << len(group)):
-                cand = tuple(domain[(m >> b) & 1] for b in range(len(group)))
-                if cand == cur:
-                    continue
-                for v, val in zip(group, cand):
-                    state[v] = val
-                e = energy()
-                if e < best_e - 1e-12:
-                    best, best_e = cand, e
-            for v, val in zip(group, best):
-                state[v] = val
+            m = _best_assignment(terms, group, domain, state)
+            for b, v in enumerate(group):
+                state[v] = domain[(m >> b) & 1]
             if act is not None:
-                e_on = energy()
-                state[act] = domain[0]
-                e_off = energy()
-                if e_on < e_off - 1e-12:
-                    state[act] = domain[1]
+                e_off, e_on = _local_energies(_fold(terms, {act: 0}, state), 1, domain, 0, 2)
+                state[act] = domain[1] if e_on < e_off - _TIE_TOL else domain[0]
     return tuple(state)

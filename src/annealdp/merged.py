@@ -27,7 +27,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bqm import QuboModel
-from .engines import SampleSet, SamplerRequest, TimingReport, heuristic_anneal, sequential_greedy
+from .engines import (
+    SampleRecord,
+    SampleSet,
+    SamplerRequest,
+    TimingReport,
+    heuristic_anneal,
+    sequential_greedy,
+)
 from .pbf import BinaryEncoding, LogCoefficients, Poly, to_qubo
 from .quadratize import AuxAllocation, quadratize_full
 from .rbc import (
@@ -317,41 +324,45 @@ def greedy_merged_sampler(
     no auxiliaries appear; each stage clamps the block's activation on,
     brute-forces the block's bits jointly, then lets the activation
     drop. States in the result cover primary variables only.
+
+    The walk is deterministic, so it runs once per distinct start: with
+    reinitialize every read shares one walk, and a chain stops at the
+    first read that returns its own start state, a fixed point that every
+    remaining read would return again.
     """
     del seed
     sched = schedule.schedule if isinstance(schedule, GroupedSchedule) else schedule
-    cycles = sched.cycles
     n = problem.primary_count
     start = tuple(initial[:n]) if initial is not None else (0,) * n
-    states = []
-    cur = start
-    for _ in range(max(1, reads)):
-        cur = sequential_greedy(
+
+    def walk(state: tuple[int, ...]) -> tuple[int, ...]:
+        return sequential_greedy(
             problem.poly,
             groups=problem.groups,
-            initial=cur,
-            cycles=cycles,
+            initial=state,
+            cycles=sched.cycles,
             activations=(problem.x_p, problem.x_v),
         )
-        states.append(cur)
-        if sched.reinitialize:
-            cur = start
-    counts: dict[tuple[int, ...], int] = {}
-    for s in states:
-        counts[s] = counts.get(s, 0) + 1
-    records = sorted(
-        (r for r in counts.items()),
-        key=lambda kv: (problem.poly.evaluate(dict(enumerate(kv[0]))), kv[0]),
-    )
-    from .engines import SampleRecord
 
-    timing = TimingReport(reads, max(5.0, sched.total_time))
-    return SampleSet(
-        tuple(
-            SampleRecord(s, problem.poly.evaluate(dict(enumerate(s))), c) for s, c in records
-        ),
-        timing,
+    left = max(1, reads)
+    counts: dict[tuple[int, ...], int] = {}
+    if sched.reinitialize:
+        counts[walk(start)] = left
+    else:
+        cur = start
+        while left:
+            nxt = walk(cur)
+            if nxt == cur:
+                # a fixed point: every remaining read returns it again
+                counts[cur] = counts.get(cur, 0) + left
+                break
+            counts[nxt] = counts.get(nxt, 0) + 1
+            cur, left = nxt, left - 1
+    records = sorted(
+        (SampleRecord(s, problem.poly.evaluate(s), c) for s, c in counts.items()),
+        key=lambda r: (r.energy, r.state),
     )
+    return SampleSet(tuple(records), TimingReport(reads, max(5.0, sched.total_time)))
 
 
 def multi_anneal_ppi(

@@ -31,6 +31,11 @@ class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before the parameter vector settled."""
 
 
+class DegenerateEstimateError(ValueError):
+    """An estimate left the domain the model is defined on: a slope
+    x3_bar that is not positive, or a savings rate x1 outside (0, 1)."""
+
+
 # Five-state productivity calibration. The printed middle row of this
 # standard chain sums to 1.0001, so every row is normalized by its sum
 # to make the matrix exactly row-stochastic.
@@ -174,7 +179,7 @@ def true_parameters(params: RbcParams = DEFAULT_PARAMS) -> tuple[float, float, f
 def analytic_policy_update(x3_bar: float, params: RbcParams = DEFAULT_PARAMS) -> float:
     """Savings rate solving the exact first-order condition at slope x3_bar."""
     if x3_bar <= 0.0:
-        raise ValueError("x3_bar must be positive")
+        raise DegenerateEstimateError("x3_bar must be positive")
     kappa = params.alpha * params.beta * x3_bar
     return kappa / (1.0 + kappa)
 
@@ -190,7 +195,7 @@ def fit_log_coefficients(x3_bar: float, params: RbcParams = DEFAULT_PARAMS) -> L
     usable.
     """
     if x3_bar <= 0.0:
-        raise ValueError("x3_bar must be positive")
+        raise DegenerateEstimateError("x3_bar must be positive")
     kappa = params.alpha * params.beta * x3_bar
     v = kappa / (1.0 + kappa)
     a2 = -1.0 / (2.0 * v * v)
@@ -281,7 +286,7 @@ def gamma_constants(x1_bar: float, grid: CollocationGrid) -> GammaConstants:
     continuation shift entering w with sign flipped.
     """
     if not 0.0 < x1_bar < 1.0:
-        raise ValueError("x1_bar must lie in (0, 1)")
+        raise DegenerateEstimateError("x1_bar must lie in (0, 1)")
     p = grid.params
     ab = p.alpha * p.beta
     u = grid.log_y()
@@ -338,7 +343,7 @@ class PpiState:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.x1 < 1.0:
-            raise ValueError("x1 must lie in (0, 1)")
+            raise DegenerateEstimateError("x1 must lie in (0, 1)")
         if self.iteration < 0:
             raise ValueError("iteration must be >= 0")
 

@@ -243,7 +243,10 @@ def read_schedule_csv(path: str) -> GroupedSchedule:
             if body.startswith("group "):
                 try:
                     name, members = body[len("group "):].split(":", 1)
-                    group_vars[name.strip()] = tuple(int(v) for v in members.split())
+                    name = name.strip()
+                    if name != "always" and not (name[:1] == "g" and name[1:].isdecimal()):
+                        raise ValueError(name)
+                    group_vars[name] = tuple(int(v) for v in members.split())
                 except ValueError:
                     raise ParseError(f"bad group line {text!r}", lineno) from None
             else:
@@ -277,6 +280,8 @@ def read_schedule_csv(path: str) -> GroupedSchedule:
         cycles=int(meta.get("cycles", 1)),
         reinitialize=bool(int(meta.get("reinitialize", 1))),
     )
-    groups = tuple(v for k, v in sorted(group_vars.items()) if k != "always")
+    # the writer names group k "g<k>": order by k, not by the name's text
+    indexed = sorted((int(k[1:]), v) for k, v in group_vars.items() if k != "always")
+    groups = tuple(v for _, v in indexed)
     always = group_vars.get("always", ())
     return GroupedSchedule(schedule, groups, tuple(always))

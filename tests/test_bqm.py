@@ -203,6 +203,16 @@ class TestSerialization:
         m = read_model(str(path))
         assert m == QuboModel(2, {(0, 0): 1.0, (0, 1): -2.0})
 
+    @pytest.mark.parametrize("kind", ["qubo", "ising"])
+    def test_repeated_and_transposed_lines_accumulate(self, tmp_path, kind):
+        path = tmp_path / "model.txt"
+        path.write_text(f"{kind} n=3\n0 0 0.5\n0 2 1.0\n0 0 0.25\n0 2 2.0\n2 0 -0.5\n1 2 4.0\n")
+        m = read_model(str(path))
+        if kind == "qubo":
+            assert m == QuboModel(3, {(0, 0): 0.75, (0, 2): 2.5, (1, 2): 4.0})
+        else:
+            assert m == IsingModel(3, {0: 0.75}, {(0, 2): 2.5, (1, 2): 4.0})
+
     def test_parse_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("qubo n=2\n0 nope 1.0\n")

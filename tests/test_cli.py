@@ -197,6 +197,27 @@ class TestSolve:
         assert rc == EXIT_USAGE
         assert "statevector" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        # the one kept read decodes x3 = 0, which anchors no policy surrogate
+        ("--algorithm", "one-shot", "--j1", "1", "--j2", "1", "--j3", "1", "--reads", "1"),
+        # a negative slope register cannot hold a positive x3
+        ("--algorithm", "hybrid", "--engine", "heuristic", "--s2", "0.5", "--s3", "-0.5"),
+        # the lowest-policy-loss read decodes x1 = 0
+        ("--algorithm", "multi-anneal", "--engine", "heuristic", "--reads", "4",
+         "--seed", "1815163413"),
+        # the kept reads average to x1 = 0, which anchors no valuation step
+        ("--algorithm", "one-shot", "--j1", "1", "--j2", "2", "--j3", "1", "--reads", "2",
+         "--sweeps", "7", "--seed", "13844", "--k-count", "5", "--cycles", "2",
+         "--s2", "-0.05144396749277069", "--s3", "-0.9264741205325697"),
+    ])
+    def test_degenerate_estimate_exits_3(self, tmp_path, capsys, flags):
+        rc = main(["solve", *flags, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert err.startswith("error: degenerate estimate:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_executions_logged_per_run(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["solve", "--algorithm", "one-shot", "--j1", "2", "--j2", "2",

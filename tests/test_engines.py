@@ -7,13 +7,23 @@ schedule improves the ground-state share only in the right parameter
 window, and the tests pin seeds to keep the checks exact."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annealdp.bqm import CapacityError, IsingModel, QuboModel, brute_force, ising_energy, random_ising
+from annealdp import engines
+from annealdp.bqm import (
+    CapacityError,
+    IsingModel,
+    QuboModel,
+    brute_force,
+    ising_energy,
+    qubo_energy,
+    random_ising,
+)
 from annealdp.engines import (
     SamplerRequest,
     final_probabilities,
@@ -351,3 +361,111 @@ class TestSequentialGreedy:
         cubic, _, _ = hc_problem()
         with pytest.raises(ValueError, match="cover"):
             sequential_greedy(cubic, [(0,)], (0, 0))
+
+
+def scalar_greedy(model, groups, initial, cycles=1, activations=None):
+    """Reference walk: the group step as a scalar scan that evaluates the
+    whole model once per candidate, first improvement by more than 1e-12
+    in enumeration order."""
+    domain = (-1, 1) if isinstance(model, IsingModel) else (0, 1)
+    state = list(initial)
+    if isinstance(model, Poly):
+        def energy():
+            return model.evaluate(state)
+    elif isinstance(model, QuboModel):
+        def energy():
+            return qubo_energy(model, state)
+    else:
+        def energy():
+            return ising_energy(model, state)
+
+    for _ in range(cycles):
+        for gi, group in enumerate(groups):
+            act = activations[gi] if activations else None
+            if act is not None:
+                state[act] = domain[1]
+            cur = tuple(state[v] for v in group)
+            best, best_e = cur, energy()
+            for m in range(1 << len(group)):
+                cand = tuple(domain[(m >> b) & 1] for b in range(len(group)))
+                if cand == cur:
+                    continue
+                for v, val in zip(group, cand):
+                    state[v] = val
+                e = energy()
+                if e < best_e - 1e-12:
+                    best, best_e = cand, e
+            for v, val in zip(group, best):
+                state[v] = val
+            if act is not None:
+                e_on = energy()
+                state[act] = domain[0]
+                e_off = energy()
+                if e_on < e_off - 1e-12:
+                    state[act] = domain[1]
+    return tuple(state)
+
+
+@st.composite
+def greedy_cases(draw):
+    """A model, disjoint groups, optional activations, a start and cycles.
+
+    Coefficients are dyadic (integers over 8, or over 2^42 so that many
+    energy gaps fall inside the 1e-12 tolerance): every sum is exact in
+    any order, so the vectorised and scalar walks see identical energies.
+    Small numerators force exact ties.
+    """
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["poly", "qubo", "ising"]))
+    top = draw(st.sampled_from([1, 3, 64]))
+    scale = draw(st.sampled_from([1 / 8, 2.0 ** -42]))
+    coeff = st.integers(-top, top).map(lambda k: k * scale)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    if kind == "poly":
+        keys = st.lists(st.integers(0, n - 1), max_size=3).map(frozenset)
+        model = Poly(draw(st.dictionaries(keys, coeff, max_size=12)))
+    elif kind == "qubo":
+        model = QuboModel(n, draw(st.dictionaries(st.sampled_from(pairs), coeff, max_size=12)))
+    else:
+        biases = draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=n))
+        off = [(i, j) for i, j in pairs if i < j]
+        couplings = draw(st.dictionaries(st.sampled_from(off), coeff, max_size=12)) if off else {}
+        model = IsingModel(n, biases, couplings)
+    domain = (-1, 1) if kind == "ising" else (0, 1)
+
+    perm = list(draw(st.permutations(range(n))))
+    groups = []
+    for size in draw(st.lists(st.integers(1, 6), max_size=3)):
+        if size > len(perm):
+            break
+        groups.append(tuple(perm[:size]))
+        perm = perm[size:]
+    activations = None
+    if groups and draw(st.booleans()):
+        activations = [perm.pop() if perm and draw(st.booleans()) else None for _ in groups]
+    initial = tuple(draw(st.lists(st.sampled_from(domain), min_size=n, max_size=n)))
+    return model, groups, initial, draw(st.integers(1, 3)), activations
+
+
+class TestGreedyMatchesScalarWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(greedy_cases(), st.sampled_from([1, 2, 20]))
+    def test_same_terminal_state(self, case, block_bits):
+        # small blocks make the walk carry its running best across blocks
+        model, groups, initial, cycles, activations = case
+        want = scalar_greedy(model, groups, initial, cycles, activations)
+        with mock.patch.object(engines, "_BLOCK_BITS", block_bits):
+            got = sequential_greedy(model, groups, initial, cycles=cycles, activations=activations)
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=200), st.integers(-30, 40))
+    def test_scan_rule_on_near_ties(self, ks, k0):
+        # steps of 2^-42 put up to four consecutive levels inside the tolerance
+        energies = np.array(ks, dtype=np.float64) * 2.0 ** -42
+        best_e = k0 * 2.0 ** -42
+        want_k, want_e = -1, best_e
+        for k, e in enumerate(energies):
+            if e < want_e - 1e-12:
+                want_k, want_e = k, e
+        assert engines._last_improvement(energies, best_e) == (want_k, want_e)

@@ -9,10 +9,12 @@ thresholds only.
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from annealdp import merged
 from annealdp.bqm import brute_force
 from annealdp.merged import (
     AnnealOutcome,
@@ -337,6 +339,30 @@ class TestGreedyOracle:
         states = ss.expand_states()
         assert len(states) == 4
         assert len(set(states)) == 1
+
+    def test_one_shot_reads_share_one_walk(self, prob_small):
+        sched = merged_schedule(prob_small, cycles=2, reinitialize=True)
+        with mock.patch.object(merged, "sequential_greedy", wraps=sequential_greedy) as walk:
+            ss = greedy_merged_sampler(prob_small, sched, 5, None, 0)
+        assert walk.call_count == 1
+        assert len(ss.records) == 1
+        assert ss.records[0].occurrences == 5
+        assert ss.records[0].energy == prob_small.poly.evaluate(ss.records[0].state)
+
+    @pytest.mark.parametrize("init", [(0.5, -0.5, 0.5), (0.1, -30.0, 2.5), TRUTH])
+    def test_chain_stopped_at_fixed_point_matches_full_chain(self, prob_small, init):
+        reads = 6
+        start = prob_small.encode_initial(init)[: prob_small.primary_count]
+        full, cur = [], start
+        for _ in range(reads):
+            cur = sequential_greedy(prob_small.poly, prob_small.groups, cur, cycles=1,
+                                    activations=(prob_small.x_p, prob_small.x_v))
+            full.append(cur)
+        sched = merged_schedule(prob_small, reinitialize=False)
+        with mock.patch.object(merged, "sequential_greedy", wraps=sequential_greedy) as walk:
+            ss = greedy_merged_sampler(prob_small, sched, reads, start, 0)
+        assert walk.call_count < reads
+        assert ss.expand_states() == sorted(full, key=lambda s: (prob_small.poly.evaluate(s), s))
 
     def test_determinism(self, prob_small):
         a = multi_anneal_ppi(prob_small, sampler=greedy_merged_sampler, reads=2)

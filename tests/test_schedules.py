@@ -173,6 +173,21 @@ class TestCsvRoundTrip:
         assert back.always_active == gs.always_active
         assert back.schedule == gs.schedule
 
+    def test_round_trip_keeps_group_order_past_ten(self, tmp_path):
+        gs = grouped_cycle_schedule(48.0, [(k,) for k in range(12)], always_active=(12,))
+        path = str(tmp_path / "sched.csv")
+        write_schedule_csv(gs, path)
+        back = read_schedule_csv(path)
+        assert back.groups == gs.groups
+        assert back.schedule == gs.schedule
+
+    def test_group_name_must_be_an_index(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("# total_time_us=10.0\n# group first: 0 1\ntime_us,group,fraction\n")
+        with pytest.raises(ParseError, match="bad group line") as exc:
+            read_schedule_csv(str(p))
+        assert exc.value.lineno == 2
+
     def test_missing_total_time_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("time_us,group,fraction\n0.0,global,1.0\n")
