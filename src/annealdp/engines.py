@@ -2,7 +2,7 @@
 
 Three interchangeable backends: an exact state-vector integrator of the
 time-dependent transverse-field Hamiltonian (small n), a seeded
-Metropolis annealer that honors the same schedule semantics (any n),
+heat-bath (Glauber) annealer that honors the same schedule semantics (any n),
 and a deterministic sequential-greedy idealization of grouped cyclic
 anneals. Plus the device timing model used for reporting.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from .bqm import _BLOCK_BITS, CapacityError, IsingModel, QuboModel, energy_of_bits
 from .pbf import Poly
-from .schedules import AnnealSchedule, GroupedSchedule
+from .schedules import AnnealSchedule, GroupedSchedule, fraction_table
 
 STATE_VECTOR_MAX_VARS = 16
 
@@ -223,21 +223,22 @@ def _integrate(model, sched: AnnealSchedule, psi: np.ndarray,
     lows = [np.flatnonzero((idx >> i) & 1 == 0) for i in range(n)]
     if steps is None:
         steps = max(256, int(32 * sched.total_time))
+    # each term's value over the basis states, built once for every step
+    lin_terms = [(w, i, vals[i]) for i, w in lin.items()] if convention == "standard" else []
+    quad_terms = [(w, i, j, vals[i] * vals[j]) for (i, j), w in quad.items()]
 
     def diagonal(s: np.ndarray) -> np.ndarray:
         d = np.zeros(dim)
-        if convention == "standard":
-            for i, w in lin.items():
-                d += (w * s[i]) * vals[i]
-        for (i, j), w in quad.items():
-            d += (w * s[i] * s[j]) * (vals[i] * vals[j])
+        for w, i, v in lin_terms:
+            d += (w * s[i]) * v
+        for w, i, j, v in quad_terms:
+            d += (w * s[i] * s[j]) * v
         return d
 
     worst_drift = 0.0
     dt = sched.total_time / steps
-    for k in range(steps):
-        tm = (k + 0.5) * dt
-        s = np.array([sched.s_at(tm, v) for v in range(n)])
+    table = fraction_table(sched, [(k + 0.5) * dt for k in range(steps)], n)
+    for s in table:
         phase = np.exp(-0.5j * dt * diagonal(s))
         psi = phase * psi
         for i in range(n):
@@ -379,6 +380,12 @@ def heuristic_anneal(
     reinitialize, all reads run in lockstep from the same start (one rng
     column per read); otherwise each read continues from the previous
     read's terminal state.
+
+    The schedule is read once per request, at every sweep's midpoint.
+    RNG contract, which keeps the samples of a seed stable: a random
+    start draws its rows first; then each sweep draws one row of
+    `reads` uniforms (one per lockstep row, or one when chained) per
+    active variable, in index order, as a single (active, reads) block.
     """
     model = req.model
     n = model.n
@@ -392,57 +399,75 @@ def heuristic_anneal(
     timing = _schedule_timing(reads, sched.total_time)
 
     def init_rows(count: int) -> np.ndarray:
-        if random_init:
-            bits = rng.integers(0, 2, size=(count, n)).astype(np.float64)
-            return bits if is_qubo else 2.0 * bits - 1.0
-        if req.initial_state is None:
+        if random_init or req.initial_state is None:
             bits = rng.integers(0, 2, size=(count, n)).astype(np.float64)
             return bits if is_qubo else 2.0 * bits - 1.0
         row = np.array(req.initial_state, dtype=np.float64)
         return np.tile(row, (count, 1))
 
+    plan: list[tuple[np.ndarray, float]] = []
+    if sched.total_time > 0.0 and n > 0:
+        times = [(k + 0.5) * sched.total_time / sweeps for k in range(sweeps)]
+        for row in fraction_table(sched, times, n):
+            # frozen means s >= 1; anything else, NaN included, may move
+            active = np.flatnonzero(~(row >= 1.0))
+            if len(active):
+                plan.append((active, t_hot * (1.0 - min(row.tolist()))))
+    w_cols = [w[:, v] for v in range(n)]
+
     def run(states: np.ndarray) -> np.ndarray:
         count = states.shape[0]
-        if sched.total_time == 0.0 or n == 0:
-            return states
-        for k in range(sweeps):
-            t = (k + 0.5) * sched.total_time / sweeps
-            s_vec = [sched.s_at(t, v) for v in range(n)]
-            tau = t_hot * (1.0 - min(s_vec))
-            for v in range(n):
-                if s_vec[v] >= 1.0:
-                    continue
-                f = states @ w[:, v] + d[v]
+        cols = [states[:, v] for v in range(n)]
+        f = np.empty(count)
+        delta = np.empty(count)
+        p = np.empty(count)
+        accept = np.empty(count, dtype=bool)
+        for active, tau in plan:
+            draws = rng.random((len(active), count))
+            for v, u in zip(active.tolist(), draws):
+                x = cols[v]
+                # the field is states @ w[:, v] + d[v]; keeping that exact
+                # product keeps BLAS summing in the same order
+                np.matmul(states, w_cols[v], out=f)
+                f += d[v]
                 if is_qubo:
-                    delta = (1.0 - 2.0 * states[:, v]) * f
+                    np.multiply(x, 2.0, out=delta)
+                    np.subtract(1.0, delta, out=delta)
                 else:
-                    delta = -2.0 * states[:, v] * f
-                u = rng.random(count)
+                    np.multiply(x, -2.0, out=delta)
+                delta *= f
                 if tau > 0.0:
-                    accept = u < 1.0 / (1.0 + np.exp(np.clip(delta / tau, -700.0, 700.0)))
+                    # 1 / (1 + exp(clip(delta / tau, -700, 700))) > u
+                    np.divide(delta, tau, out=p)
+                    np.maximum(p, -700.0, out=p)
+                    np.minimum(p, 700.0, out=p)
+                    np.exp(p, out=p)
+                    p += 1.0
+                    np.divide(1.0, p, out=p)
+                    np.less(u, p, out=accept)
                 else:
                     accept = (delta < 0.0) | ((delta == 0.0) & (u < 0.5))
                 if is_qubo:
-                    states[accept, v] = 1.0 - states[accept, v]
+                    np.subtract(1.0, x, out=x, where=accept)
                 else:
-                    states[accept, v] = -states[accept, v]
+                    # not np.negative: numpy 2.4 mis-writes it on 64-byte strides
+                    np.multiply(x, -1.0, out=x, where=accept)
         return states
 
     if sched.reinitialize:
         terminal = run(init_rows(reads))
-        out = [_native_row(model, terminal[r]) for r in range(reads)]
-        return _assemble(model, out, timing)
+        return _assemble(model, _native_rows(terminal), timing)
 
     out = []
     cur = init_rows(1)
     for _ in range(reads):
-        cur = run(cur)
-        out.append(_native_row(model, cur[0]))
+        out.extend(_native_rows(run(cur)))
     return _assemble(model, out, timing)
 
 
-def _native_row(model, row: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(round(v)) for v in row)
+def _native_rows(states: np.ndarray) -> list[tuple[int, ...]]:
+    """State rows as integer tuples; the values are exactly 0/1 or +-1."""
+    return [tuple(r) for r in states.astype(np.int64).tolist()]
 
 
 # A greedy candidate must beat the running best by more than this.

@@ -7,6 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .bqm import ParseError
 
 Path = tuple[tuple[float, float], ...]
@@ -90,6 +92,25 @@ class AnnealSchedule:
         # A variable starting above s=0 has no transverse-dominated start:
         # its classical value at t=0 must come from somewhere.
         return any(self.s_at(0.0, v) > 0.0 for v in range(n))
+
+
+def fraction_table(sched: AnnealSchedule, times: Sequence[float], n: int) -> np.ndarray:
+    """s_at(t, v) at every time in `times` for variables 0..n-1, as a
+    (len(times), n) array. Variables whose paths are equal by value share
+    one column of s_at calls, so the cost is one call per distinct path
+    per time rather than one per variable."""
+    paths = sched.variable_paths or {}
+    column: dict[Path, int] = {}
+    reps: list[int] = []
+    which = np.empty(n, dtype=np.intp)
+    for v in range(n):
+        key = paths.get(v, sched.breakpoints)
+        if key not in column:
+            column[key] = len(reps)
+            reps.append(v)
+        which[v] = column[key]
+    distinct = np.array([[sched.s_at(t, v) for v in reps] for t in times], dtype=np.float64)
+    return distinct.reshape(len(times), len(reps))[:, which]
 
 
 def forward_schedule(total_time: float) -> AnnealSchedule:

@@ -6,6 +6,7 @@ shape constants below. Closed-system evolution is unitary, so a cyclic
 schedule improves the ground-state share only in the right parameter
 window, and the tests pin seeds to keep the checks exact."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -40,6 +41,7 @@ from annealdp.schedules import (
     AnnealSchedule,
     forward_schedule,
     grouped_cycle_schedule,
+    reverse_schedule,
 )
 
 # Two-spin instance from the worked tables: ground (-1, -1) at -1.0.
@@ -469,3 +471,245 @@ class TestGreedyMatchesScalarWalk:
             if e < want_e - 1e-12:
                 want_k, want_e = k, e
         assert engines._last_improvement(energies, best_e) == (want_k, want_e)
+
+
+def scalar_heuristic(req, sweeps=256, t_hot=None, random_init=False):
+    """Reference annealer: the kernel as a per-variable loop that reads
+    the schedule and draws its uniforms one variable at a time."""
+    model = req.model
+    n = model.n
+    sched = req.schedule
+    reads = req.reads
+    rng = np.random.default_rng(req.seed)
+    if t_hot is None:
+        t_hot = engines.default_hot_temperature(model)
+    is_qubo = isinstance(model, QuboModel)
+    w, d = engines._dense_form(model)
+    timing = engines._schedule_timing(reads, sched.total_time)
+
+    def init_rows(count):
+        if random_init:
+            bits = rng.integers(0, 2, size=(count, n)).astype(np.float64)
+            return bits if is_qubo else 2.0 * bits - 1.0
+        if req.initial_state is None:
+            bits = rng.integers(0, 2, size=(count, n)).astype(np.float64)
+            return bits if is_qubo else 2.0 * bits - 1.0
+        row = np.array(req.initial_state, dtype=np.float64)
+        return np.tile(row, (count, 1))
+
+    def run(states):
+        count = states.shape[0]
+        if sched.total_time == 0.0 or n == 0:
+            return states
+        for k in range(sweeps):
+            t = (k + 0.5) * sched.total_time / sweeps
+            s_vec = [sched.s_at(t, v) for v in range(n)]
+            tau = t_hot * (1.0 - min(s_vec))
+            for v in range(n):
+                if s_vec[v] >= 1.0:
+                    continue
+                f = states @ w[:, v] + d[v]
+                if is_qubo:
+                    delta = (1.0 - 2.0 * states[:, v]) * f
+                else:
+                    delta = -2.0 * states[:, v] * f
+                u = rng.random(count)
+                if tau > 0.0:
+                    accept = u < 1.0 / (1.0 + np.exp(np.clip(delta / tau, -700.0, 700.0)))
+                else:
+                    accept = (delta < 0.0) | ((delta == 0.0) & (u < 0.5))
+                if is_qubo:
+                    states[accept, v] = 1.0 - states[accept, v]
+                else:
+                    states[accept, v] = -states[accept, v]
+        return states
+
+    def native_row(row):
+        return tuple(int(round(v)) for v in row)
+
+    if sched.reinitialize:
+        terminal = run(init_rows(reads))
+        out = [native_row(terminal[r]) for r in range(reads)]
+        return engines._assemble(model, out, timing)
+
+    out = []
+    cur = init_rows(1)
+    for _ in range(reads):
+        cur = run(cur)
+        out.append(native_row(cur[0]))
+    return engines._assemble(model, out, timing)
+
+
+# Small integers make exact ties and zero-cost flips; general floats
+# make fields whose last bits depend on the order BLAS sums them in.
+coefficients = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def anneal_models(draw):
+    # up to 10 variables, drawn evenly: a 64-byte row stride (n = 8) is among them
+    n = draw(st.sampled_from(range(1, 11)))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    if draw(st.booleans()):
+        return QuboModel(n, draw(st.dictionaries(st.sampled_from(pairs), coefficients, max_size=20)))
+    biases = draw(st.dictionaries(st.integers(0, n - 1), coefficients, max_size=n))
+    off = [(i, j) for i, j in pairs if i < j]
+    couplings = draw(st.dictionaries(st.sampled_from(off), coefficients, max_size=20)) if off else {}
+    return IsingModel(n, biases, couplings)
+
+
+@st.composite
+def heuristic_requests(draw):
+    """A request over a forward, reverse-with-hold or grouped schedule,
+    with lockstep or chained reads."""
+    model = draw(anneal_models())
+    n = model.n
+    total = draw(st.sampled_from([0.0, 3.0, 16.0]))
+    shape = draw(st.sampled_from(["forward", "reverse", "grouped"]))
+    if shape == "forward":
+        sched = forward_schedule(total)
+    elif shape == "reverse":
+        hold = draw(st.sampled_from([0.0, 0.25, 0.5]))
+        sched = reverse_schedule(total, draw(st.sampled_from([0.0, 0.4])), hold=hold)
+    else:
+        perm = list(draw(st.permutations(range(n))))
+        cut = draw(st.integers(1, n))
+        grouped, always = perm[:cut], tuple(perm[cut:cut + draw(st.integers(0, n - cut))])
+        groups = [tuple(grouped[k::2]) for k in range(2) if grouped[k::2]]
+        sched = grouped_cycle_schedule(
+            max(total, 1.0), groups, cycles=draw(st.integers(1, 2)),
+            reversal_target=draw(st.sampled_from([0.0, 0.3])), always_active=always,
+            down_fraction=0.4, hold_fraction=draw(st.sampled_from([0.0, 0.2]))).schedule
+    sched = dataclasses.replace(sched, reinitialize=draw(st.booleans()))
+    domain = (0, 1) if isinstance(model, QuboModel) else (-1, 1)
+    initial = None
+    if shape != "forward" or draw(st.booleans()):
+        initial = tuple(draw(st.lists(st.sampled_from(domain), min_size=n, max_size=n)))
+    return SamplerRequest(model, sched, reads=draw(st.integers(1, 5)),
+                          initial_state=initial, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestHeuristicMatchesScalarLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(heuristic_requests(), st.integers(1, 8), st.sampled_from([None, 1e-9, 0.0]),
+           st.booleans())
+    def test_same_sample_set(self, req, sweeps, t_hot, random_init):
+        # t_hot = 0.0 is the only way into the tau == 0 branch
+        want = scalar_heuristic(req, sweeps, t_hot, random_init)
+        got = heuristic_anneal(req, sweeps=sweeps, t_hot=t_hot, random_init=random_init)
+        assert got == want
+
+    def test_spin_rows_with_a_64_byte_stride(self):
+        # 8 spins put a state column at a 64-byte stride, where numpy 2.4's
+        # in-place np.negative writes wrong values
+        rng = np.random.default_rng(8)
+        for seed in range(5):
+            model = random_ising(8, rng, density=1.0)
+            req = SamplerRequest(model, forward_schedule(3.0), reads=4, seed=seed)
+            assert heuristic_anneal(req, sweeps=4) == scalar_heuristic(req, sweeps=4)
+
+    def test_default_sweeps_on_a_grouped_chain(self):
+        _, qubo, aux = hc_problem()
+        gs = grouped_cycle_schedule(16.0, [(0, 2), (1, 3)], always_active=aux,
+                                    reinitialize=False, down_fraction=0.5)
+        req = SamplerRequest(qubo, gs, reads=12, initial_state=(0,) * 6, seed=13)
+        assert heuristic_anneal(req) == scalar_heuristic(req)
+
+    def test_schedule_read_once_per_distinct_path(self):
+        # one s_at call per distinct path per sweep, not one per variable
+        _, qubo, aux = hc_problem()
+        gs = grouped_cycle_schedule(16.0, [(0, 2), (1, 3)], always_active=aux,
+                                    reinitialize=False, down_fraction=0.5)
+        req = SamplerRequest(qubo, gs, reads=4, initial_state=(0,) * 6, seed=1)
+        with mock.patch.object(AnnealSchedule, "s_at", autospec=True,
+                               side_effect=AnnealSchedule.s_at) as s_at:
+            heuristic_anneal(req, sweeps=10)
+        assert s_at.call_count == 10 * 3
+
+
+def scalar_probabilities(req, steps=None, convention="standard"):
+    """Reference integrator: the schedule read and the problem diagonal
+    rebuilt from the term dicts at every step."""
+    model, sched = req.model, req.schedule
+    psi = engines._start_vector(req, convention)
+    if sched.total_time == 0.0:
+        return np.abs(psi) ** 2
+    n = model.n
+    dim = 1 << n
+    lin, quad = engines._model_terms(model)
+    idx = np.arange(dim)
+    if isinstance(model, QuboModel):
+        vals = [((idx >> i) & 1).astype(np.float64) for i in range(n)]
+    else:
+        vals = [2.0 * ((idx >> i) & 1).astype(np.float64) - 1.0 for i in range(n)]
+    lows = [np.flatnonzero((idx >> i) & 1 == 0) for i in range(n)]
+    if steps is None:
+        steps = max(256, int(32 * sched.total_time))
+
+    def diagonal(s):
+        d = np.zeros(dim)
+        if convention == "standard":
+            for i, w in lin.items():
+                d += (w * s[i]) * vals[i]
+        for (i, j), w in quad.items():
+            d += (w * s[i] * s[j]) * (vals[i] * vals[j])
+        return d
+
+    dt = sched.total_time / steps
+    for k in range(steps):
+        tm = (k + 0.5) * dt
+        s = np.array([sched.s_at(tm, v) for v in range(n)])
+        phase = np.exp(-0.5j * dt * diagonal(s))
+        psi = phase * psi
+        for i in range(n):
+            if convention == "standard":
+                theta = (1.0 - s[i]) * dt
+            else:
+                theta = -(1.0 - s[i]) * lin.get(i, 0.0) * dt
+            if theta == 0.0:
+                continue
+            lo = lows[i]
+            hi = lo + (1 << i)
+            a0 = psi[lo]
+            a1 = psi[hi]
+            c, sn = math.cos(theta), math.sin(theta)
+            psi[lo] = c * a0 + 1j * sn * a1
+            psi[hi] = 1j * sn * a0 + c * a1
+        psi = phase * psi
+        psi = psi / float(np.linalg.norm(psi))
+    return np.abs(psi) ** 2
+
+
+class TestIntegratorMatchesScalarLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_same_probabilities(self, n, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        convention = data.draw(st.sampled_from(["standard", "literal"]))
+        if convention == "literal" or data.draw(st.booleans()):
+            model = random_ising(n, rng, density=0.8)
+            domain = (-1, 1)
+        else:
+            q = {(i, j): float(rng.normal()) for i in range(n) for j in range(i, n)
+                 if rng.random() < 0.8}
+            model = QuboModel(n, q)
+            domain = (0, 1)
+        shape = data.draw(st.sampled_from(["forward", "reverse", "grouped"]))
+        if shape == "forward":
+            sched, initial = forward_schedule(2.0), None
+        else:
+            if shape == "reverse":
+                sched = reverse_schedule(2.0, 0.2, hold=0.3)
+            else:
+                groups = [tuple(range(0, n, 2)), tuple(range(1, n, 2))]
+                sched = grouped_cycle_schedule(
+                    3.0, [g for g in groups if g], down_fraction=0.3).schedule
+            initial = tuple(domain[int(b)] for b in rng.integers(0, 2, n))
+        req = SamplerRequest(model, sched, reads=1, initial_state=initial)
+        steps = data.draw(st.sampled_from([None, 7, 40]))
+        want = scalar_probabilities(req, steps, convention)
+        got = final_probabilities(req, steps, convention)
+        assert np.array_equal(got, want)

@@ -1,5 +1,7 @@
 """Schedule shapes: validation, the factory functions, grouped windows,
-and CSV round-trips."""
+CSV round-trips, and the fraction table the engines read."""
+
+from unittest import mock
 
 import pytest
 
@@ -7,6 +9,7 @@ from annealdp.bqm import ParseError
 from annealdp.schedules import (
     AnnealSchedule,
     forward_schedule,
+    fraction_table,
     grouped_cycle_schedule,
     read_schedule_csv,
     reverse_schedule,
@@ -210,3 +213,48 @@ class TestCsvRoundTrip:
         )
         with pytest.raises(ParseError, match="bad row"):
             read_schedule_csv(str(p))
+
+
+class TestFractionTable:
+    def cases(self, tmp_path):
+        gs = grouped_cycle_schedule(
+            30.0, [(0, 3), (1,), (2, 5)], cycles=2, reversal_target=0.2,
+            always_active=(6,), down_fraction=0.3, hold_fraction=0.1)
+        path = str(tmp_path / "sched.csv")
+        write_schedule_csv(gs, path)
+        back = read_schedule_csv(path).schedule
+        # the reader gives each variable its own copy of its group's path
+        assert back.variable_paths[0] == back.variable_paths[3]
+        assert back.variable_paths[0] is not back.variable_paths[3]
+        override = AnnealSchedule(
+            10.0, ((0.0, 0.0), (10.0, 1.0)), variable_paths={1: ((0.0, 1.0), (10.0, 0.5))})
+        return [
+            (forward_schedule(12.0), 4),
+            (reverse_schedule(9.0, 0.3, hold=0.4), 3),
+            (override, 3),
+            (gs.schedule, 8),  # variable 7 follows the global path
+            (back, 8),
+        ]
+
+    def test_equals_s_at_everywhere(self, tmp_path):
+        for sched, n in self.cases(tmp_path):
+            sweeps = 37
+            times = [(k + 0.5) * sched.total_time / sweeps for k in range(sweeps)] + [0.0, sched.total_time]
+            table = fraction_table(sched, times, n)
+            assert table.shape == (len(times), n)
+            for r, t in enumerate(times):
+                for v in range(n):
+                    assert table[r, v] == sched.s_at(t, v), (sched, t, v)
+
+    def test_one_s_at_call_per_distinct_path(self, tmp_path):
+        # groups (0,3) (1,) (2,5), always (6,), and the global path
+        back = self.cases(tmp_path)[-1][0]
+        with mock.patch.object(AnnealSchedule, "s_at", autospec=True,
+                               side_effect=AnnealSchedule.s_at) as s_at:
+            fraction_table(back, [0.5, 1.5, 2.5], 8)
+        assert s_at.call_count == 5 * 3
+
+    def test_no_variables_or_times(self):
+        sched = forward_schedule(4.0)
+        assert fraction_table(sched, [1.0, 2.0], 0).shape == (2, 0)
+        assert fraction_table(sched, [], 3).shape == (0, 3)
