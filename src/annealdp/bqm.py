@@ -9,7 +9,7 @@ order (dict insertion order).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -229,17 +229,35 @@ def energy_of_bits(model: IsingModel | QuboModel, bits: BinaryState) -> float:
     return ising_energy(model, [2 * b - 1 for b in bits])
 
 
-def block_energies(model: IsingModel | QuboModel, start: int, stop: int) -> np.ndarray:
-    """Energies of the bit states with indices [start, stop).
+def term_energies(
+    model: IsingModel | QuboModel, value: Callable[[int], np.ndarray], size: int
+) -> np.ndarray:
+    """Energies of `size` states, where value(i) is variable i's value in
+    each state, in the model's native domain.
 
-    State index k encodes bit i as (k >> i) & 1. Terms are evaluated in
-    the model's native domain and accumulate in dict order; each term
-    is a product with a value in {-1, 0, 1}, so every partial sum is
-    identical to the scalar path and entries agree bit-for-bit with
-    energy_of_bits.
+    Terms accumulate in dict order; each term is the coefficient times a
+    product with a value in {-1, 0, 1}, so every partial sum is identical
+    to the scalar path and entries agree bit-for-bit with energy_of_bits.
     """
+    energies = np.zeros(size, dtype=np.float64)
+    if isinstance(model, IsingModel):
+        for i, h in model.biases.items():
+            energies += h * value(i)
+        for (i, j), w in model.couplings.items():
+            energies += w * (value(i) * value(j))
+    else:
+        for (i, j), w in model.q.items():
+            if i == j:
+                energies += w * value(i)
+            else:
+                energies += w * (value(i) * value(j))
+    return energies
+
+
+def block_energies(model: IsingModel | QuboModel, start: int, stop: int) -> np.ndarray:
+    """Energies of the bit states with indices [start, stop), bit-for-bit
+    equal to energy_of_bits. State index k encodes bit i as (k >> i) & 1."""
     idx = np.arange(start, stop, dtype=np.uint64)
-    energies = np.zeros(idx.shape, dtype=np.float64)
     vals: dict[int, np.ndarray] = {}
     spin = isinstance(model, IsingModel)
 
@@ -249,18 +267,7 @@ def block_energies(model: IsingModel | QuboModel, start: int, stop: int) -> np.n
             vals[i] = 2.0 * b - 1.0 if spin else b
         return vals[i]
 
-    if spin:
-        for i, h in model.biases.items():
-            energies += h * var(i)
-        for (i, j), w in model.couplings.items():
-            energies += w * (var(i) * var(j))
-    else:
-        for (i, j), w in model.q.items():
-            if i == j:
-                energies += w * var(i)
-            else:
-                energies += w * (var(i) * var(j))
-    return energies
+    return term_energies(model, var, len(idx))
 
 
 def brute_force(

@@ -132,6 +132,10 @@ class RunConfig:
             raise UsageError("reversal must lie in [0, 1)")
         if self.k_count < 2:
             raise UsageError("k_count must be >= 2")
+        for name in ("s2", "s3", "anneal_time", "bias"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise UsageError(f"{name} must be finite")
         if self.anneal_time is not None and self.anneal_time < 5.0:
             raise UsageError("anneal_time must be >= 5 microseconds")
         if self.bias < 0.0:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bqm import _BLOCK_BITS, CapacityError, IsingModel, QuboModel, energy_of_bits
+from .bqm import _BLOCK_BITS, CapacityError, IsingModel, QuboModel, term_energies
 from .pbf import Poly
 from .schedules import AnnealSchedule, GroupedSchedule, fraction_table
 
@@ -119,9 +119,10 @@ def _assemble(
     counts: dict[tuple[int, ...], int] = {}
     for s in states:
         counts[s] = counts.get(s, 0) + 1
-    records = [
-        SampleRecord(s, energy_of_bits(model, _to_bits(model, s)), c) for s, c in counts.items()
-    ]
+    # one column of values per variable over the distinct states
+    cols = np.array(list(counts), dtype=np.float64).reshape(len(counts), model.n).T
+    energies = term_energies(model, cols.__getitem__, len(counts)).tolist()
+    records = [SampleRecord(s, e, c) for (s, c), e in zip(counts.items(), energies)]
     records.sort(key=lambda r: (r.energy, -r.occurrences, r.state))
     return SampleSet(tuple(records), timing, norm_drift)
 
@@ -386,6 +387,14 @@ def heuristic_anneal(
     start draws its rows first; then each sweep draws one row of
     `reads` uniforms (one per lockstep row, or one when chained) per
     active variable, in index order, as a single (active, reads) block.
+
+    A sweep updates the variables in index order. It runs as a few
+    coupling-free layers (see _layers), computed once per distinct active
+    set: every earlier neighbour of a variable lies in a lower layer and
+    every later one in a higher layer, so testing a whole layer at once
+    over a (layer, reads) block, each variable with its own row of the
+    draws, gives exactly the sequential sweep. Each field is still its
+    own product states @ w[:, v] + d[v], so BLAS sums it in the same order.
     """
     model = req.model
     n = model.n
@@ -398,38 +407,68 @@ def heuristic_anneal(
     w, d = _dense_form(model)
     timing = _schedule_timing(reads, sched.total_time)
 
-    def init_rows(count: int) -> np.ndarray:
-        if random_init or req.initial_state is None:
-            bits = rng.integers(0, 2, size=(count, n)).astype(np.float64)
-            return bits if is_qubo else 2.0 * bits - 1.0
-        row = np.array(req.initial_state, dtype=np.float64)
-        return np.tile(row, (count, 1))
+    # lockstep reads update one state row each; chained reads one row in
+    # turn. The state array is updated in place, so views of it are taken once.
+    count = reads if sched.reinitialize else 1
+    if random_init or req.initial_state is None:
+        bits = rng.integers(0, 2, size=(count, n)).astype(np.float64)
+        states = bits if is_qubo else 2.0 * bits - 1.0
+    else:
+        states = np.tile(np.array(req.initial_state, dtype=np.float64), (count, 1))
+    w_cols = [w[:, v] for v in range(n)]
+    draws = np.empty((n, count))
+    f_buf = np.empty((n, count))
+    delta_buf = np.empty((n, count))
+    p_buf = np.empty((n, count))
+    accept_buf = np.empty((n, count), dtype=bool)
 
-    plan: list[tuple[np.ndarray, float]] = []
+    def layer_plan(active: np.ndarray) -> list[tuple]:
+        """Per coupling-free layer: a (column of w, field row) pair per
+        variable, the variables and their rows in the sweep's draws, views
+        of their state columns and draws when the variables are one
+        consecutive run (else None: gather them), the biases spread over
+        the state rows, and the layer's work buffers. The views spare the
+        gather and scatter, which would make a dense model's one-variable
+        layers slower than a plain per-variable loop."""
+        out = []
+        for pos in _layers(w, active):
+            vs = active[pos]
+            m = len(vs)
+            f = f_buf[:m]
+            products = [(w_cols[v], f[k]) for k, v in enumerate(vs.tolist())]
+            view = None
+            if vs[-1] - vs[0] + 1 == m:
+                # consecutive variables sit at consecutive positions in active
+                view = (states[:, vs[0]:vs[0] + m].T, draws[pos[0]:pos[0] + m])
+            bias = np.repeat(d[vs][:, None], count, axis=1)
+            out.append((products, vs, pos, view, bias,
+                        f, delta_buf[:m], p_buf[:m], accept_buf[:m]))
+        return out
+
+    layered: dict[bytes, list[tuple]] = {}
+    plan: list[tuple[float, np.ndarray, list[tuple]]] = []
     if sched.total_time > 0.0 and n > 0:
         times = [(k + 0.5) * sched.total_time / sweeps for k in range(sweeps)]
         for row in fraction_table(sched, times, n):
             # frozen means s >= 1; anything else, NaN included, may move
             active = np.flatnonzero(~(row >= 1.0))
-            if len(active):
-                plan.append((active, t_hot * (1.0 - min(row.tolist()))))
-    w_cols = [w[:, v] for v in range(n)]
+            if not len(active):
+                continue
+            key = active.tobytes()
+            if key not in layered:
+                layered[key] = layer_plan(active)
+            plan.append((t_hot * (1.0 - min(row.tolist())), draws[:len(active)], layered[key]))
 
-    def run(states: np.ndarray) -> np.ndarray:
-        count = states.shape[0]
-        cols = [states[:, v] for v in range(n)]
-        f = np.empty(count)
-        delta = np.empty(count)
-        p = np.empty(count)
-        accept = np.empty(count, dtype=bool)
-        for active, tau in plan:
-            draws = rng.random((len(active), count))
-            for v, u in zip(active.tolist(), draws):
-                x = cols[v]
-                # the field is states @ w[:, v] + d[v]; keeping that exact
-                # product keeps BLAS summing in the same order
-                np.matmul(states, w_cols[v], out=f)
-                f += d[v]
+    def run() -> None:
+        for tau, block, layers in plan:
+            rng.random(out=block)
+            for products, vs, pos, view, bias, f, delta, p, accept in layers:
+                # the field is states @ w[:, v] + d[v], one product per
+                # variable: a (reads, m) product sums in another order
+                for w_col, f_row in products:
+                    np.matmul(states, w_col, out=f_row)
+                f += bias
+                x, u = view or (states[:, vs].T, draws[pos])
                 if is_qubo:
                     np.multiply(x, 2.0, out=delta)
                     np.subtract(1.0, delta, out=delta)
@@ -452,17 +491,34 @@ def heuristic_anneal(
                 else:
                     # not np.negative: numpy 2.4 mis-writes it on 64-byte strides
                     np.multiply(x, -1.0, out=x, where=accept)
-        return states
+                if view is None:
+                    # x is a gathered copy: scatter the flips back
+                    states[:, vs] = x.T
 
     if sched.reinitialize:
-        terminal = run(init_rows(reads))
-        return _assemble(model, _native_rows(terminal), timing)
+        run()
+        return _assemble(model, _native_rows(states), timing)
 
     out = []
-    cur = init_rows(1)
     for _ in range(reads):
-        out.extend(_native_rows(run(cur)))
+        run()
+        out.extend(_native_rows(states))
     return _assemble(model, out, timing)
+
+
+def _layers(w: np.ndarray, active: np.ndarray) -> list[np.ndarray]:
+    """The active variables split into layers with no coupling inside a
+    layer, as positions into `active` (ascending). A variable's layer is
+    one above the highest layer among its coupled active predecessors
+    (1 with none), so each earlier neighbour lies in a lower layer and
+    each later one in a higher layer: updating the layers in order is the
+    sequential sweep in index order."""
+    coupled = w[np.ix_(active, active)] != 0.0
+    level = np.zeros(len(active), dtype=np.intp)
+    for k in range(len(active)):
+        below = level[:k][coupled[k, :k]]
+        level[k] = 1 + (int(below.max()) if len(below) else 0)
+    return [np.flatnonzero(level == lv) for lv in range(1, int(level.max(initial=0)) + 1)]
 
 
 def _native_rows(states: np.ndarray) -> list[tuple[int, ...]]:

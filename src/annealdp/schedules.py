@@ -4,6 +4,7 @@ and CSV serialization of grouped schedules."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -21,7 +22,8 @@ def _validate_path(path: Path, total_time: float, what: str) -> None:
     for t, f in path:
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"{what}: fraction {f} outside [0, 1]")
-        if t < 0.0 or t > total_time + 1e-9:
+        # written so that NaN, which fails every comparison, is rejected too
+        if not 0.0 <= t <= total_time + 1e-9:
             raise ValueError(f"{what}: time {t} outside [0, {total_time}]")
         if last_t is not None and t < last_t:
             raise ValueError(f"{what}: breakpoint times must be nondecreasing")
@@ -60,8 +62,8 @@ class AnnealSchedule:
     reinitialize: bool = True
 
     def __post_init__(self) -> None:
-        if self.total_time < 0:
-            raise ValueError("total_time must be nonnegative")
+        if not 0.0 <= self.total_time < math.inf:
+            raise ValueError("total_time must be finite and nonnegative")
         if not 0.0 <= self.reversal_target <= 1.0:
             raise ValueError("reversal_target must lie in [0, 1]")
         if self.cycles < 1:
@@ -250,6 +252,8 @@ def write_schedule_csv(gs: GroupedSchedule, path: str) -> None:
 
 
 def read_schedule_csv(path: str) -> GroupedSchedule:
+    """Parse the CSV written by write_schedule_csv. Raises ParseError on
+    malformed text and on values AnnealSchedule rejects."""
     with open(path) as fh:
         raw = fh.readlines()
     meta: dict[str, float] = {}
@@ -274,7 +278,10 @@ def read_schedule_csv(path: str) -> GroupedSchedule:
                 for tok in body.split():
                     if "=" in tok:
                         k, v = tok.split("=", 1)
-                        meta[k] = float(v)
+                        try:
+                            meta[k] = float(v)
+                        except ValueError:
+                            raise ParseError(f"bad header value {tok!r}", lineno) from None
             continue
         if text.startswith("time_us"):
             continue
@@ -293,14 +300,18 @@ def read_schedule_csv(path: str) -> GroupedSchedule:
         gpath = tuple((t, f) for t, g, f in rows if g == name)
         for v in members:
             variable_paths[v] = gpath
-    schedule = AnnealSchedule(
-        meta["total_time_us"],
-        global_path,
-        variable_paths=variable_paths or None,
-        reversal_target=meta.get("reversal_target", 0.0),
-        cycles=int(meta.get("cycles", 1)),
-        reinitialize=bool(int(meta.get("reinitialize", 1))),
-    )
+    try:
+        schedule = AnnealSchedule(
+            meta["total_time_us"],
+            global_path,
+            variable_paths=variable_paths or None,
+            reversal_target=meta.get("reversal_target", 0.0),
+            cycles=int(meta.get("cycles", 1)),
+            reinitialize=bool(int(meta.get("reinitialize", 1))),
+        )
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an infinite cycles or reinitialize value
+        raise ParseError(str(exc), 1) from None
     # the writer names group k "g<k>": order by k, not by the name's text
     indexed = sorted((int(k[1:]), v) for k, v in group_vars.items() if k != "always")
     groups = tuple(v for _, v in indexed)

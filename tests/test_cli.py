@@ -74,6 +74,14 @@ class TestConfig:
         cfg.write_text("seed = soon\n")
         assert main(["solve", "--config", str(cfg)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["--s2", "--s3", "--anneal-time", "--bias"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_exits_2(self, tmp_path, flag, value):
+        argv = ["solve", "--algorithm", "one-shot", "--reads", "2", f"{flag}={value}",
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert not any(tmp_path.iterdir())
+
     def test_missing_equals_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("classical\n")

@@ -21,9 +21,11 @@ from annealdp.bqm import (
     IsingModel,
     QuboModel,
     brute_force,
+    energy_of_bits,
     ising_energy,
     qubo_energy,
     random_ising,
+    term_energies,
 )
 from annealdp.engines import (
     SamplerRequest,
@@ -35,8 +37,10 @@ from annealdp.engines import (
     sequential_greedy,
     timing_report,
 )
+from annealdp.merged import build_merged_problem, merged_schedule
 from annealdp.pbf import Poly, to_qubo
 from annealdp.quadratize import quadratize_full
+from annealdp.rbc import DEFAULT_PARAMS
 from annealdp.schedules import (
     AnnealSchedule,
     forward_schedule,
@@ -549,23 +553,25 @@ coefficients = st.one_of(
 
 
 @st.composite
-def anneal_models(draw):
-    # up to 10 variables, drawn evenly: a 64-byte row stride (n = 8) is among them
-    n = draw(st.sampled_from(range(1, 11)))
+def anneal_models(draw, sizes=range(1, 11), max_terms=20):
+    # sizes are drawn evenly: a 64-byte row stride (n = 8) is among the defaults
+    n = draw(st.sampled_from(sizes))
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     if draw(st.booleans()):
-        return QuboModel(n, draw(st.dictionaries(st.sampled_from(pairs), coefficients, max_size=20)))
+        return QuboModel(n, draw(st.dictionaries(st.sampled_from(pairs), coefficients,
+                                                 max_size=max_terms)))
     biases = draw(st.dictionaries(st.integers(0, n - 1), coefficients, max_size=n))
     off = [(i, j) for i, j in pairs if i < j]
-    couplings = draw(st.dictionaries(st.sampled_from(off), coefficients, max_size=20)) if off else {}
+    couplings = draw(st.dictionaries(st.sampled_from(off), coefficients,
+                                     max_size=max_terms)) if off else {}
     return IsingModel(n, biases, couplings)
 
 
 @st.composite
-def heuristic_requests(draw):
+def heuristic_requests(draw, models=anneal_models()):
     """A request over a forward, reverse-with-hold or grouped schedule,
     with lockstep or chained reads."""
-    model = draw(anneal_models())
+    model = draw(models)
     n = model.n
     total = draw(st.sampled_from([0.0, 3.0, 16.0]))
     shape = draw(st.sampled_from(["forward", "reverse", "grouped"]))
@@ -602,6 +608,27 @@ class TestHeuristicMatchesScalarLoop:
         got = heuristic_anneal(req, sweeps=sweeps, t_hot=t_hot, random_init=random_init)
         assert got == want
 
+    # sparse models over more variables, so that layers hold many variables
+    @settings(max_examples=100, deadline=None)
+    @given(heuristic_requests(anneal_models(range(11, 41), max_terms=60)), st.integers(1, 8),
+           st.sampled_from([None, 1e-9, 0.0]), st.booleans())
+    def test_same_sample_set_on_sparse_models(self, req, sweeps, t_hot, random_init):
+        want = scalar_heuristic(req, sweeps, t_hot, random_init)
+        got = heuristic_anneal(req, sweeps=sweeps, t_hot=t_hot, random_init=random_init)
+        assert got == want
+
+    @pytest.mark.parametrize("reinitialize", [True, False])
+    def test_merged_problem(self, merged_default, reinitialize):
+        problem = merged_default
+        w, _ = engines._dense_form(problem.qubo)
+        layers = engines._layers(w, np.arange(problem.n_vars))
+        assert len(layers) < problem.n_vars // 10
+        gs = merged_schedule(problem, cycles=2, reinitialize=reinitialize)
+        req = SamplerRequest(problem.qubo, gs, reads=3,
+                             initial_state=(0,) * problem.n_vars, seed=7)
+        got = heuristic_anneal(req, sweeps=8, random_init=True)
+        assert got == scalar_heuristic(req, sweeps=8, random_init=True)
+
     def test_spin_rows_with_a_64_byte_stride(self):
         # 8 spins put a state column at a 64-byte stride, where numpy 2.4's
         # in-place np.negative writes wrong values
@@ -628,6 +655,71 @@ class TestHeuristicMatchesScalarLoop:
                                side_effect=AnnealSchedule.s_at) as s_at:
             heuristic_anneal(req, sweeps=10)
         assert s_at.call_count == 10 * 3
+
+
+@pytest.fixture(scope="module")
+def merged_default():
+    return build_merged_problem(DEFAULT_PARAMS)
+
+
+@st.composite
+def coupling_graphs(draw):
+    """A symmetric coupling matrix with exact zeros (absent or cancelled
+    couplings) and an ascending active set."""
+    n = draw(st.integers(1, 40))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    w = np.zeros((n, n))
+    if pairs:
+        for i, j in draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique=True)):
+            w[i, j] = w[j, i] = draw(st.sampled_from([1.0, -0.5, 0.0]))
+    active = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return w, np.array(active, dtype=np.intp)
+
+
+class TestLayers:
+    @settings(max_examples=300, deadline=None)
+    @given(coupling_graphs())
+    def test_layers_order_the_sweep(self, graph):
+        w, active = graph
+        layers = engines._layers(w, active)
+        # the layers partition the active set
+        assert all(len(pos) for pos in layers)
+        assert sorted(np.concatenate(layers).tolist()) == list(range(len(active)))
+        level = {}
+        for lv, pos in enumerate(layers):
+            for v in active[pos].tolist():
+                level[v] = lv
+        for u in active.tolist():
+            for v in active.tolist():
+                if u < v and w[u, v] != 0.0:
+                    # no coupling inside a layer; an earlier neighbour sits lower
+                    assert level[u] < level[v]
+
+    def test_empty_couplings_give_one_layer(self):
+        assert [p.tolist() for p in engines._layers(np.zeros((4, 4)), np.arange(4))] == [
+            [0, 1, 2, 3]]
+
+
+class TestAssembledEnergies:
+    @settings(max_examples=300, deadline=None)
+    @given(anneal_models(), st.data())
+    def test_energies_equal_energy_of_bits(self, model, data):
+        # every bit of the energy, the sign of a zero included
+        n = model.n
+        bits = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                  min_size=1, max_size=12))
+        states = [engines._from_bits(model, b) for b in bits]
+        timing = engines._schedule_timing(len(states), 0.0)
+        records = engines._assemble(model, states, timing).records
+        assert sum(r.occurrences for r in records) == len(states)
+        for r in records:
+            want = energy_of_bits(model, engines._to_bits(model, r.state))
+            assert type(r.energy) is float
+            assert np.float64(r.energy).tobytes() == np.float64(want).tobytes()
+        cols = np.array(states, dtype=np.float64).T
+        got = term_energies(model, cols.__getitem__, len(states))
+        want = [energy_of_bits(model, b) for b in bits]
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
 def scalar_probabilities(req, steps=None, convention="standard"):

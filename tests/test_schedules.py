@@ -1,6 +1,7 @@
 """Schedule shapes: validation, the factory functions, grouped windows,
 CSV round-trips, and the fraction table the engines read."""
 
+import math
 from unittest import mock
 
 import pytest
@@ -41,6 +42,19 @@ class TestValidation:
     def test_negative_total_time_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             AnnealSchedule(-1.0, ((0.0, 0.0),))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_breakpoint_time_rejected(self, t):
+        # NaN fails every comparison, so it once passed every check
+        with pytest.raises(ValueError, match="outside"):
+            AnnealSchedule(10.0, ((0.0, 0.0), (t, 0.5), (10.0, 1.0)))
+        with pytest.raises(ValueError, match="outside"):
+            AnnealSchedule(10.0, ((0.0, 0.0), (10.0, 1.0)), variable_paths={0: ((t, 1.0),)})
+
+    @pytest.mark.parametrize("total", [math.nan, math.inf])
+    def test_non_finite_total_time_rejected(self, total):
+        with pytest.raises(ValueError, match="finite"):
+            AnnealSchedule(total, ((0.0, 0.0),))
 
     def test_reversal_target_range(self):
         with pytest.raises(ValueError, match="reversal_target"):
@@ -212,6 +226,24 @@ class TestCsvRoundTrip:
             "# total_time_us=10.0\ntime_us,group,fraction\nzero,global,1.0\n"
         )
         with pytest.raises(ParseError, match="bad row"):
+            read_schedule_csv(str(p))
+
+    @pytest.mark.parametrize("row", ["nan,global,0.5", "inf,global,0.5"])
+    def test_non_finite_time_is_a_parse_error(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(
+            f"# total_time_us=10.0\ntime_us,group,fraction\n0.0,global,0.0\n{row}\n"
+            "10.0,global,1.0\n"
+        )
+        with pytest.raises(ParseError, match="outside"):
+            read_schedule_csv(str(p))
+
+    @pytest.mark.parametrize("header", ["total_time_us=nan", "total_time_us=10.0 cycles=inf",
+                                        "total_time_us=ten"])
+    def test_bad_header_value_is_a_parse_error(self, tmp_path, header):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"# {header}\ntime_us,group,fraction\n0.0,global,1.0\n")
+        with pytest.raises(ParseError):
             read_schedule_csv(str(p))
 
 
