@@ -17,7 +17,11 @@ SpinState = Sequence[int]
 BinaryState = Sequence[int]
 
 BRUTE_FORCE_MAX_VARS = 26
-_BLOCK_BITS = 20
+# States per enumeration block, as a power of two. A 2^14 block keeps
+# the per-variable value arrays and the energy temporaries in cache.
+# Measured per brute_force call on the 18-variable combinatorial QUBO:
+# 2^20 197 ms, 2^16 107 ms, 2^15 90 ms, 2^14 78 ms, 2^13 98 ms, 2^12 144 ms.
+_BLOCK_BITS = 14
 
 
 class CapacityError(Exception):

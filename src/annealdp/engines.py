@@ -210,60 +210,149 @@ def _check_statevector(model, convention: str) -> None:
         raise ValueError("the literal convention is defined for Ising models")
 
 
-def _integrate(model, sched: AnnealSchedule, psi: np.ndarray,
-               steps: int | None, convention: str) -> tuple[np.ndarray, float]:
-    """Strang-split evolution of one schedule pass; returns (psi, worst drift)."""
-    n = model.n
-    dim = 1 << n
-    lin, quad = _model_terms(model)
-    idx = np.arange(dim)
-    if isinstance(model, QuboModel):
-        vals = [((idx >> i) & 1).astype(np.float64) for i in range(n)]
-    else:
-        vals = [2.0 * ((idx >> i) & 1).astype(np.float64) - 1.0 for i in range(n)]
-    lows = [np.flatnonzero((idx >> i) & 1 == 0) for i in range(n)]
+# Integration steps allowed per schedule pass; the default count is
+# 32 per unit of anneal time, so this caps the time near 8,192.
+MAX_STEPS = 1 << 18
+# Basis states per column block of the diagonal's term products: past
+# this, the (terms x states) product buffer is filled one block at a time.
+_DIAGONAL_BLOCK = 1 << 12
+
+
+def _step_count(sched: AnnealSchedule, steps: int | None) -> int:
     if steps is None:
-        steps = max(256, int(32 * sched.total_time))
-    # each term's value over the basis states, built once for every step
-    lin_terms = [(w, i, vals[i]) for i, w in lin.items()] if convention == "standard" else []
-    quad_terms = [(w, i, j, vals[i] * vals[j]) for (i, j), w in quad.items()]
+        raw = 32.0 * sched.total_time
+        if raw >= MAX_STEPS + 1:
+            raise CapacityError(f"anneal time {sched.total_time:g} needs {raw:.3g} integration "
+                                f"steps; the guard is {MAX_STEPS}")
+        return max(256, int(raw))
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if steps > MAX_STEPS:
+        raise CapacityError(f"{steps} integration steps exceed the guard of {MAX_STEPS}")
+    return steps
 
-    def diagonal(s: np.ndarray) -> np.ndarray:
-        d = np.zeros(dim)
-        for w, i, v in lin_terms:
-            d += (w * s[i]) * v
-        for w, i, j, v in quad_terms:
-            d += (w * s[i] * s[j]) * v
-        return d
 
-    worst_drift = 0.0
-    dt = sched.total_time / steps
-    table = fraction_table(sched, [(k + 0.5) * dt for k in range(steps)], n)
-    for s in table:
-        phase = np.exp(-0.5j * dt * diagonal(s))
-        psi = phase * psi
-        for i in range(n):
-            if convention == "standard":
-                theta = (1.0 - s[i]) * dt
-            else:
-                theta = -(1.0 - s[i]) * lin.get(i, 0.0) * dt
-            if theta == 0.0:
-                continue
-            lo = lows[i]
-            hi = lo + (1 << i)
-            a0 = psi[lo]
-            a1 = psi[hi]
-            c, sn = math.cos(theta), math.sin(theta)
-            psi[lo] = c * a0 + 1j * sn * a1
-            psi[hi] = 1j * sn * a0 + c * a1
-        psi = phase * psi
-        nrm = float(np.linalg.norm(psi))
-        drift = abs(nrm - 1.0)
-        if drift > 1e-6:
-            raise IntegrationError(f"norm drifted by {drift:.2e} in one step")
-        worst_drift = max(worst_drift, drift)
-        psi = psi / nrm
-    return psi, worst_drift
+class _Integration:
+    """Strang-split evolution of one schedule pass, planned once per request.
+
+    Every step multiplies psi by the half-step diagonal phase, rotates each
+    qubit in index order, multiplies by the phase again and renormalizes.
+    The plan holds what does not change between steps or reads:
+
+    - a term matrix whose row 0 is zero and whose later rows are the value
+      vectors of the diagonal's terms (linear, then quadratic) in the order
+      the scalar loop added them. A step scales each row by its coefficient
+      (w * s_i or (w * s_i) * s_j, the same scalar products) and sums the
+      rows with ``np.add.reduce`` over axis 0. That reduce adds whole rows
+      one after another, so each entry is the loop's left fold from +0.0;
+      a BLAS ``coef @ V`` sums in another order and is not used.
+    - the step fractions and the rotation angle of every (step, qubit),
+      with the same formulas as the scalar loop; cos and sin still come
+      from ``math`` per step.
+
+    A rotation reads psi as ``(half, 2).T``, whose rows hold the lowest bit
+    at 0 and at 1, and writes the other basis buffer as ``(2, half)``: the
+    rotated bit moves to the top, so after n qubits the layout is back. Per
+    amplitude it forms c * a and (1j * sn) * a' and adds them once, exactly
+    the gather/scatter loop's arithmetic. The off-diagonal coefficient has a
+    zero real part and the diagonal one a zero imaginary part, so whether
+    numpy's strided or contiguous complex multiply fuses them cannot change
+    a bit. Output is bit-identical to the scalar loop kept in the tests.
+    """
+
+    def __init__(self, model, sched: AnnealSchedule, steps: int | None, convention: str):
+        self.steps = _step_count(sched, steps)
+        n = model.n
+        dim = 1 << n
+        lin, quad = _model_terms(model)
+        idx = np.arange(dim)
+        if isinstance(model, QuboModel):
+            vals = [((idx >> i) & 1).astype(np.float64) for i in range(n)]
+        else:
+            vals = [2.0 * ((idx >> i) & 1).astype(np.float64) - 1.0 for i in range(n)]
+        lin_items = list(lin.items()) if convention == "standard" else []
+        quad_items = list(quad.items())
+        self.terms = np.zeros((1 + len(lin_items) + len(quad_items), dim))
+        for r, (i, _) in enumerate(lin_items, 1):
+            self.terms[r] = vals[i]
+        for r, ((i, j), _) in enumerate(quad_items, 1 + len(lin_items)):
+            np.multiply(vals[i], vals[j], out=self.terms[r])
+        self.lin_w = np.array([w for _, w in lin_items], dtype=np.float64)
+        self.lin_i = np.array([i for i, _ in lin_items], dtype=np.intp)
+        self.quad_w = np.array([w for _, w in quad_items], dtype=np.float64)
+        self.quad_i = np.array([i for (i, _), _ in quad_items], dtype=np.intp)
+        self.quad_j = np.array([j for (_, j), _ in quad_items], dtype=np.intp)
+
+        self.dt = dt = sched.total_time / self.steps
+        self.table = fraction_table(sched, [(k + 0.5) * dt for k in range(self.steps)], n)
+        if convention == "standard":
+            self.theta = (1.0 - self.table) * dt
+        else:
+            h = np.array([lin.get(i, 0.0) for i in range(n)], dtype=np.float64)
+            self.theta = (-(1.0 - self.table) * h) * dt
+
+        self.block = block = min(dim, _DIAGONAL_BLOCK)
+        self.cols = [(a, min(a + block, dim)) for a in range(0, dim, block)]
+        self.products = np.empty((len(self.terms), block))
+        self.coef = np.zeros(len(self.terms))
+        self.diag = np.empty(dim)
+        self.phase = np.empty(dim, dtype=np.complex128)
+        half = dim // 2
+        self.basis = (np.empty(dim, dtype=np.complex128), np.empty(dim, dtype=np.complex128))
+        # per buffer: rows by lowest bit, the same rows swapped, and the
+        # (2, half) view a rotation writes into
+        self.reads = [(b.reshape(half, 2).T, b.reshape(half, 2).T[::-1]) for b in self.basis]
+        self.writes = [b.reshape(2, half) for b in self.basis]
+        self.swap = np.empty((2, half), dtype=np.complex128)
+
+    def _diagonal(self, s: np.ndarray) -> np.ndarray:
+        coef, n_lin = self.coef, 1 + len(self.lin_w)
+        np.multiply(self.lin_w, s[self.lin_i], out=coef[1:n_lin])
+        np.multiply(self.quad_w, s[self.quad_i], out=coef[n_lin:])
+        np.multiply(coef[n_lin:], s[self.quad_j], out=coef[n_lin:])
+        for a, b in self.cols:
+            prod = self.products[:, : b - a]
+            np.multiply(self.terms[:, a:b], coef[:, None], out=prod)
+            np.add.reduce(prod, axis=0, out=self.diag[a:b])
+        return self.diag
+
+    def run(self, psi: np.ndarray) -> tuple[np.ndarray, float]:
+        """Evolve psi over the pass; returns (new psi, worst norm drift)."""
+        with np.errstate():
+            # With a ufunc buffer longer than a term row, numpy copies the
+            # broadcast term products through it, about 3x slower. The
+            # buffer size sets how loops are chunked, never a value.
+            np.setbufsize(max(16, self.block))
+            return self._pass(psi)
+
+    def _pass(self, psi: np.ndarray) -> tuple[np.ndarray, float]:
+        phase, swap, ph = self.phase, self.swap, -0.5j * self.dt
+        worst_drift = 0.0
+        cur = 0
+        for k in range(self.steps):
+            np.multiply(ph, self._diagonal(self.table[k]), out=phase)
+            np.exp(phase, out=phase)
+            np.multiply(phase, psi, out=self.basis[cur])
+            for theta in self.theta[k].tolist():
+                src, flipped = self.reads[cur]
+                cur = 1 - cur
+                out = self.writes[cur]
+                if theta == 0.0:  # no rotation, but the bit still moves up
+                    np.copyto(out, src)
+                else:
+                    c, sn = math.cos(theta), math.sin(theta)
+                    np.multiply(1j * sn, flipped, out=swap)
+                    np.multiply(c, src, out=out)
+                    out += swap
+            psi = self.basis[cur]
+            np.multiply(phase, psi, out=psi)
+            nrm = float(np.linalg.norm(psi))
+            drift = abs(nrm - 1.0)
+            if drift > 1e-6:
+                raise IntegrationError(f"norm drifted by {drift:.2e} in one step")
+            worst_drift = max(worst_drift, drift)
+            np.divide(psi, nrm, out=psi)
+        return psi.copy(), worst_drift
 
 
 def _start_vector(req: SamplerRequest, convention: str) -> np.ndarray:
@@ -304,8 +393,9 @@ def schrodinger_anneal(
         states = [_from_bits(model, [(int(k) >> i) & 1 for i in range(n)]) for k in outcomes]
         return _assemble(model, states, timing)
 
+    plan = _Integration(model, sched, steps, convention)
     if sched.reinitialize:
-        psi, drift = _integrate(model, sched, _start_vector(req, convention), steps, convention)
+        psi, drift = plan.run(_start_vector(req, convention))
         outcomes = measure(psi, req.reads, rng)
         states = [_from_bits(model, [(int(k) >> i) & 1 for i in range(n)]) for k in outcomes]
         return _assemble(model, states, timing, drift)
@@ -315,7 +405,7 @@ def schrodinger_anneal(
     drift = 0.0
     psi = _start_vector(req, convention)
     for _ in range(req.reads):
-        psi, d = _integrate(model, sched, psi, steps, convention)
+        psi, d = plan.run(psi)
         drift = max(drift, d)
         k = int(measure(psi, 1, rng)[0])
         states.append(_from_bits(model, [(k >> i) & 1 for i in range(n)]))
@@ -336,7 +426,7 @@ def final_probabilities(
     _check_statevector(req.model, convention)
     psi = _start_vector(req, convention)
     if req.schedule.total_time > 0.0:
-        psi, _ = _integrate(req.model, req.schedule, psi, steps, convention)
+        psi, _ = _Integration(req.model, req.schedule, steps, convention).run(psi)
     return np.abs(psi) ** 2
 
 

@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import annealdp.bqm as bqm_mod
 from annealdp.bqm import (
     CapacityError,
     IsingModel,
@@ -141,6 +143,32 @@ class TestBruteForce:
         monkeypatch.setattr(bqm_mod, "_BLOCK_BITS", 3)
         split = brute_force(ising, keep_spectrum=True)
         assert whole == split
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_partition_free_at_any_block_size(self, n, spin, seed):
+        # Spectrum and argmin bits must not depend on the block size, also
+        # with small integer weights that make exact ties across blocks.
+        rng = np.random.default_rng(seed)
+        scale = float(rng.choice([1.0, 0.5]))
+        weight = (lambda: float(rng.integers(-2, 3))) if seed % 2 else rng.normal
+        pairs = [(i, j) for i in range(n) for j in range(i, n) if rng.random() < 0.6]
+        if spin:
+            model = IsingModel(n, {i: scale * weight() for i, j in pairs if i == j},
+                               {(i, j): scale * weight() for i, j in pairs if i != j})
+        else:
+            model = QuboModel(n, {p: scale * weight() for p in pairs})
+        results = []
+        for bits in (1, 3, 14, 20):
+            with mock.patch.object(bqm_mod, "_BLOCK_BITS", bits):
+                results.append(brute_force(model, keep_spectrum=True))
+        first = results[0]
+        energies = np.array([e for _, e in first.spectrum])
+        for res in results[1:]:
+            assert np.array([e for _, e in res.spectrum]).tobytes() == energies.tobytes()
+            assert [s for s, _ in res.spectrum] == [s for s, _ in first.spectrum]
+            assert res.argmin_states == first.argmin_states
+            assert np.float64(res.min_energy).tobytes() == np.float64(first.min_energy).tobytes()
 
     def test_vector_scalar_agreement_exact(self):
         rng = np.random.default_rng(23)

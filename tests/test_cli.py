@@ -10,9 +10,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 
+from annealdp import engines
 from annealdp.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
@@ -225,6 +227,18 @@ class TestSolve:
         assert err.startswith("error: degenerate estimate:")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("anneal_time", ["1e308", "1e9"])
+    def test_overlong_statevector_anneal_exits_4(self, tmp_path, capsys, anneal_time):
+        # the step guard fires before the schedule table is built
+        with mock.patch.object(engines, "fraction_table", side_effect=AssertionError):
+            rc = main(["solve", "--algorithm", "hybrid", "--engine", "statevector",
+                       "--j2", "4", "--j3", "4", "--anneal-time", anneal_time,
+                       "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert err.startswith("error: anneal time") and "integration steps" in err
+        assert err.count("\n") == 1
 
     def test_executions_logged_per_run(self, tmp_path):
         out = tmp_path / "out"

@@ -722,13 +722,11 @@ class TestAssembledEnergies:
         assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
-def scalar_probabilities(req, steps=None, convention="standard"):
+def scalar_pass(model, sched, psi, steps=None, convention="standard"):
     """Reference integrator: the schedule read and the problem diagonal
-    rebuilt from the term dicts at every step."""
-    model, sched = req.model, req.schedule
-    psi = engines._start_vector(req, convention)
-    if sched.total_time == 0.0:
-        return np.abs(psi) ** 2
+    rebuilt from the term dicts at every step, and each qubit rotated by
+    gathering and scattering its amplitude pairs. Returns (psi, worst
+    norm drift)."""
     n = model.n
     dim = 1 << n
     lin, quad = engines._model_terms(model)
@@ -751,6 +749,7 @@ def scalar_probabilities(req, steps=None, convention="standard"):
         return d
 
     dt = sched.total_time / steps
+    worst = 0.0
     for k in range(steps):
         tm = (k + 0.5) * dt
         s = np.array([sched.s_at(tm, v) for v in range(n)])
@@ -771,37 +770,125 @@ def scalar_probabilities(req, steps=None, convention="standard"):
             psi[lo] = c * a0 + 1j * sn * a1
             psi[hi] = 1j * sn * a0 + c * a1
         psi = phase * psi
-        psi = psi / float(np.linalg.norm(psi))
+        nrm = float(np.linalg.norm(psi))
+        worst = max(worst, abs(nrm - 1.0))
+        psi = psi / nrm
+    return psi, worst
+
+
+def scalar_probabilities(req, steps=None, convention="standard"):
+    psi = engines._start_vector(req, convention)
+    if req.schedule.total_time > 0.0:
+        psi, _ = scalar_pass(req.model, req.schedule, psi, steps, convention)
     return np.abs(psi) ** 2
 
 
+def scalar_chained(req, steps=None, convention="standard"):
+    """schrodinger_anneal's chained reads over the reference integrator:
+    each read integrates from the last outcome, measures once, collapses."""
+    model, n = req.model, req.model.n
+    rng = np.random.default_rng(req.seed)
+    psi = engines._start_vector(req, convention)
+    states, drift = [], 0.0
+    for _ in range(req.reads):
+        psi, d = scalar_pass(model, req.schedule, psi, steps, convention)
+        drift = max(drift, d)
+        k = int(measure(psi, 1, rng)[0])
+        states.append(engines._from_bits(model, [(k >> i) & 1 for i in range(n)]))
+        psi = np.zeros(1 << n, dtype=np.complex128)
+        psi[k] = 1.0
+    timing = engines._schedule_timing(req.reads, req.schedule.total_time)
+    return engines._assemble(model, states, timing, drift)
+
+
+@st.composite
+def integrator_requests(draw, sizes, reads=1):
+    """A small model, convention and schedule with an initial state where
+    the schedule needs one. Literal-convention models may carry zero
+    biases, whose qubits never rotate (theta == 0)."""
+    n = draw(st.sampled_from(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    convention = draw(st.sampled_from(["standard", "literal"]))
+    if convention == "literal" or draw(st.booleans()):
+        model = random_ising(n, rng, density=0.8)
+        if convention == "literal":
+            zeros = draw(st.sets(st.integers(0, n - 1)))
+            biases = {i: (0.0 if i in zeros else h) for i, h in model.biases.items()}
+            model = IsingModel(n, biases, model.couplings)
+        domain = (-1, 1)
+    else:
+        q = {(i, j): float(rng.normal()) for i in range(n) for j in range(i, n)
+             if rng.random() < 0.8}
+        model = QuboModel(n, q)
+        domain = (0, 1)
+    shape = draw(st.sampled_from(["forward", "reverse", "grouped"]))
+    if shape == "forward":
+        sched, initial = forward_schedule(2.0), None
+    else:
+        if shape == "reverse":
+            sched = reverse_schedule(2.0, 0.2, hold=0.3)
+        else:
+            groups = [tuple(range(0, n, 2)), tuple(range(1, n, 2))]
+            sched = grouped_cycle_schedule(
+                3.0, [g for g in groups if g], down_fraction=0.3).schedule
+        initial = tuple(domain[int(b)] for b in rng.integers(0, 2, n))
+    if reads > 1:
+        sched = dataclasses.replace(sched, reinitialize=False)
+    req = SamplerRequest(model, sched, reads=reads, initial_state=initial,
+                         seed=draw(st.integers(0, 2**32 - 1)))
+    return req, convention
+
+
 class TestIntegratorMatchesScalarLoop:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5), st.data())
-    def test_same_probabilities(self, n, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        convention = data.draw(st.sampled_from(["standard", "literal"]))
-        if convention == "literal" or data.draw(st.booleans()):
-            model = random_ising(n, rng, density=0.8)
-            domain = (-1, 1)
-        else:
-            q = {(i, j): float(rng.normal()) for i in range(n) for j in range(i, n)
-                 if rng.random() < 0.8}
-            model = QuboModel(n, q)
-            domain = (0, 1)
-        shape = data.draw(st.sampled_from(["forward", "reverse", "grouped"]))
-        if shape == "forward":
-            sched, initial = forward_schedule(2.0), None
-        else:
-            if shape == "reverse":
-                sched = reverse_schedule(2.0, 0.2, hold=0.3)
-            else:
-                groups = [tuple(range(0, n, 2)), tuple(range(1, n, 2))]
-                sched = grouped_cycle_schedule(
-                    3.0, [g for g in groups if g], down_fraction=0.3).schedule
-            initial = tuple(domain[int(b)] for b in rng.integers(0, 2, n))
-        req = SamplerRequest(model, sched, reads=1, initial_state=initial)
-        steps = data.draw(st.sampled_from([None, 7, 40]))
+    # odd n leaves the rotated amplitudes in the plan's second basis buffer
+    @settings(max_examples=80, deadline=None)
+    @given(integrator_requests(sizes=range(1, 10)), st.sampled_from([None, 7, 40]))
+    def test_same_probabilities(self, case, steps):
+        req, convention = case
         want = scalar_probabilities(req, steps, convention)
         got = final_probabilities(req, steps, convention)
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(integrator_requests(sizes=range(1, 8), reads=3), st.sampled_from([None, 7]))
+    def test_chained_reads_share_one_plan(self, case, steps):
+        req, convention = case
+        want = scalar_chained(req, steps, convention)
+        got = schrodinger_anneal(req, steps, convention)
+        assert got.records == want.records
+        assert np.float64(got.norm_drift).tobytes() == np.float64(want.norm_drift).tobytes()
+
+    def test_all_zero_angles(self):
+        # literal convention, no biases: no qubit ever rotates
+        model = IsingModel(3, {}, {(0, 1): -0.7, (1, 2): 0.4})
+        req = SamplerRequest(model, forward_schedule(2.0))
+        want = scalar_probabilities(req, 9, "literal")
+        assert final_probabilities(req, 9, "literal").tobytes() == want.tobytes()
+
+    def test_column_blocks_past_4096_states(self):
+        # 13 qubits: the diagonal is reduced over two column blocks
+        model = random_ising(13, np.random.default_rng(3), density=0.3)
+        req = SamplerRequest(model, forward_schedule(1.0))
+        want = scalar_probabilities(req, 3)
+        assert final_probabilities(req, 3).tobytes() == want.tobytes()
+
+
+class TestStepGuard:
+    def test_explicit_steps_outside_the_guard_raise(self):
+        req = SamplerRequest(TABLE1, forward_schedule(2.0))
+        with pytest.raises(CapacityError, match="integration steps"):
+            final_probabilities(req, steps=engines.MAX_STEPS + 1)
+        with pytest.raises(ValueError, match="steps"):
+            final_probabilities(req, steps=0)
+
+    @pytest.mark.parametrize("total", [1e308, 1e9, 8192.04])
+    def test_long_anneal_raises_before_planning(self, total):
+        req = SamplerRequest(TABLE1, forward_schedule(total))
+        with mock.patch.object(engines, "fraction_table", side_effect=AssertionError):
+            with pytest.raises(CapacityError, match="integration steps"):
+                schrodinger_anneal(req)
+
+    def test_longest_default_anneal_is_allowed(self):
+        # 32 * 8192.03 rounds down to exactly the guard
+        assert engines._step_count(forward_schedule(8192.03), None) == engines.MAX_STEPS
+        assert engines._step_count(forward_schedule(1.0), None) == 256
