@@ -483,8 +483,12 @@ def heuristic_anneal(
     set: every earlier neighbour of a variable lies in a lower layer and
     every later one in a higher layer, so testing a whole layer at once
     over a (layer, reads) block, each variable with its own row of the
-    draws, gives exactly the sequential sweep. Each field is still its
-    own product states @ w[:, v] + d[v], so BLAS sums it in the same order.
+    draws, gives exactly the sequential sweep. The state is variable-major
+    (one row of reads per variable), and each layer's fields are one
+    product w[:, vs].T @ states + d[vs]. BLAS may sum it in another
+    order than a per-variable loop, so a field can differ from the scalar
+    loop's in the last bits; the sample sets stay identical, and the tests
+    hold them to that.
     """
     model = req.model
     n = model.n
@@ -497,15 +501,16 @@ def heuristic_anneal(
     w, d = _dense_form(model)
     timing = _schedule_timing(reads, sched.total_time)
 
-    # lockstep reads update one state row each; chained reads one row in
-    # turn. The state array is updated in place, so views of it are taken once.
+    # lockstep reads update one state column each; chained reads one column
+    # in turn. The (n, count) state is updated in place, so views of it are
+    # taken once.
     count = reads if sched.reinitialize else 1
     if random_init or req.initial_state is None:
-        bits = rng.integers(0, 2, size=(count, n)).astype(np.float64)
+        # drawn (count, n) as the RNG contract says, then made variable-major
+        bits = rng.integers(0, 2, size=(count, n)).T.astype(np.float64, order="C")
         states = bits if is_qubo else 2.0 * bits - 1.0
     else:
-        states = np.tile(np.array(req.initial_state, dtype=np.float64), (count, 1))
-    w_cols = [w[:, v] for v in range(n)]
+        states = np.repeat(np.array(req.initial_state, dtype=np.float64)[:, None], count, axis=1)
     draws = np.empty((n, count))
     f_buf = np.empty((n, count))
     delta_buf = np.empty((n, count))
@@ -513,26 +518,23 @@ def heuristic_anneal(
     accept_buf = np.empty((n, count), dtype=bool)
 
     def layer_plan(active: np.ndarray) -> list[tuple]:
-        """Per coupling-free layer: a (column of w, field row) pair per
-        variable, the variables and their rows in the sweep's draws, views
-        of their state columns and draws when the variables are one
-        consecutive run (else None: gather them), the biases spread over
-        the state rows, and the layer's work buffers. The views spare the
-        gather and scatter, which would make a dense model's one-variable
-        layers slower than a plain per-variable loop."""
+        """Per coupling-free layer: its rows of w as one contiguous
+        (layer, n) block, the variables and their rows in the sweep's
+        draws, views of their state rows and draws when the variables are
+        one consecutive run (else None: gather them), the biases spread
+        over the reads, and the layer's work buffers."""
         out = []
         for pos in _layers(w, active):
             vs = active[pos]
             m = len(vs)
-            f = f_buf[:m]
-            products = [(w_cols[v], f[k]) for k, v in enumerate(vs.tolist())]
+            wt = np.ascontiguousarray(w[:, vs].T)
             view = None
             if vs[-1] - vs[0] + 1 == m:
                 # consecutive variables sit at consecutive positions in active
-                view = (states[:, vs[0]:vs[0] + m].T, draws[pos[0]:pos[0] + m])
+                view = (states[vs[0]:vs[0] + m], draws[pos[0]:pos[0] + m])
             bias = np.repeat(d[vs][:, None], count, axis=1)
-            out.append((products, vs, pos, view, bias,
-                        f, delta_buf[:m], p_buf[:m], accept_buf[:m]))
+            out.append((wt, vs, pos, view, bias,
+                        f_buf[:m], delta_buf[:m], p_buf[:m], accept_buf[:m]))
         return out
 
     layered: dict[bytes, list[tuple]] = {}
@@ -552,13 +554,10 @@ def heuristic_anneal(
     def run() -> None:
         for tau, block, layers in plan:
             rng.random(out=block)
-            for products, vs, pos, view, bias, f, delta, p, accept in layers:
-                # the field is states @ w[:, v] + d[v], one product per
-                # variable: a (reads, m) product sums in another order
-                for w_col, f_row in products:
-                    np.matmul(states, w_col, out=f_row)
+            for wt, vs, pos, view, bias, f, delta, p, accept in layers:
+                np.matmul(wt, states, out=f)
                 f += bias
-                x, u = view or (states[:, vs].T, draws[pos])
+                x, u = view or (states[vs], draws[pos])
                 if is_qubo:
                     np.multiply(x, 2.0, out=delta)
                     np.subtract(1.0, delta, out=delta)
@@ -583,16 +582,16 @@ def heuristic_anneal(
                     np.multiply(x, -1.0, out=x, where=accept)
                 if view is None:
                     # x is a gathered copy: scatter the flips back
-                    states[:, vs] = x.T
+                    states[vs] = x
 
     if sched.reinitialize:
         run()
-        return _assemble(model, _native_rows(states), timing)
+        return _assemble(model, _native_rows(states.T), timing)
 
     out = []
     for _ in range(reads):
         run()
-        out.extend(_native_rows(states))
+        out.extend(_native_rows(states.T))
     return _assemble(model, out, timing)
 
 

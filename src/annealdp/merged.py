@@ -463,33 +463,52 @@ def losses(
     the true parameters instead and is reported only when a reference
     is given.
     """
+    _check_read(outcome_params, problem)
+    if anchor is None:
+        anchor = outcome_params
+    return _scorer(problem, anchor, reference)(outcome_params)
+
+
+def _check_read(outcome_params: tuple[float, float, float], problem: MergedProblem) -> None:
     x1, x2, x3 = outcome_params
     _check_range("x1", x1, problem.enc1)
     _check_range("x2", x2, problem.enc2)
     _check_range("x3", x3, problem.enc3)
-    params = problem.params
-    unadjusted = _gp_value(x1, problem.x3_anchor, params) + problem.gammas.evaluate(x2, x3)
 
-    if anchor is None:
-        anchor = outcome_params
+
+def _scorer(
+    problem: MergedProblem,
+    anchor: tuple[float, float, float],
+    reference: tuple[float, float, float] | None,
+) -> Callable[[tuple[float, float, float]], AnnealOutcome]:
+    """The scoring of `losses` with the gamma constants of the anchor and
+    the reference computed once, for every read scored against them."""
+    params = problem.params
     a1, a2_, a3 = anchor
     gam_a = gamma_constants(a1, problem.grid)
-    adjusted = (
-        _gp_value(x1, a3, params),
-        gam_a.evaluate(x2, a3),
-        gam_a.evaluate(a2_, x3),
-    )
-
-    minimum = None
+    gam_r = None
     if reference is not None:
         r1, r2, r3 = reference
         gam_r = gamma_constants(r1, problem.grid)
-        minimum = (
-            _gp_value(x1, r3, params),
-            gam_r.evaluate(x2, r3),
-            gam_r.evaluate(r2, x3),
+
+    def score(outcome_params: tuple[float, float, float]) -> AnnealOutcome:
+        x1, x2, x3 = outcome_params
+        unadjusted = _gp_value(x1, problem.x3_anchor, params) + problem.gammas.evaluate(x2, x3)
+        adjusted = (
+            _gp_value(x1, a3, params),
+            gam_a.evaluate(x2, a3),
+            gam_a.evaluate(a2_, x3),
         )
-    return AnnealOutcome(outcome_params, unadjusted, adjusted, minimum)
+        minimum = None
+        if gam_r is not None:
+            minimum = (
+                _gp_value(x1, r3, params),
+                gam_r.evaluate(x2, r3),
+                gam_r.evaluate(r2, x3),
+            )
+        return AnnealOutcome(outcome_params, unadjusted, adjusted, minimum)
+
+    return score
 
 
 def _keep_count(reads: int, fraction: float) -> int:
@@ -522,16 +541,21 @@ def one_shot_ensemble(
         sampler = heuristic_merged_sampler(random_init=True)
     if schedule is None:
         schedule = merged_schedule(problem, cycles=cycles, reinitialize=True)
-    sample_set = sampler(problem, schedule, reads, None, seed)
-    states = sample_set.expand_states()
-    decoded = [problem.decode(s) for s in states]
-    recon = [problem.component_losses(s) for s in states]
-    unadj = [lp + lv for lp, lv in recon]
+    records = sampler(problem, schedule, reads, None, seed).records
+    # each distinct read is decoded and scored once, then expanded by its
+    # occurrences in record order, as expand_states would list it
+    distinct = [problem.decode(r.state) for r in records]
+    for d in distinct:
+        _check_read(d, problem)
+    recon = [problem.component_losses(r.state) for r in records]
+    decoded = [d for d, r in zip(distinct, records) for _ in range(r.occurrences)]
+    unadj = [lp + lv for (lp, lv), r in zip(recon, records) for _ in range(r.occurrences)]
 
-    keep = _keep_count(len(states), keep_fraction)
-    lowest = sorted(range(len(states)), key=lambda i: unadj[i])[:keep]
+    keep = _keep_count(len(decoded), keep_fraction)
+    lowest = sorted(range(len(decoded)), key=lambda i: unadj[i])[:keep]
     anchor = tuple(float(np.mean([decoded[i][p] for i in lowest])) for p in range(3))
-    return [losses(d, problem, reference=reference, anchor=anchor) for d in decoded]
+    score = _scorer(problem, anchor, reference)
+    return [o for d, r in zip(distinct, records) for o in [score(d)] * r.occurrences]
 
 
 def one_shot_ppi(

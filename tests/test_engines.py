@@ -638,6 +638,39 @@ class TestHeuristicMatchesScalarLoop:
             req = SamplerRequest(model, forward_schedule(3.0), reads=4, seed=seed)
             assert heuristic_anneal(req, sweeps=4) == scalar_heuristic(req, sweeps=4)
 
+    @pytest.mark.parametrize("reads", [7, 8, 9, 16])
+    def test_spin_rows_with_a_64_byte_read_stride(self, reads):
+        # the state is variable-major, so 8 reads put a variable's row at a
+        # 64-byte stride; dense 8 spins give one-variable layers, sparse 40
+        # spins gathered multi-variable ones
+        rng = np.random.default_rng(64)
+        models = [random_ising(8, rng, density=1.0), random_ising(40, rng, density=0.1)]
+        for model in models:
+            for seed in range(3):
+                req = SamplerRequest(model, forward_schedule(3.0), reads=reads, seed=seed)
+                assert heuristic_anneal(req, sweeps=4) == scalar_heuristic(req, sweeps=4)
+
+    @pytest.mark.parametrize("reads", [8, 40])
+    def test_merged_problem_many_reads(self, merged_default, reads):
+        # lockstep from random starts: multi-variable layers both as
+        # consecutive runs (state views) and scattered (gather and scatter)
+        problem = merged_default
+        gs = merged_schedule(problem, cycles=2, reinitialize=True)
+        req = SamplerRequest(problem.qubo, gs, reads=reads,
+                             initial_state=(0,) * problem.n_vars, seed=reads)
+        planned, split = [], engines._layers
+
+        def layers(w, active):
+            out = split(w, active)
+            planned.extend(active[pos] for pos in out)
+            return out
+
+        with mock.patch.object(engines, "_layers", layers):
+            got = heuristic_anneal(req, sweeps=8, random_init=True)
+        runs = [vs[-1] - vs[0] + 1 == len(vs) for vs in planned if len(vs) > 1]
+        assert any(runs) and not all(runs)
+        assert got == scalar_heuristic(req, sweeps=8, random_init=True)
+
     def test_default_sweeps_on_a_grouped_chain(self):
         _, qubo, aux = hc_problem()
         gs = grouped_cycle_schedule(16.0, [(0, 2), (1, 3)], always_active=aux,
