@@ -213,9 +213,26 @@ def _check_statevector(model, convention: str) -> None:
 # Integration steps allowed per schedule pass; the default count is
 # 32 per unit of anneal time, so this caps the time near 8,192.
 MAX_STEPS = 1 << 18
-# Basis states per column block of the diagonal's term products: past
-# this, the (terms x states) product buffer is filled one block at a time.
-_DIAGONAL_BLOCK = 1 << 12
+# Qubits per axis of the Hadamard transform: psi is reshaped into axes
+# of at most 2^6 basis states, each transformed by one gemm.
+_AXIS_BITS = 6
+
+
+def _sylvester(size: int) -> np.ndarray:
+    """Unnormalised Sylvester-Hadamard matrix of `size` (a power of two)
+    basis states: entry (r, c) is (-1)^popcount(r & c)."""
+    h = np.ones((1, 1))
+    while len(h) < size:
+        h = np.vstack((np.hstack((h, h)), np.hstack((h, -h))))
+    return h
+
+
+def _equal_columns(table: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Group the equal columns of a (steps x n) table: returns the distinct
+    columns, as rows in order of first appearance, and each column's group."""
+    seen: dict[bytes, int] = {}
+    group = [seen.setdefault(col.tobytes(), len(seen)) for col in table.T]
+    return table.T[[group.index(g) for g in range(len(seen))]], group
 
 
 def _step_count(sched: AnnealSchedule, steps: int | None) -> int:
@@ -235,29 +252,43 @@ def _step_count(sched: AnnealSchedule, steps: int | None) -> int:
 class _Integration:
     """Strang-split evolution of one schedule pass, planned once per request.
 
-    Every step multiplies psi by the half-step diagonal phase, rotates each
-    qubit in index order, multiplies by the phase again and renormalizes.
-    The plan holds what does not change between steps or reads:
+    Every step multiplies psi by the half-step diagonal phase, applies the
+    transverse stage (every qubit's rotation at once), multiplies by the
+    phase again and renormalizes; a norm drift beyond 1e-6 in one step
+    raises IntegrationError. The plan holds what does not change between
+    steps or reads.
 
-    - a term matrix whose row 0 is zero and whose later rows are the value
-      vectors of the diagonal's terms (linear, then quadratic) in the order
-      the scalar loop added them. A step scales each row by its coefficient
-      (w * s_i or (w * s_i) * s_j, the same scalar products) and sums the
-      rows with ``np.add.reduce`` over axis 0. That reduce adds whole rows
-      one after another, so each entry is the loop's left fold from +0.0;
-      a BLAS ``coef @ V`` sums in another order and is not used.
-    - the step fractions and the rotation angle of every (step, qubit),
-      with the same formulas as the scalar loop; cos and sin still come
-      from ``math`` per step.
+    Diagonal, folded by schedule path. Variables with equal fraction
+    columns share a path g, so the diagonal at a step is
+    ``sum_g s_g D_g + sum_{g<=h} s_g s_h D_gh``: ``D_g`` sums the weighted
+    linear rows of path g's variables and ``D_gh`` the weighted coupling
+    rows between paths g and h. The plan keeps one row per path and per
+    coupled path pair, and a (steps x rows) table of their coefficients
+    with -dt/2 folded in. A step is one ``np.dot(coef[k], rows)`` and a
+    cos and a sin written into the phase's real and imaginary parts. A
+    forward schedule has one path, so at most two rows.
 
-    A rotation reads psi as ``(half, 2).T``, whose rows hold the lowest bit
-    at 0 and at 1, and writes the other basis buffer as ``(2, half)``: the
-    rotated bit moves to the top, so after n qubits the layout is back. Per
-    amplitude it forms c * a and (1j * sn) * a' and adds them once, exactly
-    the gather/scatter loop's arithmetic. The off-diagonal coefficient has a
-    zero real part and the diagonal one a zero imaginary part, so whether
-    numpy's strided or contiguous complex multiply fuses them cannot change
-    a bit. Output is bit-identical to the scalar loop kept in the tests.
+    Transverse stage, in the Hadamard basis. The rotations commute, so
+    ``prod_i exp(i theta_i X_i) = H diag(exp(i sum_i theta_i z_i)) H / 2^n``
+    with H the unnormalised Sylvester (+-1) matrix of n qubits and
+    z_i = 1 - 2 bit_i; theta_i = (1 - s_i) dt, or -(1 - s_i) h_i dt for the
+    literal convention. H is one gemm per axis of psi reshaped into
+    ceil(n / 6) axes of at most 2^6 states (two axes up to 12 qubits,
+    three at 13-16; two 2^8 axes at 16 qubits were slower on a grouped
+    schedule), the smaller axes lowest. The lowest axis is a complex
+    matmul; every other axis multiplies a float64 view, in which the real
+    and imaginary parts are just more columns. The phase
+    ``sum_i theta_i z_i`` takes few distinct values (n + 1 on a forward
+    schedule): qubits with equal angle columns form a group, a group of m
+    qubits with c set bits has z sum m - 2c, and a state's level is its
+    c per group in mixed radix. A step computes the phase of each level,
+    with the exact factor 2^-n folded in, and spreads it with one take.
+    No (steps x 2^n) table is held.
+
+    Contract: the arithmetic is reordered against the per-qubit scalar
+    loop kept in the tests, so probabilities differ from it in the last
+    bits (the tests bound the difference by 1e-12); sample sets and
+    artifacts stay identical.
     """
 
     def __init__(self, model, sched: AnnealSchedule, steps: int | None, convention: str):
@@ -265,93 +296,110 @@ class _Integration:
         n = model.n
         dim = 1 << n
         lin, quad = _model_terms(model)
-        idx = np.arange(dim)
-        if isinstance(model, QuboModel):
-            vals = [((idx >> i) & 1).astype(np.float64) for i in range(n)]
-        else:
-            vals = [2.0 * ((idx >> i) & 1).astype(np.float64) - 1.0 for i in range(n)]
-        lin_items = list(lin.items()) if convention == "standard" else []
-        quad_items = list(quad.items())
-        self.terms = np.zeros((1 + len(lin_items) + len(quad_items), dim))
-        for r, (i, _) in enumerate(lin_items, 1):
-            self.terms[r] = vals[i]
-        for r, ((i, j), _) in enumerate(quad_items, 1 + len(lin_items)):
-            np.multiply(vals[i], vals[j], out=self.terms[r])
-        self.lin_w = np.array([w for _, w in lin_items], dtype=np.float64)
-        self.lin_i = np.array([i for i, _ in lin_items], dtype=np.intp)
-        self.quad_w = np.array([w for _, w in quad_items], dtype=np.float64)
-        self.quad_i = np.array([i for (i, _), _ in quad_items], dtype=np.intp)
-        self.quad_j = np.array([j for (_, j), _ in quad_items], dtype=np.intp)
+        dt = sched.total_time / self.steps
+        table = fraction_table(sched, [(k + 0.5) * dt for k in range(self.steps)], n)
+        bits = [(np.arange(dim) >> i) & 1 for i in range(n)]
 
-        self.dt = dt = sched.total_time / self.steps
-        self.table = fraction_table(sched, [(k + 0.5) * dt for k in range(self.steps)], n)
+        paths, path = _equal_columns(table)
+        if isinstance(model, QuboModel):
+            vals = [b.astype(np.float64) for b in bits]
+        else:
+            vals = [2.0 * b - 1.0 for b in bits]
+        rows: dict[tuple[int, ...], np.ndarray] = {}
         if convention == "standard":
-            self.theta = (1.0 - self.table) * dt
+            for i, w in lin.items():
+                key = (path[i],)
+                rows[key] = rows.get(key, 0.0) + w * vals[i]
+        for (i, j), w in quad.items():
+            key = tuple(sorted((path[i], path[j])))
+            rows[key] = rows.get(key, 0.0) + w * (vals[i] * vals[j])
+        self.rows = np.zeros((len(rows), dim))
+        coef = np.empty((self.steps, len(rows)))
+        for r, (key, row) in enumerate(rows.items()):
+            self.rows[r] = row
+            coef[:, r] = np.prod(paths[list(key)], axis=0)
+        self.coef = coef * (-0.5 * dt)
+
+        if convention == "standard":
+            theta = (1.0 - table) * dt
         else:
             h = np.array([lin.get(i, 0.0) for i in range(n)], dtype=np.float64)
-            self.theta = (-(1.0 - self.table) * h) * dt
+            theta = (-(1.0 - table) * h) * dt
+        # a group of m qubits with equal angle columns has z sum m - 2c,
+        # c its set bits, so a state's level is its c per group in mixed radix
+        angles, group = _equal_columns(theta)
+        width = np.bincount(group, minlength=len(angles))
+        radix = np.cumprod([1, *(width[:-1] + 1)])
+        self.level = sum(radix[g] * bits[i] for i, g in enumerate(group))
+        counts = np.indices(tuple(width[::-1] + 1)).reshape(len(width), -1)[::-1].T
+        self.zsums = (width - 2 * counts).astype(np.float64)
+        self.angles = np.ascontiguousarray(angles.T)
+        self.scale = 0.5 ** n
 
-        self.block = block = min(dim, _DIAGONAL_BLOCK)
-        self.cols = [(a, min(a + block, dim)) for a in range(0, dim, block)]
-        self.products = np.empty((len(self.terms), block))
-        self.coef = np.zeros(len(self.terms))
-        self.diag = np.empty(dim)
-        self.phase = np.empty(dim, dtype=np.complex128)
-        half = dim // 2
+        count = -(-n // _AXIS_BITS)
+        sizes = [1 << (n // count + (a >= count - n % count)) for a in range(count)]
         self.basis = (np.empty(dim, dtype=np.complex128), np.empty(dim, dtype=np.complex128))
-        # per buffer: rows by lowest bit, the same rows swapped, and the
-        # (2, half) view a rotation writes into
-        self.reads = [(b.reshape(half, 2).T, b.reshape(half, 2).T[::-1]) for b in self.basis]
-        self.writes = [b.reshape(2, half) for b in self.basis]
-        self.swap = np.empty((2, half), dtype=np.complex128)
-
-    def _diagonal(self, s: np.ndarray) -> np.ndarray:
-        coef, n_lin = self.coef, 1 + len(self.lin_w)
-        np.multiply(self.lin_w, s[self.lin_i], out=coef[1:n_lin])
-        np.multiply(self.quad_w, s[self.quad_i], out=coef[n_lin:])
-        np.multiply(coef[n_lin:], s[self.quad_j], out=coef[n_lin:])
-        for a, b in self.cols:
-            prod = self.products[:, : b - a]
-            np.multiply(self.terms[:, a:b], coef[:, None], out=prod)
-            np.add.reduce(prod, axis=0, out=self.diag[a:b])
-        return self.diag
+        # one (left, right, out) np.matmul per axis, lowest first, for each
+        # of the two H passes; the buffers alternate, so the first pass
+        # ends in basis[count % 2] and the second back in basis[0]
+        hadamard = [_sylvester(size) for size in sizes]
+        hadamard[0] = hadamard[0].astype(np.complex128)
+        self.stages = []
+        cur = 0
+        for _ in range(2):
+            inner = 1
+            for a, (size, h) in enumerate(zip(sizes, hadamard)):
+                src, dst = self.basis[cur], self.basis[1 - cur]
+                if a == 0:
+                    stage = (src.reshape(-1, size), h, dst.reshape(-1, size))
+                else:
+                    shape = (-1, size, 2 * inner)
+                    stage = (h, src.view(np.float64).reshape(shape),
+                             dst.view(np.float64).reshape(shape))
+                self.stages.append(stage)
+                inner *= size
+                cur = 1 - cur
+        self.arg = np.empty(dim)
+        self.phase = np.empty(dim, dtype=np.complex128)
+        self.level_angle = np.empty(len(self.zsums))
+        self.level_phase = np.empty(len(self.zsums), dtype=np.complex128)
+        self.spread = np.empty(dim, dtype=np.complex128)
 
     def run(self, psi: np.ndarray) -> tuple[np.ndarray, float]:
         """Evolve psi over the pass; returns (new psi, worst norm drift)."""
-        with np.errstate():
-            # With a ufunc buffer longer than a term row, numpy copies the
-            # broadcast term products through it, about 3x slower. The
-            # buffer size sets how loops are chunked, never a value.
-            np.setbufsize(max(16, self.block))
-            return self._pass(psi)
-
-    def _pass(self, psi: np.ndarray) -> tuple[np.ndarray, float]:
-        phase, swap, ph = self.phase, self.swap, -0.5j * self.dt
+        arg, phase, spread = self.arg, self.phase, self.spread
+        angle, level_phase = self.level_angle, self.level_phase
+        phase_re, phase_im = phase.view(np.float64).reshape(-1, 2).T
+        level_re, level_im = level_phase.view(np.float64).reshape(-1, 2).T
+        half = len(self.stages) // 2
+        first, second = self.stages[:half], self.stages[half:]
+        mid, out = self.basis[half % 2], self.basis[0]
+        flat = out.view(np.float64)
         worst_drift = 0.0
-        cur = 0
         for k in range(self.steps):
-            np.multiply(ph, self._diagonal(self.table[k]), out=phase)
-            np.exp(phase, out=phase)
-            np.multiply(phase, psi, out=self.basis[cur])
-            for theta in self.theta[k].tolist():
-                src, flipped = self.reads[cur]
-                cur = 1 - cur
-                out = self.writes[cur]
-                if theta == 0.0:  # no rotation, but the bit still moves up
-                    np.copyto(out, src)
-                else:
-                    c, sn = math.cos(theta), math.sin(theta)
-                    np.multiply(1j * sn, flipped, out=swap)
-                    np.multiply(c, src, out=out)
-                    out += swap
-            psi = self.basis[cur]
+            np.dot(self.coef[k], self.rows, out=arg)
+            np.cos(arg, out=phase_re)
+            np.sin(arg, out=phase_im)
+            np.multiply(phase, psi, out=out)
+            for left, right, dst in first:
+                np.matmul(left, right, out=dst)
+            np.dot(self.zsums, self.angles[k], out=angle)
+            np.cos(angle, out=level_re)
+            np.sin(angle, out=level_im)
+            level_phase *= self.scale
+            # levels are in range, so the take can skip its bounds check
+            level_phase.take(self.level, out=spread, mode="wrap")
+            mid *= spread
+            for left, right, dst in second:
+                np.matmul(left, right, out=dst)
+            psi = out
             np.multiply(phase, psi, out=psi)
-            nrm = float(np.linalg.norm(psi))
+            nrm = math.sqrt(np.dot(flat, flat))
             drift = abs(nrm - 1.0)
             if drift > 1e-6:
                 raise IntegrationError(f"norm drifted by {drift:.2e} in one step")
             worst_drift = max(worst_drift, drift)
-            np.divide(psi, nrm, out=psi)
+            np.divide(flat, nrm, out=flat)
         return psi.copy(), worst_drift
 
 
@@ -379,7 +427,11 @@ def schrodinger_anneal(
     couplings on the diagonal (Ising models only). Integration is
     second-order operator splitting with the schedule evaluated at step
     midpoints; the norm is renormalized each step and a drift beyond
-    1e-6 in any single step raises IntegrationError.
+    1e-6 in any single step raises IntegrationError. All qubit rotations
+    of a step are one phase in the Hadamard basis and the diagonal is
+    folded by schedule path (see _Integration), so probabilities match a
+    per-qubit rotation loop up to the last bits; the samples drawn for a
+    seed are the same.
     """
     model = req.model
     n = model.n

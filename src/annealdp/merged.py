@@ -164,7 +164,9 @@ class MergedProblem:
         Terminal reads carry x_p = x_v = 0, which zeroes the merged
         energy; this is the reconstruction that makes reads comparable.
         """
-        assign = {v: int(state[v]) for v in range(len(state))}
+        # g_p and g_v touch only the encoding bits, which precede the
+        # activations and every auxiliary
+        assign = {v: int(state[v]) for v in range(min(len(state), self.primary_count))}
         return self.gp_poly.evaluate(assign), self.gv_poly.evaluate(assign)
 
 
@@ -391,9 +393,12 @@ def multi_anneal_ppi(
         raise ValueError("multi-anneal reads continue from terminal states; "
                          "build the schedule with reinitialize=False")
     initial = problem.encode_initial(init)
-    sample_set = sampler(problem, schedule, reads, initial, seed)
-    states = sample_set.expand_states()
-    scored = [problem.component_losses(s) for s in states]
+    records = sampler(problem, schedule, reads, initial, seed).records
+    # each distinct read is scored once, then expanded by its occurrences
+    # in record order, as expand_states would list it
+    recon = [problem.component_losses(r.state) for r in records]
+    states = [r.state for r in records for _ in range(r.occurrences)]
+    scored = [pair for pair, r in zip(recon, records) for _ in range(r.occurrences)]
     best_p = min(range(len(states)), key=lambda i: scored[i][0])
     best_v = min(range(len(states)), key=lambda i: scored[i][1])
     x1 = problem.decode(states[best_p])[0]

@@ -872,15 +872,59 @@ def integrator_requests(draw, sizes, reads=1):
     return req, convention
 
 
+# The integrator reorders the scalar loop's arithmetic (Hadamard-basis
+# rotations, diagonal folded by schedule path), so probabilities are held
+# to it within this bound and sample sets exactly.
+PROBABILITY_BOUND = 1e-12
+
+
+def scalar_sampled(req, steps=None, convention="standard"):
+    """schrodinger_anneal's lockstep reads over the reference integrator:
+    one pass, then all reads measured from the same seed."""
+    model, n = req.model, req.model.n
+    psi, drift = scalar_pass(model, req.schedule, engines._start_vector(req, convention),
+                             steps, convention)
+    outcomes = measure(psi, req.reads, np.random.default_rng(req.seed))
+    states = [engines._from_bits(model, [(int(k) >> i) & 1 for i in range(n)]) for k in outcomes]
+    timing = engines._schedule_timing(req.reads, req.schedule.total_time)
+    return engines._assemble(model, states, timing, drift)
+
+
+def sampling_case(c):
+    """Seeded request c with 2-10 qubits and 200 lockstep reads: an Ising
+    or QUBO model (Ising in the literal convention for every eighth case)
+    on a forward, reverse or grouped schedule."""
+    rng = np.random.default_rng(9000 + c)
+    n = 2 + c % 9
+    shape = ("forward", "reverse", "grouped")[c % 3]
+    convention = "literal" if c % 8 == 3 else "standard"
+    if c % 2 or convention == "literal":
+        model, domain = random_ising(n, rng, density=0.8), (-1, 1)
+    else:
+        q = {(i, j): float(rng.normal()) for i in range(n) for j in range(i, n)
+             if rng.random() < 0.8}
+        model, domain = QuboModel(n, q), (0, 1)
+    initial = None
+    if shape == "forward":
+        sched = forward_schedule(2.0)
+    else:
+        if shape == "reverse":
+            sched = reverse_schedule(2.0, 0.2, hold=0.3)
+        else:
+            groups = [tuple(range(0, n, 2)), tuple(range(1, n, 2))]
+            sched = grouped_cycle_schedule(3.0, groups, down_fraction=0.3).schedule
+        initial = tuple(domain[int(b)] for b in rng.integers(0, 2, n))
+    return SamplerRequest(model, sched, reads=200, initial_state=initial, seed=c), convention
+
+
 class TestIntegratorMatchesScalarLoop:
-    # odd n leaves the rotated amplitudes in the plan's second basis buffer
     @settings(max_examples=80, deadline=None)
     @given(integrator_requests(sizes=range(1, 10)), st.sampled_from([None, 7, 40]))
     def test_same_probabilities(self, case, steps):
         req, convention = case
         want = scalar_probabilities(req, steps, convention)
         got = final_probabilities(req, steps, convention)
-        assert got.tobytes() == want.tobytes()
+        assert np.max(np.abs(got - want)) <= PROBABILITY_BOUND
 
     @settings(max_examples=30, deadline=None)
     @given(integrator_requests(sizes=range(1, 8), reads=3), st.sampled_from([None, 7]))
@@ -889,21 +933,47 @@ class TestIntegratorMatchesScalarLoop:
         want = scalar_chained(req, steps, convention)
         got = schrodinger_anneal(req, steps, convention)
         assert got.records == want.records
-        assert np.float64(got.norm_drift).tobytes() == np.float64(want.norm_drift).tobytes()
+        assert abs(got.norm_drift - want.norm_drift) <= 1e-12
 
     def test_all_zero_angles(self):
         # literal convention, no biases: no qubit ever rotates
         model = IsingModel(3, {}, {(0, 1): -0.7, (1, 2): 0.4})
         req = SamplerRequest(model, forward_schedule(2.0))
         want = scalar_probabilities(req, 9, "literal")
-        assert final_probabilities(req, 9, "literal").tobytes() == want.tobytes()
+        got = final_probabilities(req, 9, "literal")
+        assert np.max(np.abs(got - want)) <= PROBABILITY_BOUND
 
     def test_column_blocks_past_4096_states(self):
-        # 13 qubits: the diagonal is reduced over two column blocks
+        # 13 qubits: the Hadamard transform runs over three axes (4, 4 and 5 qubits)
         model = random_ising(13, np.random.default_rng(3), density=0.3)
         req = SamplerRequest(model, forward_schedule(1.0))
         want = scalar_probabilities(req, 3)
-        assert final_probabilities(req, 3).tobytes() == want.tobytes()
+        assert np.max(np.abs(final_probabilities(req, 3) - want)) <= PROBABILITY_BOUND
+
+    @pytest.mark.parametrize("case", range(48))
+    def test_sample_sets_match_scalar_reference(self, case):
+        req, convention = sampling_case(case)
+        got = schrodinger_anneal(req, convention=convention)
+        assert got.records == scalar_sampled(req, convention=convention).records
+
+    @pytest.mark.parametrize("n, axes", [(1, 1), (2, 1), (7, 2), (12, 2), (13, 3), (16, 3)])
+    @pytest.mark.parametrize("convention", ["standard", "literal"])
+    def test_transverse_stage_is_the_qubit_rotations(self, n, axes, convention):
+        # No diagonal terms, so one step is the transverse stage alone. The
+        # start paths differ by v % 3, which gives up to three angle groups;
+        # the literal biases give each qubit its own angle.
+        rng = np.random.default_rng(n)
+        biases = {v: float(rng.normal()) for v in range(n)} if convention == "literal" else {}
+        model = IsingModel(n, biases, {})
+        sched = AnnealSchedule(2.0, ((0.0, 0.0), (2.0, 1.0)),
+                               {v: ((0.0, 0.25 * (v % 3)), (2.0, 1.0)) for v in range(n)})
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        plan = engines._Integration(model, sched, 1, convention)
+        assert len(plan.stages) == 2 * axes
+        got, _ = plan.run(psi)
+        want, _ = scalar_pass(model, sched, psi, 1, convention)
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 class TestStepGuard:
