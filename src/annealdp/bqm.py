@@ -1,13 +1,15 @@
 """Binary quadratic models: Ising and QUBO containers plus exact tooling.
 
 Both model classes store sparse coefficient dicts keyed by canonical
-index pairs. Energies are plain Python sums so that vectorised code
-paths can reproduce them bit-for-bit by accumulating terms in the same
-order (dict insertion order).
+index pairs. An energy is the fold of its terms in dict insertion order;
+term_energies vectorises that fold and reproduces the scalar sums
+bit-for-bit. brute_force ranks states approximately with gemms, within
+a proven rounding bound, and reports only those exact folds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -17,10 +19,13 @@ SpinState = Sequence[int]
 BinaryState = Sequence[int]
 
 BRUTE_FORCE_MAX_VARS = 26
-# States per enumeration block, as a power of two. A 2^14 block keeps
-# the per-variable value arrays and the energy temporaries in cache.
-# Measured per brute_force call on the 18-variable combinatorial QUBO:
-# 2^20 197 ms, 2^16 107 ms, 2^15 90 ms, 2^14 78 ms, 2^13 98 ms, 2^12 144 ms.
+# States per enumeration block, as a power of two: the approximate pass
+# ranks about this many states per gemm chunk, exact folds run in chunks
+# of this size, and engines.sequential_greedy scores its group
+# assignments in such blocks. Measured per brute_force call on the
+# 18-variable combinatorial QUBO (median of 15, one BLAS thread):
+# 2^20 1.8 ms, 2^16 1.6 ms, 2^15 1.6 ms, 2^14 1.7 ms, 2^13 2.3 ms, 2^12 2.4 ms,
+# 2^10 5.0 ms.
 _BLOCK_BITS = 14
 
 
@@ -258,20 +263,135 @@ def term_energies(
     return energies
 
 
+def _bit_values(idx: np.ndarray, spin: bool) -> Callable[[int], np.ndarray]:
+    """value(i) for term_energies: bit i of each state index, as a spin
+    when spin is set. Each variable's column is built once."""
+    cols: dict[int, np.ndarray] = {}
+
+    def var(i: int) -> np.ndarray:
+        if i not in cols:
+            b = ((idx >> np.uint64(i)) & np.uint64(1)).astype(np.float64)
+            cols[i] = 2.0 * b - 1.0 if spin else b
+        return cols[i]
+
+    return var
+
+
+def _fold_energies(model: IsingModel | QuboModel, idx: np.ndarray) -> np.ndarray:
+    """Exact energies of the bit states with the given uint64 indices, in
+    2^_BLOCK_BITS chunks: term_energies' dict-order fold, bit-for-bit
+    equal to energy_of_bits. State index k encodes bit i as (k >> i) & 1."""
+    out = np.empty(len(idx), dtype=np.float64)
+    step = 1 << _BLOCK_BITS
+    spin = isinstance(model, IsingModel)
+    for start in range(0, len(idx), step):
+        chunk = idx[start:start + step]
+        out[start:start + len(chunk)] = term_energies(model, _bit_values(chunk, spin), len(chunk))
+    return out
+
+
 def block_energies(model: IsingModel | QuboModel, start: int, stop: int) -> np.ndarray:
     """Energies of the bit states with indices [start, stop), bit-for-bit
     equal to energy_of_bits. State index k encodes bit i as (k >> i) & 1."""
-    idx = np.arange(start, stop, dtype=np.uint64)
-    vals: dict[int, np.ndarray] = {}
+    return _fold_energies(model, np.arange(start, stop, dtype=np.uint64))
+
+
+def _weights(model: IsingModel | QuboModel) -> list[float]:
+    if isinstance(model, IsingModel):
+        return [*model.biases.values(), *model.couplings.values()]
+    return list(model.q.values())
+
+
+def _restrict(model: IsingModel | QuboModel, lo: int, hi: int) -> IsingModel | QuboModel:
+    """The terms on variables lo..hi-1 only, renumbered from 0."""
+    if isinstance(model, IsingModel):
+        return IsingModel(
+            hi - lo,
+            {i - lo: h for i, h in model.biases.items() if lo <= i < hi},
+            {(i - lo, j - lo): w for (i, j), w in model.couplings.items() if lo <= i and j < hi},
+        )
+    return QuboModel(hi - lo, {(i - lo, j - lo): w for (i, j), w in model.q.items() if lo <= i and j < hi})
+
+
+def _value_table(bits: int, spin: bool) -> np.ndarray:
+    """(2^bits x bits) values of every state over `bits` variables."""
+    b = (np.arange(1 << bits)[:, None] >> np.arange(bits)) & 1
+    return (2.0 * b - 1.0) if spin else b.astype(np.float64)
+
+
+# Candidate set of the approximate pass. Every term of an energy is the
+# coefficient times a value in {-1, 0, 1}, so it is exactly +-w or 0,
+# and a product of a rounded partial sum with such a value is exact too.
+# Any summation order (gemm blocking and FMA included) therefore computes
+# a state's energy as a sum of its m terms with at most m - 1 roundings,
+# so with u = 2^-53, gamma_m = m u / (1 - m u) and S = sum |w|, both the
+# approximate energy e~ and the exact dict-order fold e lie within
+# gamma_m S of the real value, and |e~ - e| <= delta = 2 gamma_m S. For
+# an exact argmin k and the approximate argmin j:
+#     e~_k <= e_k + delta <= e_j + delta <= e~_j + 2 delta,
+# so every state with e~ <= e~_min + 2 delta is rescored exactly and no
+# argmin is missed. The bound 2 delta = 4 gamma_m S is computed in
+# floats from a correctly rounded S (fsum) through three more
+# roundings, each at most a factor 1 - u, which the 1 + 2^-50 = 1 + 8u
+# factor outweighs; the threshold sum is then stepped one float up.
+# Past S = 2^1020 a partial sum may overflow, and every state is a
+# candidate instead.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _near_minimum(model: IsingModel | QuboModel, weights: list[float]) -> np.ndarray | None:
+    """Sorted indices of every state whose gemm-ranked energy is within
+    the proven bound of the approximate minimum; None when every state
+    must be a candidate (the bound would overflow).
+
+    The low n//2 bits a and the high bits b split the energy as
+    E(a, b) = E_low[a] + E_high[b] + v(a)^T C v(b), where C holds the
+    cross couplings and v is the value vector (bits, or spins for Ising).
+    The cross term is (V_low @ C) @ V_high^T over chunks of high states
+    of about 2^_BLOCK_BITS states each, so no 2^n array is ever held.
+    """
+    s = math.fsum(abs(w) for w in weights)
+    if not s <= 2.0**1020:
+        return None
+    mu = len(weights) * _UNIT_ROUNDOFF
+    bound = 4.0 * (mu / (1.0 - mu)) * s * (1.0 + 2.0**-50)
+
+    n = model.n
+    n_lo = n // 2
+    n_hi = n - n_lo
     spin = isinstance(model, IsingModel)
+    e_low = block_energies(_restrict(model, 0, n_lo), 0, 1 << n_lo)
+    e_high = block_energies(_restrict(model, n_lo, n), 0, 1 << n_hi)[:, None]
+    cross = np.zeros((n_lo, n_hi))
+    pairs = model.couplings.items() if spin else model.q.items()
+    for (i, j), w in pairs:
+        if i < n_lo <= j:
+            cross[i, j - n_lo] = w
+    low_cross = np.ascontiguousarray((_value_table(n_lo, spin) @ cross).T)
+    v_high = _value_table(n_hi, spin)
 
-    def var(i: int) -> np.ndarray:
-        if i not in vals:
-            b = ((idx >> np.uint64(i)) & np.uint64(1)).astype(np.float64)
-            vals[i] = 2.0 * b - 1.0 if spin else b
-        return vals[i]
-
-    return term_energies(model, var, len(idx))
+    rows = 1 << max(0, _BLOCK_BITS - n_lo)
+    buf = np.empty((min(rows, 1 << n_hi), 1 << n_lo))
+    emin = np.inf
+    thr = np.inf
+    found_idx: list[np.ndarray] = []
+    found_e: list[np.ndarray] = []
+    for b0 in range(0, 1 << n_hi, rows):
+        b1 = min(b0 + rows, 1 << n_hi)
+        approx = buf[: b1 - b0]
+        np.matmul(v_high[b0:b1], low_cross, out=approx)
+        approx += e_low
+        approx += e_high[b0:b1]
+        flat = approx.ravel()
+        cmin = flat.min()
+        if cmin < emin:
+            emin = cmin
+            thr = np.nextafter(emin + bound, np.inf)
+        hits = np.flatnonzero(flat <= thr)
+        found_idx.append(hits.astype(np.uint64) + np.uint64(b0 << n_lo))
+        found_e.append(flat[hits])
+    idx = np.concatenate(found_idx)
+    return idx[np.concatenate(found_e) <= thr]
 
 
 def brute_force(
@@ -281,22 +401,37 @@ def brute_force(
 ) -> SpectrumResult:
     """Exhaustively enumerate all 2^n states.
 
-    Enumeration runs in fixed-size index blocks with vectorised energy
-    evaluation; results are independent of the partitioning. States are
-    reported in the model's native domain. All states attaining the
-    exact minimum are returned, ordered by state index.
+    A first pass ranks every state approximately with gemms over a split
+    of the bits; a second pass rescores, with the exact dict-order fold
+    of term_energies, every state within a proven rounding bound of the
+    approximate minimum (every state when keep_spectrum is set). The
+    reported energies are those exact folds, bit-for-bit equal to
+    energy_of_bits, so results do not depend on the gemm or on the block
+    size. States are reported in the model's native domain. All states
+    attaining the exact minimum are returned, ordered by state index.
+    Raises ValueError if any coefficient is NaN or infinite.
     """
     n = model.n
     if n > max_vars:
         raise CapacityError(f"brute force over {n} variables exceeds the guard of {max_vars}")
+    weights = _weights(model)
+    if not all(math.isfinite(w) for w in weights):
+        raise ValueError("brute force needs finite coefficients")
     total = 1 << n
-    block = 1 << min(n, _BLOCK_BITS)
+    candidates = None if keep_spectrum else _near_minimum(model, weights)
+    if candidates is None:
+        block = 1 << min(n, _BLOCK_BITS)
+        chunks: Iterable[np.ndarray] = (
+            np.arange(start, min(start + block, total), dtype=np.uint64)
+            for start in range(0, total, block)
+        )
+    else:
+        chunks = (candidates,)
     min_energy = np.inf
     argmin_idx: list[int] = []
     spectrum_energies: list[np.ndarray] = []
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        energies = block_energies(model, start, stop)
+    for idx in chunks:
+        energies = _fold_energies(model, idx)
         if keep_spectrum:
             spectrum_energies.append(energies)
         bmin = float(energies.min())
@@ -304,7 +439,7 @@ def brute_force(
             min_energy = bmin
             argmin_idx = []
         if bmin == min_energy:
-            argmin_idx.extend(int(start + k) for k in np.flatnonzero(energies == min_energy))
+            argmin_idx.extend(idx[energies == min_energy].tolist())
 
     def to_state(k: int) -> tuple[int, ...]:
         bits = tuple((k >> i) & 1 for i in range(n))
