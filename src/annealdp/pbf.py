@@ -28,8 +28,15 @@ class Poly:
     coefficient; the empty set is the constant term. Multilinearity
     (x_i^2 = x_i) is applied during multiplication, so the stored form
     is the unique multilinear representative: two polynomials are equal
-    iff they agree on every binary assignment. Coefficients with
-    magnitude <= PRUNE_TOL are dropped on construction.
+    iff they agree on every binary assignment.
+
+    The constructor canonicalises its keys, sums duplicates, raises
+    ValueError on a NaN or infinite coefficient and drops every term
+    with magnitude <= PRUNE_TOL. Arithmetic (+, -, unary -, *) combines
+    keys that are already canonical, so its results skip the key pass
+    and apply only that prune rule: terms keep their first-insertion
+    order, and a term pruned by one operation re-enters at the end if
+    a later one gives it back a coefficient.
     """
 
     __slots__ = ("terms",)
@@ -38,13 +45,23 @@ class Poly:
         canonical: dict[frozenset[int], float] = {}
         if terms:
             for k, c in terms.items():
+                c = float(c)
+                if not math.isfinite(c):
+                    raise ValueError(f"coefficient {c} on term {sorted(k)} is not finite")
                 key = frozenset(k)
-                c = canonical.get(key, 0.0) + float(c)
+                c = canonical.get(key, 0.0) + c
                 if c == 0.0:
                     canonical.pop(key, None)
                 else:
                     canonical[key] = c
         self.terms = {k: c for k, c in canonical.items() if abs(c) > PRUNE_TOL}
+
+    @classmethod
+    def _pruned(cls, terms: dict[frozenset[int], float]) -> "Poly":
+        """Poly over terms whose keys are already canonical frozensets."""
+        p = cls.__new__(cls)
+        p.terms = {k: c for k, c in terms.items() if abs(c) > PRUNE_TOL}
+        return p
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -82,17 +99,21 @@ class Poly:
         return self.terms.get(frozenset(vars_), 0.0)
 
     def __add__(self, other: "Poly | float") -> "Poly":
-        if not isinstance(other, Poly):
-            other = Poly.constant(other)
         terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0.0) + c
-        return Poly(terms)
+        if isinstance(other, Poly):
+            for k, c in other.terms.items():
+                terms[k] = terms.get(k, 0.0) + c
+        else:
+            c = float(other)
+            # the prune rule applies to the scalar as to a constant Poly
+            if abs(c) > PRUNE_TOL:
+                terms[frozenset()] = terms.get(frozenset(), 0.0) + c
+        return Poly._pruned(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({k: -c for k, c in self.terms.items()})
+        return Poly._pruned({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | float") -> "Poly":
         return self + (-other if isinstance(other, Poly) else -float(other))
@@ -103,13 +124,13 @@ class Poly:
     def __mul__(self, other: "Poly | float") -> "Poly":
         if not isinstance(other, Poly):
             c = float(other)
-            return Poly({k: v * c for k, v in self.terms.items()})
+            return Poly._pruned({k: v * c for k, v in self.terms.items()})
         terms: dict[frozenset[int], float] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = k1 | k2
                 terms[key] = terms.get(key, 0.0) + c1 * c2
-        return Poly(terms)
+        return Poly._pruned(terms)
 
     __rmul__ = __mul__
 
@@ -217,7 +238,11 @@ def read_poly(path: str) -> Poly:
         key = frozenset(vars_)
         if len(key) != len(vars_):
             raise ParseError(f"duplicate variable in monomial {text!r}", lineno)
-        terms[key] = terms.get(key, 0.0) + coeff
+        total = terms.get(key, 0.0) + coeff
+        # also catches finite repeats of one monomial that overflow
+        if not math.isfinite(total):
+            raise ParseError(f"coefficient is not finite at {text!r}", lineno)
+        terms[key] = total
     return Poly(terms)
 
 
@@ -262,7 +287,11 @@ class BinaryEncoding:
         return self.encode_value([int(x[v]) for v in self.vars])
 
     def value_poly(self) -> Poly:
-        return Poly.linear({self.var_base + j: self.scale * (1 << j) for j in range(self.bit_count)})
+        # built like arithmetic, without the constructor's finiteness
+        # check: a bit weight past the float range stays inf, as a
+        # product's would
+        scale = float(self.scale)
+        return Poly._pruned({frozenset((self.var_base + j,)): scale * (1 << j) for j in range(self.bit_count)})
 
     def grid(self) -> np.ndarray:
         return self.scale * np.arange(self.max_int + 1, dtype=np.float64)

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .pbf import Poly
+from .pbf import PRUNE_TOL, Poly
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,17 @@ def ntr_reduce(vars_: Iterable[int], coeff: float, aux: int) -> Poly:
         raise ValueError("negative-term reduction requires a negative coefficient")
     if d < 3:
         raise ValueError(f"degree {d} term needs no reduction")
+    if aux in vs:
+        raise ValueError(f"auxiliary x{aux} is a variable of the term")
+    return Poly._pruned(_ntr_terms(vs, float(coeff), aux))
+
+
+def _ntr_terms(vs: Sequence[int], coeff: float, aux: int) -> dict[frozenset[int], float]:
     mag = -coeff
-    terms: dict[frozenset[int], float] = {frozenset((aux,)): mag * (d - 1)}
+    terms = {frozenset((aux,)): mag * (len(vs) - 1)}
     for v in vs:
         terms[frozenset((v, aux))] = -mag
-    return Poly(terms)
+    return terms
 
 
 def ptr_reduce(vars_: Iterable[int], coeff: float, aux_ids: Sequence[int]) -> Poly:
@@ -130,15 +136,27 @@ def ptr_reduce(vars_: Iterable[int], coeff: float, aux_ids: Sequence[int]) -> Po
         raise ValueError(f"degree {d} term needs no reduction")
     if len(aux_ids) != d - 2:
         raise ValueError(f"degree {d} needs exactly {d - 2} auxiliaries, got {len(aux_ids)}")
-    out = Poly.zero()
-    for idx in range(d - 2):
-        a = Poly.variable(aux_ids[idx])
-        inner = Poly.constant(float(d - idx - 2)) + Poly.variable(vs[idx])
-        for j in range(idx + 1, d):
-            inner = inner - Poly.variable(vs[j])
-        out = out + a * inner
-    out = out + Poly.variable(vs[-2]) * Poly.variable(vs[-1])
-    return coeff * out
+    if len(set(aux_ids)) != len(aux_ids):
+        raise ValueError(f"auxiliaries {list(aux_ids)} repeat")
+    clash = sorted(set(aux_ids) & set(vs))
+    if clash:
+        raise ValueError(f"auxiliaries {clash} are variables of the term")
+    return Poly._pruned(_ptr_terms(vs, float(coeff), aux_ids))
+
+
+def _ptr_terms(vs: Sequence[int], coeff: float, aux_ids: Sequence[int]) -> dict[frozenset[int], float]:
+    # key order is part of the result (the greedy walk and term_energies
+    # fold terms in dict order): per auxiliary {a}, {a, v_idx}, then
+    # {a, v_j} for j > idx; the closing pair last
+    d = len(vs)
+    terms: dict[frozenset[int], float] = {}
+    for idx, a in enumerate(aux_ids):
+        terms[frozenset((a,))] = coeff * float(d - idx - 2)
+        terms[frozenset((a, vs[idx]))] = coeff
+        for v in vs[idx + 1:]:
+            terms[frozenset((a, v))] = -coeff
+    terms[frozenset(vs[-2:])] = coeff
+    return terms
 
 
 def deduction_reduce(p: Poly, pair: tuple[int, int], value: int) -> Poly:
@@ -206,26 +224,42 @@ def elc_reduce(p: Poly, elc: Mapping[int, int]) -> Poly:
 def quadratize_full(p: Poly, aux_start: int | None = None) -> ReductionResult:
     """Reduce every degree >= 3 term by sign: NTR when negative, PTR when
     positive. Auxiliaries are allocated in sorted term order starting at
-    aux_start (default: one past the largest variable id)."""
+    aux_start, which defaults to one past the largest variable id and
+    may not lie below it (an auxiliary would alias a variable).
+
+    The reductions are summed into one term dict in place, so the cost
+    is linear in the number of terms. After each reduction, a term whose
+    running coefficient has magnitude <= PRUNE_TOL is removed, and a
+    later contribution re-inserts it at the end: the result, key order
+    included, is that of adding the reductions one Poly at a time.
+    """
     vars_ = p.variables()
     original_n = (max(vars_) + 1) if vars_ else 0
+    if aux_start is not None and aux_start < original_n:
+        raise ValueError(f"aux_start {aux_start} is below the variable count {original_n}")
     next_aux = original_n if aux_start is None else aux_start
-    out_terms = {k: c for k, c in p.terms.items() if len(k) <= 2}
-    out = Poly(out_terms)
+    out = {k: c for k, c in p.terms.items() if len(k) <= 2}
     records: list[AuxRecord] = []
     for k in sorted((k for k in p.terms if len(k) >= 3), key=lambda k: tuple(sorted(k))):
         c = p.terms[k]
         term = tuple(sorted(k))
         if c < 0:
-            out = out + ntr_reduce(term, c, next_aux)
+            piece = _ntr_terms(term, c, next_aux)
             records.append(AuxRecord(next_aux, "ntr", term))
             next_aux += 1
         else:
             aux_ids = tuple(range(next_aux, next_aux + len(term) - 2))
-            out = out + ptr_reduce(term, c, aux_ids)
+            piece = _ptr_terms(term, c, aux_ids)
             records.extend(AuxRecord(a, "ptr", term) for a in aux_ids)
             next_aux += len(term) - 2
-    return ReductionResult(out, AuxAllocation(original_n, tuple(records)))
+        # a piece's keys are distinct, so each can be pruned as it lands
+        for key, v in piece.items():
+            total = out.get(key, 0.0) + v
+            if abs(total) > PRUNE_TOL:
+                out[key] = total
+            else:
+                out.pop(key, None)
+    return ReductionResult(Poly._pruned(out), AuxAllocation(original_n, tuple(records)))
 
 
 def min_over_aux(reduced: Poly, aux_vars: Iterable[int], x: Mapping[int, int]) -> float:

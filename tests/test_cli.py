@@ -313,6 +313,15 @@ class TestQuadratize:
         path.write_text("3 x0 x1 banana\n")
         assert main(["quadratize", str(path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("text", ["nan 0 1 2\n2.0 0 1 2\n", "nan 3\n1.0 0 1 2\n"])
+    def test_non_finite_coefficient_exits_2(self, tmp_path, capsys, text):
+        # a dropped NaN term once reduced silently, or freed x3 for an auxiliary
+        path = tmp_path / "nan.poly"
+        path.write_text(text)
+        assert main(["quadratize", str(path), "--verify"]) == EXIT_USAGE
+        assert "line 1" in capsys.readouterr().err
+        assert not (tmp_path / "nan.poly.quad").exists()
+
 
 class TestAppendixB:
     def test_greedy_rows(self, tmp_path, capsys):

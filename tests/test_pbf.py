@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from annealdp.bqm import ParseError, brute_force, qubo_energy
 from annealdp.pbf import (
+    PRUNE_TOL,
     BinaryEncoding,
     EncodingRangeWarning,
     LogCoefficients,
@@ -60,6 +61,14 @@ class TestPolyAlgebra:
     def test_prune_tolerance(self):
         assert Poly({frozenset((0,)): 5e-13}) == Poly.zero()
         assert Poly({frozenset((0,)): 5e-12}) != Poly.zero()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        # a NaN used to be dropped silently, losing its term
+        with pytest.raises(ValueError, match="not finite"):
+            Poly({frozenset((0, 1, 2)): bad, frozenset((3,)): 1.0})
+        with pytest.raises(ValueError, match="not finite"):
+            Poly.linear({0: 1.0}, constant=bad)
 
     def test_three_term_example(self):
         # 2 x1 x2 x3 + 4 x2 x3 x4 - 5 x2 x3 x5 at x=(1,1,1,0,0) on ids 1..5
@@ -118,6 +127,69 @@ def test_ring_ops_match_pointwise(p, q):
         assert (p - q).evaluate(s) == pytest.approx(p.evaluate(s) - q.evaluate(s), abs=1e-9)
 
 
+# Arithmetic as it was written before the operators skipped the key
+# pass: each result goes through the public constructor.
+
+
+def _old_add(p, q):
+    if not isinstance(q, Poly):
+        q = Poly.constant(q)
+    terms = dict(p.terms)
+    for k, c in q.terms.items():
+        terms[k] = terms.get(k, 0.0) + c
+    return Poly(terms)
+
+
+def _old_neg(p):
+    return Poly({k: -c for k, c in p.terms.items()})
+
+
+def _old_mul(p, q):
+    if not isinstance(q, Poly):
+        c = float(q)
+        return Poly({k: v * c for k, v in p.terms.items()})
+    terms = {}
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            key = k1 | k2
+            terms[key] = terms.get(key, 0.0) + c1 * c2
+    return Poly(terms)
+
+
+def _items(p):
+    return list(p.terms.items())
+
+
+SCALARS = st.sampled_from((0.0, 0.4 * PRUNE_TOL, -3.0 * PRUNE_TOL, 0.5, -2.0, 3.25))
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two dyadic polynomials; q sometimes cancels some of p's terms
+    exactly or to within PRUNE_TOL, so the prune path runs."""
+    p = draw(small_polys())
+    q = draw(small_polys())
+    if p.terms and draw(st.booleans()):
+        slack = draw(st.sampled_from((0.0, 0.4 * PRUNE_TOL, -0.4 * PRUNE_TOL)))
+        cancelled = {k: -c + slack for k, c in p.terms.items() if draw(st.booleans())}
+        q = Poly({**q.terms, **cancelled})
+    return p, q
+
+
+@settings(max_examples=120, deadline=None)
+@given(poly_pairs(), SCALARS)
+def test_arithmetic_items_match_constructor_path(pq, c):
+    p, q = pq
+    assert _items(p + q) == _items(_old_add(p, q))
+    assert _items(p - q) == _items(_old_add(p, _old_neg(q)))
+    assert _items(-p) == _items(_old_neg(p))
+    assert _items(p * q) == _items(_old_mul(p, q))
+    assert _items(p * c) == _items(c * p) == _items(_old_mul(p, c))
+    assert _items(p + c) == _items(c + p) == _items(_old_add(p, c))
+    assert _items(p - c) == _items(_old_add(p, -c))
+    assert _items(c - p) == _items(_old_add(_old_neg(p), c))
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_polys())
 def test_canonical_form_unique(p):
@@ -170,6 +242,14 @@ class TestTextFormat:
             read_poly(str(path))
         path.write_text("1.0 -3\n")
         with pytest.raises(ParseError, match="negative"):
+            read_poly(str(path))
+
+    @pytest.mark.parametrize("text", ["nan 0 1 2\n", "inf 3\n", "-inf\n", "1e308 0 1\n1e308 1 0\n"])
+    def test_non_finite_coefficient_names_line(self, tmp_path, text):
+        path = tmp_path / "poly.txt"
+        path.write_text("2.0 0 1 2\n" + text)
+        lines = text.count("\n") + 1
+        with pytest.raises(ParseError, match=f"line {lines}: coefficient is not finite"):
             read_poly(str(path))
 
 

@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annealdp.pbf import Poly
+from annealdp.merged import build_merged_problem, default_merged_encodings
+from annealdp.pbf import PRUNE_TOL, Poly, to_qubo
 from annealdp.quadratize import (
+    AuxAllocation,
+    AuxRecord,
+    ReductionResult,
     deduction_reduce,
     elc_reduce,
     min_over_aux,
@@ -178,6 +182,11 @@ class TestNtr:
         with pytest.raises(ValueError):
             ntr_reduce((1, 2), -1.0, aux=4)
 
+    def test_rejects_aux_among_term_variables(self):
+        # would otherwise return {x2: -1, x1x2: -1, x2x3: -1}
+        with pytest.raises(ValueError, match="auxiliary x2"):
+            ntr_reduce((1, 2, 3), -1.0, aux=2)
+
     def test_scaling(self):
         reduced = ntr_reduce((0, 1, 2, 3), -2.5, aux=9)
         for a in assignments(range(4)):
@@ -215,6 +224,30 @@ class TestPtr:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ptr_reduce((1, 2, 3), -1.0, aux_ids=(4,))
+
+    def test_rejects_repeated_auxiliaries(self):
+        with pytest.raises(ValueError, match="repeat"):
+            ptr_reduce((0, 1, 2, 3), 1.0, aux_ids=(7, 7))
+
+    def test_rejects_aux_among_term_variables(self):
+        with pytest.raises(ValueError, match=r"\[2\]"):
+            ptr_reduce((0, 1, 2, 3), 1.0, aux_ids=(2, 7))
+
+    def test_quartic_terms_in_chain_order(self):
+        # per auxiliary {a}, {a, v_idx}, {a, v_j > v_idx}; closing pair last
+        got = ptr_reduce((0, 1, 2, 3), 1.5, aux_ids=(4, 5))
+        assert list(got.terms.items()) == [
+            (frozenset({4}), 3.0),
+            (frozenset({4, 0}), 1.5),
+            (frozenset({4, 1}), -1.5),
+            (frozenset({4, 2}), -1.5),
+            (frozenset({4, 3}), -1.5),
+            (frozenset({5}), 1.5),
+            (frozenset({5, 1}), 1.5),
+            (frozenset({5, 2}), -1.5),
+            (frozenset({5, 3}), -1.5),
+            (frozenset({2, 3}), 1.5),
+        ]
 
 
 class TestElc:
@@ -324,6 +357,20 @@ class TestQuadratizeFull:
                 p.evaluate(a), abs=1e-9
             )
 
+    def test_rejects_aux_start_below_variable_count(self):
+        # aux_start=2 would reuse x2 for the auxiliary of 2 x0 x1 x2
+        p = 2 * (x(0) * x(1) * x(2)) + x(3)
+        with pytest.raises(ValueError, match="aux_start 2"):
+            quadratize_full(p, aux_start=2)
+        assert quadratize_full(p, aux_start=4).alloc.aux_vars == (4,)
+
+    def test_cancelled_pair_reenters_at_end(self):
+        # the PTR pair of x0x2x3 cancels -x2x3; x1x2x3 then re-adds it
+        p = -1 * (x(2) * x(3)) + x(0) * x(2) * x(3) + 2 * (x(1) * x(2) * x(3)) + x(0)
+        res = quadratize_full(p)
+        assert list(res.qubo_poly.terms.items())[-1] == (frozenset({2, 3}), 2.0)
+        assert list(res.qubo_poly.terms.items()) == list(chained_quadratize_reference(p).qubo_poly.terms.items())
+
     def test_min_over_aux_rejects_shared_auxes(self):
         bad = x(0) * x(8) * x(9)
         with pytest.raises(ValueError, match="share"):
@@ -355,3 +402,112 @@ def test_quadratize_full_exact_property(case):
         assert min_over_aux(res.qubo_poly, res.alloc.aux_vars, a) == pytest.approx(
             p.evaluate(a), abs=1e-8
         )
+
+
+# The reduction as it was written before quadratize_full accumulated in
+# place: every NTR/PTR piece is built through Poly arithmetic and added
+# with `out + piece`. It is the reference for the result, key order
+# included.
+
+
+def _chained_ntr(vars_, coeff, aux):
+    vs = sorted(set(vars_))
+    d = len(vs)
+    mag = -coeff
+    terms = {frozenset((aux,)): mag * (d - 1)}
+    for v in vs:
+        terms[frozenset((v, aux))] = -mag
+    return Poly(terms)
+
+
+def _chained_ptr(vars_, coeff, aux_ids):
+    vs = sorted(set(vars_))
+    d = len(vs)
+    out = Poly.zero()
+    for idx in range(d - 2):
+        a = Poly.variable(aux_ids[idx])
+        inner = Poly.constant(float(d - idx - 2)) + Poly.variable(vs[idx])
+        for j in range(idx + 1, d):
+            inner = inner - Poly.variable(vs[j])
+        out = out + a * inner
+    out = out + Poly.variable(vs[-2]) * Poly.variable(vs[-1])
+    return coeff * out
+
+
+def chained_quadratize_reference(p, aux_start=None):
+    vars_ = p.variables()
+    original_n = (max(vars_) + 1) if vars_ else 0
+    next_aux = original_n if aux_start is None else aux_start
+    out_terms = {k: c for k, c in p.terms.items() if len(k) <= 2}
+    out = Poly(out_terms)
+    records = []
+    for k in sorted((k for k in p.terms if len(k) >= 3), key=lambda k: tuple(sorted(k))):
+        c = p.terms[k]
+        term = tuple(sorted(k))
+        if c < 0:
+            out = out + _chained_ntr(term, c, next_aux)
+            records.append(AuxRecord(next_aux, "ntr", term))
+            next_aux += 1
+        else:
+            aux_ids = tuple(range(next_aux, next_aux + len(term) - 2))
+            out = out + _chained_ptr(term, c, aux_ids)
+            records.extend(AuxRecord(a, "ptr", term) for a in aux_ids)
+            next_aux += len(term) - 2
+    return ReductionResult(out, AuxAllocation(original_n, tuple(records)))
+
+
+DYADIC = st.builds(lambda k, m: k / 2.0**m, st.integers(-16, 16).filter(bool), st.integers(0, 3))
+
+
+@st.composite
+def cancelling_pbfs(draw):
+    """Degree <= 4 over <= 8 variables, dyadic coefficients, plus a
+    quadratic term that a PTR pair cancels (exactly or to within
+    PRUNE_TOL) and, sometimes, a later PTR term that re-adds it."""
+    n = draw(st.integers(4, 8))
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        size = draw(st.integers(0, 4))
+        key = draw(st.frozensets(st.integers(0, n - 1), min_size=size, max_size=size))
+        terms[key] = terms.get(key, 0.0) + draw(DYADIC)
+    u, v = n - 2, n - 1
+    first = draw(st.integers(0, n - 4))
+    c = abs(draw(DYADIC))
+    slack = draw(st.sampled_from((0.0, 0.4 * PRUNE_TOL, -0.4 * PRUNE_TOL)))
+    terms[frozenset((u, v))] = -c + slack
+    terms[frozenset((first, u, v))] = c
+    if draw(st.booleans()):
+        later = draw(st.integers(first + 1, n - 3))
+        terms[frozenset((later, u, v))] = abs(draw(DYADIC))
+    return n, Poly(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_pbfs(), st.integers(0, 3))
+def test_quadratize_full_matches_chained_reference(case, gap):
+    n, p = case
+    for aux_start in (None, n + gap):
+        got = quadratize_full(p, aux_start=aux_start)
+        want = chained_quadratize_reference(p, aux_start=aux_start)
+        assert list(got.qubo_poly.terms.items()) == list(want.qubo_poly.terms.items())
+        assert got.alloc == want.alloc
+
+
+@pytest.mark.parametrize("widths", [(6, 6, 6), (3, 3, 3), (4, 5, 6), (2, 2, 2), (7, 7, 7)])
+@pytest.mark.parametrize("bias", [0.0, 0.5])
+def test_merged_problem_matches_chained_reference(widths, bias):
+    prob = build_merged_problem(encodings=default_merged_encodings(j1=widths[0], j2=widths[1], j3=widths[2]),
+                                bias=bias)
+    x_p, x_v = prob.x_p, prob.x_v
+    prod_p = Poly.variable(x_p) * prob.gp_poly
+    prod_v = Poly.variable(x_v) * prob.gv_poly
+    bias_poly = bias * (Poly.variable(x_p) + Poly.variable(x_v))
+    red_p = chained_quadratize_reference(prod_p, aux_start=x_v + 1)
+    red_v = chained_quadratize_reference(prod_v, aux_start=x_v + 1 + len(red_p.alloc.records))
+    records = red_p.alloc.records + red_v.alloc.records
+    qubo, offset = to_qubo(red_p.qubo_poly + red_v.qubo_poly + bias_poly, n=x_v + 1 + len(records))
+    assert list(prob.qubo.q.items()) == list(qubo.q.items())
+    assert prob.qubo.n == qubo.n
+    assert prob.offset == offset
+    assert prob.alloc == AuxAllocation(x_v + 1, records)
+    assert list(prob.poly.terms.items()) == list((prod_p + prod_v + bias_poly).terms.items())
