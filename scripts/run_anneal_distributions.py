@@ -19,13 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
-from annealdp.merged import (
-    build_merged_problem,
-    heuristic_merged_sampler,
-    merged_schedule,
-    multi_anneal_ppi,
-    one_shot_ppi,
-)
+from annealdp.merged import build_merged_problem, merged_schedule, multi_anneal_ppi, one_shot_ppi
 from annealdp.rbc import DEFAULT_PARAMS, true_parameters
 from annealdp.svgplot import Series, line_chart
 
@@ -49,10 +43,7 @@ def run(argv=None) -> int:
 
     drivers = {
         "one_shot": lambda seed: one_shot_ppi(
-            problem,
-            sampler=heuristic_merged_sampler(random_init=True),
-            schedule=merged_schedule(problem, cycles=args.cycles, reinitialize=True),
-            reads=args.reads, cycles=args.cycles, seed=seed,
+            problem, reads=args.reads, cycles=args.cycles, seed=seed,
         ),
     }
     if not args.skip_multi:

@@ -112,33 +112,6 @@ class QuboModel:
 
 
 @dataclass(frozen=True)
-class ProblemGraph:
-    """Interaction graph: one vertex per variable, one edge per nonzero coupling."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
-
-
-@dataclass(frozen=True)
 class SpectrumResult:
     """Outcome of exhaustive enumeration.
 
@@ -456,15 +429,6 @@ def brute_force(
         argmin_states=tuple(to_state(k) for k in argmin_idx),
         spectrum=spectrum,
     )
-
-
-def graph_of(model: IsingModel | QuboModel) -> ProblemGraph:
-    """Interaction graph: vertices 0..n-1, edges where a pairwise term is nonzero."""
-    if isinstance(model, QuboModel):
-        pairs = ((i, j) for (i, j), w in model.q.items() if i != j and w != 0.0)
-    else:
-        pairs = ((i, j) for (i, j), w in model.couplings.items() if w != 0.0)
-    return ProblemGraph(tuple(range(model.n)), tuple(sorted(set(pairs))))
 
 
 def write_model(model: IsingModel | QuboModel, path: str) -> None:

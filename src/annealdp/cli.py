@@ -5,7 +5,7 @@ Subcommands:
   quadratize  reduce a polynomial file to quadratic, with provenance
   appendix-b  the two didactic activation models under cyclic schedules
   simulate    consumption path of an estimated policy vs the closed form
-  bench       timing accounting and engine micro-benchmarks
+  bench       device timing accounting table
 
 Configuration merges three layers with increasing precedence: built-in
 defaults, a key=value config file (--config), and explicit flags. Every
@@ -17,23 +17,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bqm import (
-    CapacityError,
-    ParseError,
-    QuboModel,
-    brute_force,
-    qubo_energy,
-    random_ising,
-)
+from .bqm import CapacityError, ParseError, QuboModel, brute_force, qubo_energy
 from .engines import (
+    Sampler,
     SamplerRequest,
     heuristic_anneal,
     schrodinger_anneal,
@@ -42,10 +36,10 @@ from .engines import (
 )
 from .merged import (
     CYCLE_BASE_US,
+    MergedProblem,
     build_merged_problem,
     default_merged_encodings,
     greedy_merged_sampler,
-    heuristic_merged_sampler,
     merged_schedule,
     multi_anneal_ppi,
     one_shot_ppi,
@@ -61,7 +55,6 @@ from .rbc import (
     collocation_grid,
     combinatorial_ppi,
     hybrid_ppi,
-    make_heuristic_sampler,
     oracle_sampler,
     simulate_consumption,
     true_parameters,
@@ -82,6 +75,14 @@ ENGINES = ("greedy", "heuristic", "statevector")
 # brute-force verification of a reduction enumerates original
 # assignments; past this width the check stops being interactive
 VERIFY_MAX_VARS = 12
+
+# Magnitudes an explicit --s2/--s3 register scale may take. Below, the
+# squared bit weights fall under the pruning tolerance of 1e-12, so the
+# objective's curvature in the register is dropped, and at smaller scales
+# its bits leave the QUBO altogether; above, the coefficients and the
+# decoded estimates leave the range the log surrogates and the engines
+# handle. The default scales at every width from 1 to 20 bits lie inside.
+SCALE_RANGE = (1e-6, 1e3)
 
 
 class UsageError(Exception):
@@ -132,7 +133,12 @@ class RunConfig:
             raise UsageError("reversal must lie in [0, 1)")
         if self.k_count < 2:
             raise UsageError("k_count must be >= 2")
-        for name in ("s2", "s3", "anneal_time", "bias"):
+        for name in ("s2", "s3"):
+            v = getattr(self, name)
+            if v is not None and not SCALE_RANGE[0] <= abs(v) <= SCALE_RANGE[1]:
+                raise UsageError(f"{name} must have magnitude in [{SCALE_RANGE[0]:g}, "
+                                 f"{SCALE_RANGE[1]:g}]")
+        for name in ("anneal_time", "bias"):
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
                 raise UsageError(f"{name} must be finite")
@@ -279,8 +285,8 @@ def _run_one(cfg: RunConfig, seed: int) -> tuple[PpiState, list[PpiState]]:
                                       encodings=_valuation_encodings(cfg),
                                       fixed_iterations=iters, history=history)
         else:
-            sampler = _hybrid_sampler(cfg)
-            state = hybrid_ppi(DEFAULT_PARAMS, sampler=sampler, grid=grid,
+            state = hybrid_ppi(DEFAULT_PARAMS, sampler=_sampler(cfg),
+                               schedule=forward_schedule(_per_anneal_time(cfg)), grid=grid,
                                encodings=_valuation_encodings(cfg), init=init,
                                iterations=iters, reads=_resolved_reads(cfg),
                                keep_fraction=cfg.keep_fraction, seed=seed,
@@ -292,16 +298,15 @@ def _run_one(cfg: RunConfig, seed: int) -> tuple[PpiState, list[PpiState]]:
                          "use greedy or heuristic")
     problem = build_merged_problem(DEFAULT_PARAMS, encodings=_merged_encodings(cfg),
                                    grid=grid, bias=cfg.bias)
-    sampler = greedy_merged_sampler if cfg.engine == "greedy" else \
-        heuristic_merged_sampler(sweeps=cfg.sweeps, random_init=(alg == "one-shot"))
+    sampler = _sampler(cfg, problem)
     cycles = _resolved_cycles(cfg)
     if alg == "multi-anneal":
-        schedule = merged_schedule(problem, cycles=cycles, total_time=cfg.anneal_time,
+        schedule = merged_schedule(problem, cycles=cycles, total_time=_per_anneal_time(cfg),
                                    reinitialize=False, reversal_target=cfg.reversal)
         state = multi_anneal_ppi(problem, sampler=sampler, schedule=schedule,
                                  reads=_resolved_reads(cfg), init=init, seed=seed)
     else:
-        schedule = merged_schedule(problem, cycles=cycles, total_time=cfg.anneal_time,
+        schedule = merged_schedule(problem, cycles=cycles, total_time=_per_anneal_time(cfg),
                                    reinitialize=True, reversal_target=cfg.reversal)
         state = one_shot_ppi(problem, sampler=sampler, schedule=schedule,
                              reads=_resolved_reads(cfg), cycles=cycles,
@@ -309,28 +314,28 @@ def _run_one(cfg: RunConfig, seed: int) -> tuple[PpiState, list[PpiState]]:
     return state, [state]
 
 
-def _hybrid_sampler(cfg: RunConfig):
+def _sampler(cfg: RunConfig, problem: MergedProblem | None = None) -> Sampler:
+    """The configured engine; the greedy oracle is exhaustive search on the
+    valuation QUBO, or the grouped greedy walk on a merged problem."""
     if cfg.engine == "greedy":
-        return oracle_sampler
+        if problem is None:
+            return oracle_sampler
+        return functools.partial(greedy_merged_sampler, problem)
     if cfg.engine == "heuristic":
-        sched = forward_schedule(cfg.anneal_time if cfg.anneal_time is not None else 20.0)
-        return make_heuristic_sampler(schedule=sched, sweeps=cfg.sweeps)
-    sched = forward_schedule(cfg.anneal_time if cfg.anneal_time is not None else 40.0)
-
-    def sample(model, reads, seed):
-        return schrodinger_anneal(SamplerRequest(model, sched, reads=reads, seed=seed))
-
-    return sample
+        return functools.partial(heuristic_anneal, sweeps=cfg.sweeps)
+    return schrodinger_anneal
 
 
 def _per_anneal_time(cfg: RunConfig) -> float | None:
+    """Schedule length of one anneal in microseconds; None for the
+    algorithms that run no sampler."""
+    if cfg.algorithm in ("classical", "combinatorial"):
+        return None
+    if cfg.anneal_time is not None:
+        return cfg.anneal_time
     if cfg.algorithm == "hybrid":
-        return cfg.anneal_time if cfg.anneal_time is not None else 20.0
-    if cfg.algorithm in ("multi-anneal", "one-shot"):
-        if cfg.anneal_time is not None:
-            return cfg.anneal_time
-        return CYCLE_BASE_US * (2 * _resolved_cycles(cfg) - 1)
-    return None
+        return 40.0 if cfg.engine == "statevector" else 20.0
+    return CYCLE_BASE_US * (2 * _resolved_cycles(cfg) - 1)
 
 
 def _pct_errors(state: PpiState) -> tuple[float, float, float]:
@@ -612,23 +617,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for r in grid_reads:
         row = f"{r:<8}" + "".join(f"{timing_report(r, t).total:>12.0f}" for t in grid_times)
         print(row)
-
-    n = args.vars
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    model = random_ising(n, rng)
-    t0 = time.perf_counter()
-    brute_force(model)
-    t_brute = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    heuristic_anneal(SamplerRequest(model, forward_schedule(20.0), reads=32, seed=1))
-    t_heur = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sequential_greedy(model, [tuple(range(n))], (1,) * n)
-    t_greedy = time.perf_counter() - t0
-    print(f"wall clock on a random {n}-spin instance (informational, not an artifact):")
-    print(f"  brute force      {t_brute * 1e3:8.1f} ms")
-    print(f"  heuristic x32    {t_heur * 1e3:8.1f} ms")
-    print(f"  greedy sweep     {t_greedy * 1e3:8.1f} ms")
     print(f"wrote {out_dir}/bench.csv")
     return EXIT_OK
 
@@ -699,9 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--out-dir", dest="out_dir", default=None)
     pm.set_defaults(func=cmd_simulate)
 
-    pn = sub.add_parser("bench", help="timing accounting and micro-benchmarks")
-    pn.add_argument("--vars", type=int, default=12)
-    pn.add_argument("--seed", type=int, default=None)
+    pn = sub.add_parser("bench", help="device timing accounting table")
     pn.add_argument("--out-dir", dest="out_dir", default=None)
     pn.set_defaults(func=cmd_bench)
 

@@ -10,8 +10,8 @@ anneals. Plus the device timing model used for reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -79,8 +79,6 @@ class SamplerRequest:
             for v in self.initial_state:
                 if v not in allowed:
                     raise ValueError(f"initial_state value {v!r} not in {allowed}")
-        elif sched.needs_initial_state(self.model.n):
-            raise ValueError("schedule starts above s=0: initial_state is required")
 
 
 @dataclass(frozen=True)
@@ -108,6 +106,12 @@ class SampleSet:
         for r in self.records:
             out.extend([r.state] * r.occurrences)
         return out
+
+
+# The one engine shape: heuristic_anneal and schrodinger_anneal (their
+# keywords bound with functools.partial), rbc.oracle_sampler, and
+# merged.greedy_merged_sampler with its problem bound.
+Sampler = Callable[[SamplerRequest], SampleSet]
 
 
 def _assemble(
@@ -404,14 +408,18 @@ class _Integration:
 
 
 def _start_vector(req: SamplerRequest, convention: str) -> np.ndarray:
+    """The initial state as a vector; a schedule that starts above s = 0
+    (a reverse anneal) has no transverse ground to start from."""
     model = req.model
-    if req.initial_state is not None:
-        bits = _to_bits(model, req.initial_state)
-        k = sum(b << i for i, b in enumerate(bits))
-        psi = np.zeros(1 << model.n, dtype=np.complex128)
-        psi[k] = 1.0
-        return psi
-    return _transverse_ground(model, convention)
+    if req.initial_state is None:
+        if req.schedule.needs_initial_state(model.n):
+            raise ValueError("schedule starts above s=0: initial_state is required")
+        return _transverse_ground(model, convention)
+    bits = _to_bits(model, req.initial_state)
+    k = sum(b << i for i, b in enumerate(bits))
+    psi = np.zeros(1 << model.n, dtype=np.complex128)
+    psi[k] = 1.0
+    return psi
 
 
 def schrodinger_anneal(
@@ -440,14 +448,15 @@ def schrodinger_anneal(
     rng = np.random.default_rng(req.seed)
 
     timing = _schedule_timing(req.reads, sched.total_time)
+    psi = _start_vector(req, convention)
     if sched.total_time == 0.0:
-        outcomes = measure(_start_vector(req, convention), req.reads, rng)
+        outcomes = measure(psi, req.reads, rng)
         states = [_from_bits(model, [(int(k) >> i) & 1 for i in range(n)]) for k in outcomes]
         return _assemble(model, states, timing)
 
     plan = _Integration(model, sched, steps, convention)
     if sched.reinitialize:
-        psi, drift = plan.run(_start_vector(req, convention))
+        psi, drift = plan.run(psi)
         outcomes = measure(psi, req.reads, rng)
         states = [_from_bits(model, [(int(k) >> i) & 1 for i in range(n)]) for k in outcomes]
         return _assemble(model, states, timing, drift)
@@ -455,7 +464,6 @@ def schrodinger_anneal(
     # chained reads: each read collapses to its outcome and seeds the next
     states = []
     drift = 0.0
-    psi = _start_vector(req, convention)
     for _ in range(req.reads):
         psi, d = plan.run(psi)
         drift = max(drift, d)
@@ -509,7 +517,6 @@ def heuristic_anneal(
     req: SamplerRequest,
     sweeps: int = 256,
     t_hot: float | None = None,
-    random_init: bool = False,
 ) -> SampleSet:
     """Seeded heat-bath annealer driven by the schedule.
 
@@ -517,12 +524,16 @@ def heuristic_anneal(
     temperature is t_hot * (1 - min_i s_i(t)), so a deep reversal is hot
     and exploratory while the return to s=1 freezes the walk greedily.
     Glauber acceptance 1/(1 + e^(dE/tau)) rather than Metropolis: the
-    zero-temperature limit then takes strict improvements always and
+    low-temperature limit then takes strict improvements always and
     zero-cost flips with probability 1/2, a diffusive greedy walk
-    instead of a deterministic toggle on degenerate plateaus. With
-    reinitialize, all reads run in lockstep from the same start (one rng
-    column per read); otherwise each read continues from the previous
-    read's terminal state.
+    instead of a deterministic toggle on degenerate plateaus. t_hot
+    (default: the largest coefficient magnitude) must be finite and keep
+    tau above 0 at every sweep that moves a variable; a tiny value such
+    as 1e-9 gives the greedy limit. With reinitialize, all reads run in
+    lockstep (one state column per read); otherwise each read continues
+    from the previous read's terminal state. A request with an
+    initial_state starts every read there; one without starts each
+    lockstep read, or the chain, from random rows.
 
     The schedule is read once per request, at every sweep's midpoint.
     RNG contract, which keeps the samples of a seed stable: a random
@@ -557,7 +568,7 @@ def heuristic_anneal(
     # in turn. The (n, count) state is updated in place, so views of it are
     # taken once.
     count = reads if sched.reinitialize else 1
-    if random_init or req.initial_state is None:
+    if req.initial_state is None:
         # drawn (count, n) as the RNG contract says, then made variable-major
         bits = rng.integers(0, 2, size=(count, n)).T.astype(np.float64, order="C")
         states = bits if is_qubo else 2.0 * bits - 1.0
@@ -598,10 +609,14 @@ def heuristic_anneal(
             active = np.flatnonzero(~(row >= 1.0))
             if not len(active):
                 continue
+            tau = t_hot * (1.0 - min(row.tolist()))
+            if not 0.0 < tau < math.inf:
+                raise ValueError(f"t_hot {t_hot!r} gives temperature {tau!r} at a sweep; "
+                                 "it must be finite and keep every moving sweep above 0")
             key = active.tobytes()
             if key not in layered:
                 layered[key] = layer_plan(active)
-            plan.append((t_hot * (1.0 - min(row.tolist())), draws[:len(active)], layered[key]))
+            plan.append((tau, draws[:len(active)], layered[key]))
 
     def run() -> None:
         for tau, block, layers in plan:
@@ -616,17 +631,14 @@ def heuristic_anneal(
                 else:
                     np.multiply(x, -2.0, out=delta)
                 delta *= f
-                if tau > 0.0:
-                    # 1 / (1 + exp(clip(delta / tau, -700, 700))) > u
-                    np.divide(delta, tau, out=p)
-                    np.maximum(p, -700.0, out=p)
-                    np.minimum(p, 700.0, out=p)
-                    np.exp(p, out=p)
-                    p += 1.0
-                    np.divide(1.0, p, out=p)
-                    np.less(u, p, out=accept)
-                else:
-                    accept = (delta < 0.0) | ((delta == 0.0) & (u < 0.5))
+                # 1 / (1 + exp(clip(delta / tau, -700, 700))) > u
+                np.divide(delta, tau, out=p)
+                np.maximum(p, -700.0, out=p)
+                np.minimum(p, 700.0, out=p)
+                np.exp(p, out=p)
+                p += 1.0
+                np.divide(1.0, p, out=p)
+                np.less(u, p, out=accept)
                 if is_qubo:
                     np.subtract(1.0, x, out=x, where=accept)
                 else:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .bqm import QuboModel
 from .engines import (
+    Sampler,
     SampleRecord,
     SampleSet,
     SamplerRequest,
@@ -44,6 +45,7 @@ from .rbc import (
     GammaConstants,
     PpiState,
     RbcParams,
+    _keep_lowest,
     build_gp_pbo,
     build_gv_pbo,
     collocation_grid,
@@ -278,64 +280,24 @@ def merged_schedule(
     )
 
 
-# (problem, schedule, reads, initial_state, seed) -> SampleSet
-MergedSampler = Callable[
-    [MergedProblem, GroupedSchedule, int, "tuple[int, ...] | None", int], SampleSet
-]
-
-
-def heuristic_merged_sampler(
-    sweeps: int = 256,
-    t_hot: float | None = None,
-    random_init: bool = False,
-) -> MergedSampler:
-    """Heat-bath sampler over the merged QUBO honoring the schedule.
-
-    random_init draws fresh classical states per read (activations and
-    auxiliaries included; they are frozen until their window opens and
-    relax within it, so their start values are immaterial).
-    """
-
-    def sample(
-        problem: MergedProblem,
-        schedule: GroupedSchedule,
-        reads: int,
-        initial: tuple[int, ...] | None,
-        seed: int,
-    ) -> SampleSet:
-        if initial is None and random_init:
-            # placeholder to satisfy reverse-schedule validation; the
-            # annealer overwrites it with per-read random rows
-            initial = (0,) * problem.n_vars
-        req = SamplerRequest(problem.qubo, schedule, reads=reads, initial_state=initial, seed=seed)
-        return heuristic_anneal(req, sweeps=sweeps, t_hot=t_hot, random_init=random_init)
-
-    return sample
-
-
-def greedy_merged_sampler(
-    problem: MergedProblem,
-    schedule: GroupedSchedule,
-    reads: int,
-    initial: tuple[int, ...] | None,
-    seed: int,
-) -> SampleSet:
+def greedy_merged_sampler(problem: MergedProblem, req: SamplerRequest) -> SampleSet:
     """Deterministic oracle: exhaustive per-block minimization.
 
     Runs the grouped greedy walk on the cubic polynomial directly, so
     no auxiliaries appear; each stage clamps the block's activation on,
     brute-forces the block's bits jointly, then lets the activation
-    drop. States in the result cover primary variables only.
+    drop. States in the result cover primary variables only. The seed
+    is unused, and a request without initial_state starts at all zeros.
+    Bind the problem with functools.partial to get a Sampler.
 
     The walk is deterministic, so it runs once per distinct start: with
     reinitialize every read shares one walk, and a chain stops at the
     first read that returns its own start state, a fixed point that every
     remaining read would return again.
     """
-    del seed
-    sched = schedule.schedule if isinstance(schedule, GroupedSchedule) else schedule
+    sched = req.schedule
     n = problem.primary_count
-    start = tuple(initial[:n]) if initial is not None else (0,) * n
+    start = req.initial_state[:n] if req.initial_state is not None else (0,) * n
 
     def walk(state: tuple[int, ...]) -> tuple[int, ...]:
         return sequential_greedy(
@@ -346,7 +308,7 @@ def greedy_merged_sampler(
             activations=(problem.x_p, problem.x_v),
         )
 
-    left = max(1, reads)
+    left = req.reads
     counts: dict[tuple[int, ...], int] = {}
     if sched.reinitialize:
         counts[walk(start)] = left
@@ -364,12 +326,12 @@ def greedy_merged_sampler(
         (SampleRecord(s, problem.poly.evaluate(s), c) for s, c in counts.items()),
         key=lambda r: (r.energy, r.state),
     )
-    return SampleSet(tuple(records), TimingReport(reads, max(5.0, sched.total_time)))
+    return SampleSet(tuple(records), TimingReport(req.reads, max(5.0, sched.total_time)))
 
 
 def multi_anneal_ppi(
     problem: MergedProblem,
-    sampler: MergedSampler | None = None,
+    sampler: Sampler | None = None,
     schedule: GroupedSchedule | None = None,
     reads: int = 50,
     init: tuple[float, float, float] = DEFAULT_INIT,
@@ -377,30 +339,30 @@ def multi_anneal_ppi(
 ) -> PpiState:
     """Chained anneals of the merged problem, one program.
 
-    Each read continues from the previous terminal state. Terminal
-    energies are all zero (activations drop), so the two objective
-    components are reconstructed per read and the parameters come from
-    the per-objective lowest-loss reads.
+    Each read continues from the previous terminal state; the first
+    starts from `init`. Terminal energies are all zero (activations
+    drop), so the two objective components are reconstructed per read
+    and the parameters come from the per-objective lowest-loss reads.
+    The sampler defaults to heuristic_anneal.
     """
-    if reads < 1:
-        raise ValueError("reads must be >= 1")
     if sampler is None:
-        sampler = heuristic_merged_sampler()
+        sampler = heuristic_anneal
     if schedule is None:
         schedule = merged_schedule(problem, cycles=1, reinitialize=False)
-    sched = schedule.schedule if isinstance(schedule, GroupedSchedule) else schedule
-    if sched.reinitialize:
+    req = SamplerRequest(problem.qubo, schedule, reads=reads,
+                         initial_state=problem.encode_initial(init), seed=seed)
+    if req.schedule.reinitialize:
         raise ValueError("multi-anneal reads continue from terminal states; "
                          "build the schedule with reinitialize=False")
-    initial = problem.encode_initial(init)
-    records = sampler(problem, schedule, reads, initial, seed).records
+    records = sampler(req).records
     # each distinct read is scored once, then expanded by its occurrences
     # in record order, as expand_states would list it
     recon = [problem.component_losses(r.state) for r in records]
     states = [r.state for r in records for _ in range(r.occurrences)]
     scored = [pair for pair, r in zip(recon, records) for _ in range(r.occurrences)]
-    best_p = min(range(len(states)), key=lambda i: scored[i][0])
-    best_v = min(range(len(states)), key=lambda i: scored[i][1])
+    # the lowest read per objective, the first one on ties
+    best_p = _keep_lowest([lp for lp, _ in scored], 1.0)[0]
+    best_v = _keep_lowest([lv for _, lv in scored], 1.0)[0]
     x1 = problem.decode(states[best_p])[0]
     _, x2, x3 = problem.decode(states[best_v])
     return PpiState(
@@ -516,15 +478,9 @@ def _scorer(
     return score
 
 
-def _keep_count(reads: int, fraction: float) -> int:
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("keep fraction must lie in (0, 1]")
-    return max(1, math.ceil(reads * fraction))
-
-
 def one_shot_ensemble(
     problem: MergedProblem,
-    sampler: MergedSampler | None = None,
+    sampler: Sampler | None = None,
     schedule: GroupedSchedule | None = None,
     reads: int = 200,
     cycles: int = 3,
@@ -534,19 +490,18 @@ def one_shot_ensemble(
 ) -> list[AnnealOutcome]:
     """Independent anneal reads of the merged problem, scored.
 
-    Every read starts from a fresh random classical state and cycles
-    the two blocks C times within its anneal. Adjusted losses anchor
-    at the parameter means over the lowest-unadjusted-loss reads.
+    The request carries no initial state, so every read of the default
+    heuristic_anneal starts from a fresh random classical state, and
+    cycles the two blocks C times within its anneal. Adjusted losses
+    anchor at the parameter means over the lowest-unadjusted-loss reads.
     """
-    if reads < 1:
-        raise ValueError("reads must be >= 1")
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
     if sampler is None:
-        sampler = heuristic_merged_sampler(random_init=True)
+        sampler = heuristic_anneal
     if schedule is None:
         schedule = merged_schedule(problem, cycles=cycles, reinitialize=True)
-    records = sampler(problem, schedule, reads, None, seed).records
+    records = sampler(SamplerRequest(problem.qubo, schedule, reads=reads, seed=seed)).records
     # each distinct read is decoded and scored once, then expanded by its
     # occurrences in record order, as expand_states would list it
     distinct = [problem.decode(r.state) for r in records]
@@ -556,8 +511,7 @@ def one_shot_ensemble(
     decoded = [d for d, r in zip(distinct, records) for _ in range(r.occurrences)]
     unadj = [lp + lv for (lp, lv), r in zip(recon, records) for _ in range(r.occurrences)]
 
-    keep = _keep_count(len(decoded), keep_fraction)
-    lowest = sorted(range(len(decoded)), key=lambda i: unadj[i])[:keep]
+    lowest = _keep_lowest(unadj, keep_fraction)
     anchor = tuple(float(np.mean([decoded[i][p] for i in lowest])) for p in range(3))
     score = _scorer(problem, anchor, reference)
     return [o for d, r in zip(distinct, records) for o in [score(d)] * r.occurrences]
@@ -565,7 +519,7 @@ def one_shot_ensemble(
 
 def one_shot_ppi(
     problem: MergedProblem,
-    sampler: MergedSampler | None = None,
+    sampler: Sampler | None = None,
     schedule: GroupedSchedule | None = None,
     reads: int = 200,
     cycles: int = 3,
@@ -586,11 +540,10 @@ def one_shot_ppi(
         keep_fraction=keep_fraction,
         seed=seed,
     )
-    keep = _keep_count(len(outcomes), keep_fraction)
     kept_means = []
     kept_losses = []
     for p in range(3):
-        order = sorted(range(len(outcomes)), key=lambda i: outcomes[i].adjusted_loss[p])[:keep]
+        order = _keep_lowest([o.adjusted_loss[p] for o in outcomes], keep_fraction)
         kept_means.append(float(np.mean([outcomes[i].params[p] for i in order])))
         kept_losses.append(float(np.mean([outcomes[i].adjusted_loss[p] for i in order])))
     return PpiState(

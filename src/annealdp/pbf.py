@@ -1,12 +1,12 @@
 """Multilinear pseudo-Boolean polynomials, binary encodings of real
-parameters, polynomial logarithm surrogates, and penalty constraints."""
+parameters, and polynomial logarithm surrogates."""
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -351,60 +351,3 @@ def ln_x_poly(enc: BinaryEncoding, coeffs: LogCoefficients = LogCoefficients()) 
 def ln_1mx_poly(enc: BinaryEncoding, coeffs: LogCoefficients = LogCoefficients()) -> Poly:
     """Linear surrogate of ln(1 - x): at0 + at1 * x under the encoding."""
     return coeffs.at0 + coeffs.at1 * enc.value_poly()
-
-
-def ln_x_grid_error(enc: BinaryEncoding, coeffs: LogCoefficients = LogCoefficients()) -> tuple[float, float]:
-    """Max |surrogate - ln| over the encoded grid, excluding decoded 0.
-
-    Returns (max_error, decoded_value_at_max). Reported, not asserted:
-    the surrogate's quality depends entirely on the coefficients.
-    """
-    poly = ln_x_poly(enc, coeffs)
-    worst, at = -1.0, math.nan
-    for m in range(1, enc.max_int + 1):
-        v = enc.scale * m
-        if v <= 0.0:
-            continue
-        bits = {enc.var_base + j: (m >> j) & 1 for j in range(enc.bit_count)}
-        err = abs(poly.evaluate(bits) - math.log(v))
-        if err > worst:
-            worst, at = err, v
-    return worst, at
-
-
-def ln_1mx_grid_error(enc: BinaryEncoding, coeffs: LogCoefficients = LogCoefficients()) -> tuple[float, float]:
-    """Max |surrogate - ln(1-x)| over the encoded grid, excluding decoded 1."""
-    poly = ln_1mx_poly(enc, coeffs)
-    worst, at = -1.0, math.nan
-    for m in range(enc.max_int + 1):
-        v = enc.scale * m
-        if v >= 1.0:
-            continue
-        bits = {enc.var_base + j: (m >> j) & 1 for j in range(enc.bit_count)}
-        err = abs(poly.evaluate(bits) - math.log1p(-v))
-        if err > worst:
-            worst, at = err, v
-    return worst, at
-
-
-@dataclass(frozen=True)
-class PenaltySpec:
-    """Penalty weight and a constraint polynomial that is 0 exactly on
-    feasible states and positive elsewhere."""
-
-    gamma: float
-    constraint_poly: Poly
-
-    def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-
-
-def add_penalty(objective: Poly, penalty: PenaltySpec) -> Poly:
-    return objective + penalty.gamma * penalty.constraint_poly
-
-
-def exactly_one_penalty(vars_: Iterable[int]) -> Poly:
-    """(1 - sum x_v)^2: zero iff exactly one of the variables is set."""
-    s = Poly.constant(1.0) - sum((Poly.variable(v) for v in vars_), Poly.zero())
-    return s * s

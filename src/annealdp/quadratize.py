@@ -1,17 +1,15 @@
 """Degree reduction of pseudo-Boolean polynomials to quadratic form.
 
-Five routes: pair substitution with a penalty gadget, negative-term
-reduction (one auxiliary), positive-term reduction (d-2 auxiliaries),
-deduction-based term rewrites, and excludable-local-configuration
-cancellation. NTR and PTR are exact: minimizing the reduced polynomial
-over its auxiliaries reproduces the original value at every original
-assignment. The others preserve the ground state under their stated
-preconditions.
+Four routes: negative-term reduction (one auxiliary), positive-term
+reduction (d-2 auxiliaries), deduction-based term rewrites, and
+excludable-local-configuration cancellation. NTR and PTR are exact:
+minimizing the reduced polynomial over its auxiliaries reproduces the
+original value at every original assignment. The others preserve the
+ground state under their stated preconditions.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -40,62 +38,10 @@ class AuxAllocation:
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """qubo_poly has degree <= 2 once a reduction pass is complete; a
-    single substitution step on degree >= 4 input may still be cubic."""
+    """A reduced polynomial and the auxiliaries it introduced."""
 
     qubo_poly: Poly
     alloc: AuxAllocation
-    penalties_used: tuple[float, ...] = ()
-
-
-def substitution_gadget(i: int, j: int, aux: int) -> Poly:
-    """x_i x_j - 2(x_i + x_j)x_a + 3x_a: zero iff x_a = x_i x_j, else >= 1."""
-    xi, xj, xa = Poly.variable(i), Poly.variable(j), Poly.variable(aux)
-    return xi * xj - 2 * (xi + xj) * xa + 3 * xa
-
-
-def default_gamma(p: Poly) -> float:
-    # Dominates any energy change a broken constraint could buy.
-    return 10.0 * sum(abs(c) for c in p.terms.values())
-
-
-def reduce_by_substitution(
-    p: Poly,
-    pair: tuple[int, int],
-    gamma: float | None = None,
-    aux: int | None = None,
-) -> ReductionResult:
-    """Replace the pair inside every monomial of degree >= 3 by one
-    auxiliary and add the penalty gadget times gamma.
-
-    Quadratic and lower terms are untouched (the gadget itself supplies
-    the x_i x_j coupling). A pair absent from all higher-order terms is
-    a warned no-op.
-    """
-    if gamma is None:
-        gamma = default_gamma(p)
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    i, j = pair
-    targets = [k for k in p.terms if len(k) >= 3 and i in k and j in k]
-    if not targets:
-        warnings.warn(f"pair ({i},{j}) not in any higher-order term; nothing reduced", stacklevel=2)
-        vars_ = p.variables()
-        alloc = AuxAllocation((max(vars_) + 1) if vars_ else 0, ())
-        return ReductionResult(p, alloc, ())
-    vars_ = p.variables()
-    original_n = max(vars_) + 1
-    if aux is None:
-        aux = original_n
-    terms = dict(p.terms)
-    moved: dict[frozenset[int], float] = {}
-    for k in targets:
-        c = terms.pop(k)
-        key = (k - {i, j}) | {aux}
-        moved[key] = moved.get(key, 0.0) + c
-    reduced = Poly(terms) + Poly(moved) + gamma * substitution_gadget(i, j, aux)
-    alloc = AuxAllocation(original_n, (AuxRecord(aux, "substitution", (i, j)),))
-    return ReductionResult(reduced, alloc, (gamma,))
 
 
 def ntr_reduce(vars_: Iterable[int], coeff: float, aux: int) -> Poly:

@@ -15,14 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bqm import QuboModel, brute_force
-from .engines import (
-    SampleRecord,
-    SampleSet,
-    SamplerRequest,
-    TimingReport,
-    heuristic_anneal,
-)
+from .bqm import brute_force
+from .engines import Sampler, SampleRecord, SampleSet, SamplerRequest, TimingReport
 from .pbf import BinaryEncoding, LogCoefficients, Poly, ln_1mx_poly, ln_x_poly, to_qubo
 from .schedules import AnnealSchedule, forward_schedule
 
@@ -204,11 +198,6 @@ def fit_log_coefficients(x3_bar: float, params: RbcParams = DEFAULT_PARAMS) -> L
     at1 = -1.0
     at0 = math.log(1.0 - v) - at1 * v
     return LogCoefficients(a0=a0, a1=a1, a2=a2, at0=at0, at1=at1)
-
-
-def default_policy_encoding(j1: int = 6) -> BinaryEncoding:
-    """x1 on j1+1 bits with scale 2^-(j1+1), covering (0, 1)."""
-    return BinaryEncoding(0, j1 + 1, 2.0 ** -(j1 + 1))
 
 
 def default_valuation_encodings(
@@ -459,43 +448,26 @@ def combinatorial_ppi(
     return _iterate_ppi(valuation, params, init, fixed_iterations, tol, max_iter, history)
 
 
-Sampler = Callable[[QuboModel, int, int], SampleSet]
-
-
-def oracle_sampler(model: QuboModel, reads: int, seed: int) -> SampleSet:
+def oracle_sampler(req: SamplerRequest) -> SampleSet:
     """Exhaustive stand-in for an annealer: every read is the argmin."""
-    res = brute_force(model)
-    rec = SampleRecord(state=res.argmin_states[0], energy=res.min_energy, occurrences=reads)
-    return SampleSet(records=(rec,), timing=TimingReport(reads=reads, t_anneal=5.0))
+    res = brute_force(req.model)
+    rec = SampleRecord(state=res.argmin_states[0], energy=res.min_energy, occurrences=req.reads)
+    return SampleSet(records=(rec,), timing=TimingReport(reads=req.reads, t_anneal=5.0))
 
 
-def make_heuristic_sampler(
-    schedule: AnnealSchedule | None = None,
-    sweeps: int = 256,
-    t_hot: float | None = None,
-) -> Sampler:
-    """Thermal sampler over a forward schedule, fresh state per read."""
-    sched = schedule if schedule is not None else forward_schedule(20.0)
-
-    def sample(model: QuboModel, reads: int, seed: int) -> SampleSet:
-        req = SamplerRequest(model=model, schedule=sched, reads=reads, seed=seed)
-        return heuristic_anneal(req, sweeps=sweeps, t_hot=t_hot, random_init=True)
-
-    return sample
-
-
-def _keep_lowest(sample_set: SampleSet, count: int) -> list[tuple[tuple[int, ...], float]]:
-    """Lowest-energy reads of a sample set, expanded to one entry per read."""
-    expanded: list[tuple[tuple[int, ...], float]] = []
-    for rec in sample_set.records:
-        expanded.extend((tuple(rec.state), rec.energy) for _ in range(rec.occurrences))
-    expanded.sort(key=lambda se: se[1])
-    return expanded[:count]
+def _keep_lowest(values: Sequence[float], fraction: float) -> list[int]:
+    """Indices of the lowest `fraction` of values (at least one), lowest
+    first. The sort is stable, so ties keep their order."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("keep_fraction must lie in (0, 1]")
+    keep = max(1, math.ceil(len(values) * fraction))
+    return sorted(range(len(values)), key=values.__getitem__)[:keep]
 
 
 def hybrid_ppi(
     params: RbcParams = DEFAULT_PARAMS,
-    sampler: Sampler = oracle_sampler,
+    sampler: Sampler | None = None,
+    schedule: AnnealSchedule | None = None,
     grid: CollocationGrid | None = None,
     encodings: tuple[BinaryEncoding, BinaryEncoding] | None = None,
     init: tuple[float, float, float] = DEFAULT_INIT,
@@ -507,29 +479,31 @@ def hybrid_ppi(
 ) -> PpiState:
     """Policy iteration with the valuation step delegated to a sampler.
 
-    Each iteration draws `reads` samples of the valuation problem, keeps
+    Each iteration draws `reads` samples of the valuation problem over
+    `schedule` (default: a 20 us forward anneal) from fresh starts, keeps
     the lowest keep_fraction by energy, and averages their decoded
-    parameters. With the exhaustive oracle as the sampler this reproduces
-    the grid-search iteration exactly.
+    parameters. With the exhaustive oracle as the sampler (the default)
+    this reproduces the grid-search iteration exactly.
     """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must lie in (0, 1]")
-    if reads < 1:
-        raise ValueError("reads must be >= 1")
+    if sampler is None:
+        sampler = oracle_sampler
+    if schedule is None:
+        schedule = forward_schedule(20.0)
     if grid is None:
         grid = collocation_grid(params)
     enc2, enc3 = encodings if encodings is not None else default_valuation_encodings()
-    keep = max(1, math.ceil(reads * keep_fraction))
 
     def valuation(x1_bar: float, it: int) -> tuple[float, float, float]:
         poly, _ = build_gv_pbo(x1_bar, enc2, enc3, grid)
         qubo, offset = to_qubo(poly)
-        ss = sampler(qubo, reads, seed + it)
-        kept = _keep_lowest(ss, keep)
-        assigns = [{v: s[v] for v in range(len(s))} for s, _ in kept]
+        ss = sampler(SamplerRequest(qubo, schedule, reads=reads, seed=seed + it))
+        states = ss.expand_states()
+        energies = [r.energy for r in ss.records for _ in range(r.occurrences)]
+        kept = _keep_lowest(energies, keep_fraction)
+        assigns = [dict(enumerate(states[i])) for i in kept]
         x2 = float(np.mean([enc2.decode_assignment(a) for a in assigns]))
         x3 = float(np.mean([enc3.decode_assignment(a) for a in assigns]))
-        loss = float(np.mean([e for _, e in kept])) + offset
+        loss = float(np.mean([energies[i] for i in kept])) + offset
         return x2, x3, loss
 
     return _iterate_ppi(

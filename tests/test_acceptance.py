@@ -11,6 +11,7 @@ than widened until they pass.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
@@ -243,15 +244,16 @@ def test_criterion_06_oracle_sampler_degeneracy(grid, enc6, comb6, prob6):
     assert enc2.nearest_bits(hyb.x2) == want2
     assert enc3.nearest_bits(hyb.x3) == want3
 
+    greedy = functools.partial(greedy_merged_sampler, prob6)
     multi = multi_anneal_ppi(
-        prob6, sampler=greedy_merged_sampler,
+        prob6, sampler=greedy,
         schedule=merged_schedule(prob6, reinitialize=False), reads=2,
     )
     assert prob6.enc2.nearest_bits(multi.x2) == want2[: prob6.enc2.bit_count]
     assert prob6.enc3.nearest_bits(multi.x3) == want3[: prob6.enc3.bit_count]
 
     shot = one_shot_ppi(
-        prob6, sampler=greedy_merged_sampler,
+        prob6, sampler=greedy,
         schedule=merged_schedule(prob6, cycles=2, reinitialize=True),
         reads=10, cycles=2,
     )

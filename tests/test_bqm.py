@@ -20,7 +20,6 @@ from annealdp.bqm import (
     block_energies,
     brute_force,
     energy_of_bits,
-    graph_of,
     ising_energy,
     ising_to_qubo,
     qubo_energy,
@@ -395,26 +394,6 @@ class TestSplitEnumeration:
             for keep in (False, True):
                 with pytest.raises(ValueError, match="finite"):
                     brute_force(model, keep_spectrum=keep)
-
-
-class TestGraph:
-    def test_edges_and_connectivity(self):
-        m = IsingModel(
-            4,
-            {0: 1.0},
-            {(0, 1): 1.0, (0, 3): -1.0, (1, 2): 0.5, (1, 3): 0.2},
-        )
-        g = graph_of(m)
-        assert g.vertices == (0, 1, 2, 3)
-        assert g.edges == ((0, 1), (0, 3), (1, 2), (1, 3))
-        assert g.degree(1) == 3
-        assert g.is_connected()
-
-    def test_zero_weight_edges_dropped(self):
-        m = QuboModel(3, {(0, 1): 0.0, (1, 2): 1.0})
-        g = graph_of(m)
-        assert g.edges == ((1, 2),)
-        assert not g.is_connected()
 
 
 class TestSerialization:

@@ -118,6 +118,39 @@ class TestConfig:
             with pytest.raises(Exception):
                 bad.validate()
 
+    # the three configs that passed validation and exited 1
+    @pytest.mark.parametrize("flags", [
+        ("--algorithm", "hybrid", "--engine", "greedy", "--reads", "4", "--iterations", "2",
+         "--s3=5e-324"),
+        ("--algorithm", "hybrid", "--engine", "greedy", "--s2=1.7e308"),
+        ("--algorithm", "one-shot", "--engine", "heuristic", "--s3=1e300"),
+    ])
+    def test_extreme_register_scale_exits_2(self, tmp_path, capsys, flags):
+        assert main(["solve", *flags, "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "must have magnitude in [1e-06, 1000]" in err
+        assert not any(tmp_path.iterdir())
+
+    SAMPLER_PAIRS = [("hybrid", "greedy"), ("hybrid", "heuristic"), ("hybrid", "statevector"),
+                     ("multi-anneal", "greedy"), ("multi-anneal", "heuristic"),
+                     ("one-shot", "greedy"), ("one-shot", "heuristic")]
+
+    @pytest.mark.parametrize("algorithm,engine", SAMPLER_PAIRS)
+    def test_register_scales_give_documented_exits(self, tmp_path, algorithm, engine):
+        # extremes, the edges of the accepted range and just outside it
+        codes = set()
+        for flag in ("--s2", "--s3"):
+            for v in (5e-324, 1e-300, 1e-13, 9.9e-7, 1e-6, 1e3, 1.01e3, 1e300, 1.7e308):
+                for value in (v, -v):
+                    rc = main(["solve", "--algorithm", algorithm, "--engine", engine,
+                               f"{flag}={value!r}", "--j1", "3", "--j2", "3", "--j3", "3",
+                               "--reads", "4", "--iterations", "1", "--sweeps", "16",
+                               "--cycles", "1", "--out-dir", str(tmp_path)])
+                    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY), (flag, value, rc)
+                    assert (rc == EXIT_USAGE) == (not 1e-6 <= v <= 1e3), (flag, value, rc)
+                    codes.add(rc)
+        assert EXIT_OK in codes
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as ei:
             main(["solve", "--bogus"])
@@ -193,6 +226,19 @@ class TestSolve:
         assert "per-anneal time: 69.0 us" in text
         summary = read_summary(out / "one_shot_summary.csv")
         assert 0.0 < float(summary["x1"]["mean_estimate"]) < 1.0
+
+    @pytest.mark.parametrize("engine,flags,line", [
+        # the state-vector engine integrates 40 us by default, the others 20 us
+        ("statevector", (), "per-anneal time: 40.0 us   reads: 100   accounting total: 25000 us"),
+        ("heuristic", (), "per-anneal time: 20.0 us   reads: 100   accounting total: 23000 us"),
+        ("statevector", ("--anneal-time", "25"),
+         "per-anneal time: 25.0 us   reads: 100   accounting total: 23500 us"),
+    ])
+    def test_hybrid_per_anneal_line(self, tmp_path, capsys, engine, flags, line):
+        rc = main(["solve", "--algorithm", "hybrid", "--engine", engine, "--j2", "3",
+                   "--j3", "3", "--iterations", "1", *flags, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_multi_anneal_greedy_small(self, tmp_path):
         out = tmp_path / "out"
@@ -396,7 +442,7 @@ class TestSimulate:
 class TestBench:
     def test_worked_total_present(self, tmp_path, capsys):
         out = tmp_path / "out"
-        rc = main(["bench", "--vars", "8", "--out-dir", str(out)])
+        rc = main(["bench", "--out-dir", str(out)])
         assert rc == EXIT_OK
         assert "23000" in capsys.readouterr().out
         with open(out / "bench.csv", newline="") as fh:

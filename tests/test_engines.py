@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annealdp import engines
@@ -193,9 +193,12 @@ class TestSchrodinger:
             checked += 1
 
     def test_reverse_requires_initial_state(self):
-        gs = grouped_cycle_schedule(16.0, [(0,), (1,)])
-        with pytest.raises(ValueError, match="initial_state"):
-            SamplerRequest(HS, gs, reads=10)
+        # a reverse anneal has no transverse ground to start from
+        req = SamplerRequest(HS, grouped_cycle_schedule(16.0, [(0,), (1,)]), reads=10)
+        with pytest.raises(ValueError, match="initial_state is required"):
+            schrodinger_anneal(req)
+        with pytest.raises(ValueError, match="initial_state is required"):
+            final_probabilities(req)
 
     def test_capacity_guard(self):
         big = IsingModel(17, {0: 1.0}, {})
@@ -315,12 +318,29 @@ class TestHeuristic:
         assert ss.lowest().energy == pytest.approx(-1.0)
 
     def test_random_init_spreads_reads(self):
+        # a request without initial_state starts each read from random
+        # rows, on a reverse (here frozen) schedule too
         frozen = AnnealSchedule(10.0, ((0.0, 1.0), (10.0, 1.0)))
         model = QuboModel(4, {(0, 0): 1.0, (1, 2): -1.0, (2, 3): 0.5})
-        ss = heuristic_anneal(
-            SamplerRequest(model, frozen, reads=50, initial_state=(0, 0, 0, 0), seed=2),
-            random_init=True)
+        ss = heuristic_anneal(SamplerRequest(model, frozen, reads=50, seed=2))
         assert len(ss.records) > 1
+
+    @pytest.mark.parametrize("t_hot", [0.0, -1.0, math.inf, math.nan, 5e-324])
+    def test_t_hot_must_keep_every_moving_sweep_warm(self, t_hot):
+        # one sweep at the midpoint, s = 0.5: 5e-324 * 0.5 rounds to 0
+        req = SamplerRequest(TABLE1, forward_schedule(4.0), reads=2, seed=1)
+        with pytest.raises(ValueError, match="t_hot"):
+            heuristic_anneal(req, sweeps=1, t_hot=t_hot)
+
+    def test_t_hot_boundary(self):
+        # 1e-323 is two subnormal steps, so half of it is still above 0
+        req = SamplerRequest(TABLE1, forward_schedule(4.0), reads=2, seed=1)
+        with np.errstate(over="ignore"):  # delta / tau overflows; the clip bounds it
+            assert heuristic_anneal(req, sweeps=1, t_hot=1e-323).total_reads == 2
+        # a sweep that moves no variable needs no temperature
+        frozen = AnnealSchedule(4.0, ((0.0, 1.0), (4.0, 1.0)))
+        req = SamplerRequest(TABLE1, frozen, reads=2, seed=1)
+        assert heuristic_anneal(req, sweeps=1, t_hot=0.0).total_reads == 2
 
 
 class TestSequentialGreedy:
@@ -477,7 +497,7 @@ class TestGreedyMatchesScalarWalk:
         assert engines._last_improvement(energies, best_e) == (want_k, want_e)
 
 
-def scalar_heuristic(req, sweeps=256, t_hot=None, random_init=False):
+def scalar_heuristic(req, sweeps=256, t_hot=None):
     """Reference annealer: the kernel as a per-variable loop that reads
     the schedule and draws its uniforms one variable at a time."""
     model = req.model
@@ -492,9 +512,6 @@ def scalar_heuristic(req, sweeps=256, t_hot=None, random_init=False):
     timing = engines._schedule_timing(reads, sched.total_time)
 
     def init_rows(count):
-        if random_init:
-            bits = rng.integers(0, 2, size=(count, n)).astype(np.float64)
-            return bits if is_qubo else 2.0 * bits - 1.0
         if req.initial_state is None:
             bits = rng.integers(0, 2, size=(count, n)).astype(np.float64)
             return bits if is_qubo else 2.0 * bits - 1.0
@@ -518,10 +535,7 @@ def scalar_heuristic(req, sweeps=256, t_hot=None, random_init=False):
                 else:
                     delta = -2.0 * states[:, v] * f
                 u = rng.random(count)
-                if tau > 0.0:
-                    accept = u < 1.0 / (1.0 + np.exp(np.clip(delta / tau, -700.0, 700.0)))
-                else:
-                    accept = (delta < 0.0) | ((delta == 0.0) & (u < 0.5))
+                accept = u < 1.0 / (1.0 + np.exp(np.clip(delta / tau, -700.0, 700.0)))
                 if is_qubo:
                     states[accept, v] = 1.0 - states[accept, v]
                 else:
@@ -592,29 +606,40 @@ def heuristic_requests(draw, models=anneal_models()):
     sched = dataclasses.replace(sched, reinitialize=draw(st.booleans()))
     domain = (0, 1) if isinstance(model, QuboModel) else (-1, 1)
     initial = None
-    if shape != "forward" or draw(st.booleans()):
+    if draw(st.booleans()):
         initial = tuple(draw(st.lists(st.sampled_from(domain), min_size=n, max_size=n)))
     return SamplerRequest(model, sched, reads=draw(st.integers(1, 5)),
                           initial_state=initial, seed=draw(st.integers(0, 2**32 - 1)))
 
 
 class TestHeuristicMatchesScalarLoop:
+    # The examples couple one spin to two others that cancel exactly and to
+    # a third through a tiny coupling: the gemm and the scalar loop disagree
+    # on whether its field is exactly 0. Any positive temperature accepts
+    # that flip with probability 1/2 either way; tau = 0 is rejected.
     @settings(max_examples=300, deadline=None)
-    @given(heuristic_requests(), st.integers(1, 8), st.sampled_from([None, 1e-9, 0.0]),
-           st.booleans())
-    def test_same_sample_set(self, req, sweeps, t_hot, random_init):
-        # t_hot = 0.0 is the only way into the tau == 0 branch
-        want = scalar_heuristic(req, sweeps, t_hot, random_init)
-        got = heuristic_anneal(req, sweeps=sweeps, t_hot=t_hot, random_init=random_init)
+    @given(heuristic_requests(), st.integers(1, 8), st.sampled_from([None, 1e-9]))
+    @example(SamplerRequest(
+        IsingModel(7, {}, {(0, 1): 0.0, (0, 2): 0.0, (0, 3): 0.0, (0, 4): 0.0, (0, 5): 0.0,
+                           (1, 2): 1.0, (1, 3): 1.0, (1, 4): -3.068576530273632e-76}),
+        dataclasses.replace(forward_schedule(3.0), reinitialize=False), reads=1, seed=0),
+        1, 1e-9)
+    @example(SamplerRequest(
+        IsingModel(5, {}, {(1, 2): 3.0, (1, 3): 3.0, (1, 4): 9.28e-225}),
+        dataclasses.replace(forward_schedule(3.0), reinitialize=False), reads=1, seed=5),
+        1, 1e-9)
+    def test_same_sample_set(self, req, sweeps, t_hot):
+        want = scalar_heuristic(req, sweeps, t_hot)
+        got = heuristic_anneal(req, sweeps=sweeps, t_hot=t_hot)
         assert got == want
 
     # sparse models over more variables, so that layers hold many variables
     @settings(max_examples=100, deadline=None)
     @given(heuristic_requests(anneal_models(range(11, 41), max_terms=60)), st.integers(1, 8),
-           st.sampled_from([None, 1e-9, 0.0]), st.booleans())
-    def test_same_sample_set_on_sparse_models(self, req, sweeps, t_hot, random_init):
-        want = scalar_heuristic(req, sweeps, t_hot, random_init)
-        got = heuristic_anneal(req, sweeps=sweeps, t_hot=t_hot, random_init=random_init)
+           st.sampled_from([None, 1e-9]))
+    def test_same_sample_set_on_sparse_models(self, req, sweeps, t_hot):
+        want = scalar_heuristic(req, sweeps, t_hot)
+        got = heuristic_anneal(req, sweeps=sweeps, t_hot=t_hot)
         assert got == want
 
     @pytest.mark.parametrize("reinitialize", [True, False])
@@ -624,10 +649,9 @@ class TestHeuristicMatchesScalarLoop:
         layers = engines._layers(w, np.arange(problem.n_vars))
         assert len(layers) < problem.n_vars // 10
         gs = merged_schedule(problem, cycles=2, reinitialize=reinitialize)
-        req = SamplerRequest(problem.qubo, gs, reads=3,
-                             initial_state=(0,) * problem.n_vars, seed=7)
-        got = heuristic_anneal(req, sweeps=8, random_init=True)
-        assert got == scalar_heuristic(req, sweeps=8, random_init=True)
+        req = SamplerRequest(problem.qubo, gs, reads=3, seed=7)
+        got = heuristic_anneal(req, sweeps=8)
+        assert got == scalar_heuristic(req, sweeps=8)
 
     def test_spin_rows_with_a_64_byte_stride(self):
         # 8 spins put a state column at a 64-byte stride, where numpy 2.4's
@@ -656,8 +680,7 @@ class TestHeuristicMatchesScalarLoop:
         # consecutive runs (state views) and scattered (gather and scatter)
         problem = merged_default
         gs = merged_schedule(problem, cycles=2, reinitialize=True)
-        req = SamplerRequest(problem.qubo, gs, reads=reads,
-                             initial_state=(0,) * problem.n_vars, seed=reads)
+        req = SamplerRequest(problem.qubo, gs, reads=reads, seed=reads)
         planned, split = [], engines._layers
 
         def layers(w, active):
@@ -666,10 +689,10 @@ class TestHeuristicMatchesScalarLoop:
             return out
 
         with mock.patch.object(engines, "_layers", layers):
-            got = heuristic_anneal(req, sweeps=8, random_init=True)
+            got = heuristic_anneal(req, sweeps=8)
         runs = [vs[-1] - vs[0] + 1 == len(vs) for vs in planned if len(vs) > 1]
         assert any(runs) and not all(runs)
-        assert got == scalar_heuristic(req, sweeps=8, random_init=True)
+        assert got == scalar_heuristic(req, sweeps=8)
 
     def test_default_sweeps_on_a_grouped_chain(self):
         _, qubo, aux = hc_problem()

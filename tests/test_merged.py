@@ -7,6 +7,7 @@ parameter values. Heuristic runs assert determinism and statistical
 thresholds only.
 """
 
+import functools
 import itertools
 import math
 from unittest import mock
@@ -20,11 +21,9 @@ from annealdp.merged import (
     AnnealOutcome,
     CYCLE_BASE_US,
     MergedProblem,
-    _keep_count,
     build_merged_problem,
     default_merged_encodings,
     greedy_merged_sampler,
-    heuristic_merged_sampler,
     losses,
     merged_schedule,
     multi_anneal_ppi,
@@ -35,13 +34,14 @@ from annealdp.pbf import BinaryEncoding, from_qubo, to_qubo
 from annealdp.quadratize import min_over_aux
 from annealdp.rbc import (
     DEFAULT_PARAMS,
+    _keep_lowest,
     analytic_policy_update,
     build_gv_pbo,
     collocation_grid,
     combinatorial_ppi,
     true_parameters,
 )
-from annealdp.engines import sequential_greedy
+from annealdp.engines import SamplerRequest, sequential_greedy
 
 TRUTH = (0.3135, -18.116633445402133, 1.4566642388929352)
 
@@ -270,7 +270,8 @@ class TestSchedule:
 
 class TestGreedyOracle:
     def test_single_read_from_truth(self, prob6):
-        state = multi_anneal_ppi(prob6, sampler=greedy_merged_sampler, reads=1, init=TRUTH)
+        greedy = functools.partial(greedy_merged_sampler, prob6)
+        state = multi_anneal_ppi(prob6, sampler=greedy, reads=1, init=TRUTH)
         # policy lands on the grid argmin one step below the FOC value
         assert state.x1 == 0.3125
         assert abs(state.x1 - TRUTH[0]) <= prob6.enc1.scale
@@ -306,7 +307,8 @@ class TestGreedyOracle:
 
         prob = build_merged_problem(DEFAULT_PARAMS, anchors=(comb.x1, comb.x3))
         state = one_shot_ppi(
-            prob, sampler=greedy_merged_sampler, reads=3, cycles=2, keep_fraction=0.4
+            prob, sampler=functools.partial(greedy_merged_sampler, prob), reads=3, cycles=2,
+            keep_fraction=0.4,
         )
         assert state.x2 == comb.x2
         assert state.x3 == comb.x3
@@ -321,7 +323,8 @@ class TestGreedyOracle:
 
     def test_driver_matches_direct_greedy_walk(self, prob_small):
         init = (0.5, -0.5, 0.5)
-        state = multi_anneal_ppi(prob_small, sampler=greedy_merged_sampler, reads=2, init=init)
+        greedy = functools.partial(greedy_merged_sampler, prob_small)
+        state = multi_anneal_ppi(prob_small, sampler=greedy, reads=2, init=init)
         direct = sequential_greedy(
             prob_small.poly,
             groups=prob_small.groups,
@@ -335,7 +338,9 @@ class TestGreedyOracle:
 
     def test_chained_reads_reach_fixed_point(self, prob_small):
         sched = merged_schedule(prob_small, reinitialize=False)
-        ss = greedy_merged_sampler(prob_small, sched, 4, prob_small.encode_initial(), 0)
+        req = SamplerRequest(prob_small.qubo, sched, reads=4,
+                             initial_state=prob_small.encode_initial())
+        ss = greedy_merged_sampler(prob_small, req)
         states = ss.expand_states()
         assert len(states) == 4
         assert len(set(states)) == 1
@@ -343,7 +348,7 @@ class TestGreedyOracle:
     def test_one_shot_reads_share_one_walk(self, prob_small):
         sched = merged_schedule(prob_small, cycles=2, reinitialize=True)
         with mock.patch.object(merged, "sequential_greedy", wraps=sequential_greedy) as walk:
-            ss = greedy_merged_sampler(prob_small, sched, 5, None, 0)
+            ss = greedy_merged_sampler(prob_small, SamplerRequest(prob_small.qubo, sched, reads=5))
         assert walk.call_count == 1
         assert len(ss.records) == 1
         assert ss.records[0].occurrences == 5
@@ -352,21 +357,24 @@ class TestGreedyOracle:
     @pytest.mark.parametrize("init", [(0.5, -0.5, 0.5), (0.1, -30.0, 2.5), TRUTH])
     def test_chain_stopped_at_fixed_point_matches_full_chain(self, prob_small, init):
         reads = 6
-        start = prob_small.encode_initial(init)[: prob_small.primary_count]
+        initial = prob_small.encode_initial(init)
+        start = initial[: prob_small.primary_count]
         full, cur = [], start
         for _ in range(reads):
             cur = sequential_greedy(prob_small.poly, prob_small.groups, cur, cycles=1,
                                     activations=(prob_small.x_p, prob_small.x_v))
             full.append(cur)
         sched = merged_schedule(prob_small, reinitialize=False)
+        req = SamplerRequest(prob_small.qubo, sched, reads=reads, initial_state=initial)
         with mock.patch.object(merged, "sequential_greedy", wraps=sequential_greedy) as walk:
-            ss = greedy_merged_sampler(prob_small, sched, reads, start, 0)
+            ss = greedy_merged_sampler(prob_small, req)
         assert walk.call_count < reads
         assert ss.expand_states() == sorted(full, key=lambda s: (prob_small.poly.evaluate(s), s))
 
     def test_determinism(self, prob_small):
-        a = multi_anneal_ppi(prob_small, sampler=greedy_merged_sampler, reads=2)
-        b = multi_anneal_ppi(prob_small, sampler=greedy_merged_sampler, reads=2)
+        greedy = functools.partial(greedy_merged_sampler, prob_small)
+        a = multi_anneal_ppi(prob_small, sampler=greedy, reads=2)
+        b = multi_anneal_ppi(prob_small, sampler=greedy, reads=2)
         assert (a.x1, a.x2, a.x3) == (b.x1, b.x2, b.x3)
 
 
@@ -422,14 +430,15 @@ class TestLosses:
             AnnealOutcome((0.3, -18.0, 1.4), float("inf"), (0.0, 0.0, 0.0))
 
     def test_keep_count(self):
-        assert _keep_count(200, 0.1) == 20
-        assert _keep_count(100, 0.1) == 10
-        assert _keep_count(5, 0.1) == 1
-        assert _keep_count(3, 0.4) == 2
-        with pytest.raises(ValueError):
-            _keep_count(10, 0.0)
-        with pytest.raises(ValueError):
-            _keep_count(10, 1.5)
+        # post-selection keeps ceil(reads * fraction) reads, at least one
+        assert len(_keep_lowest([0.0] * 200, 0.1)) == 20
+        assert len(_keep_lowest([0.0] * 100, 0.1)) == 10
+        assert len(_keep_lowest([0.0] * 5, 0.1)) == 1
+        assert len(_keep_lowest([0.0] * 3, 0.4)) == 2
+        assert len(_keep_lowest([0.0] * 3, 1.0)) == 3
+        for fraction in (0.0, -0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="keep_fraction"):
+                _keep_lowest([0.0] * 10, fraction)
 
 
 class TestMultiAnneal:

@@ -16,8 +16,6 @@ from annealdp.quadratize import (
     ntr_reduce,
     ptr_reduce,
     quadratize_full,
-    reduce_by_substitution,
-    substitution_gadget,
 )
 
 x = Poly.variable
@@ -104,58 +102,6 @@ class TestFiveVarExpansion:
         assert reduced.coeff(1, 2) == 8.0
         assert exact_min(reduced) == 0.0
         assert reduced.evaluate({1: 0, 2: 1, 3: 0, 4: 1, 5: 0}) == 0.0
-
-
-class TestSubstitution:
-    def test_worked_example(self):
-        p = 2 * (x(1) * x(2) * x(3)) + 4 * (x(2) * x(3) * x(4)) - 5 * (x(2) * x(3) * x(5))
-        res = reduce_by_substitution(p, (2, 3), gamma=20.0, aux=6)
-        a = 6
-        expected = (
-            2 * (x(1) * x(a))
-            + 4 * (x(a) * x(4))
-            - 5 * (x(a) * x(5))
-            + 20.0 * substitution_gadget(2, 3, a)
-        )
-        assert res.qubo_poly == expected
-        assert res.qubo_poly.degree == 2
-        assert res.alloc.aux_vars == (6,)
-        assert res.alloc.records[0].method == "substitution"
-        assert res.penalties_used == (20.0,)
-
-    def test_argmin_preserved_with_large_gamma(self):
-        p = 2 * (x(1) * x(2) * x(3)) + 4 * (x(2) * x(3) * x(4)) - 5 * (x(2) * x(3) * x(5))
-        res = reduce_by_substitution(p, (2, 3), gamma=20.0)
-        aux = res.alloc.aux_vars[0]
-        originals = sorted(p.variables())
-        best_reduced: dict[tuple[int, ...], float] = {}
-        for a in assignments(originals):
-            vals = []
-            for bit in (0, 1):
-                vals.append(res.qubo_poly.evaluate({**a, aux: bit}))
-            best_reduced[tuple(a[v] for v in originals)] = min(vals)
-        true_best = exact_min(p)
-        reduced_best = min(best_reduced.values())
-        assert reduced_best == pytest.approx(true_best)
-        winners = {s for s, v in best_reduced.items() if v == pytest.approx(reduced_best)}
-        assert winners == argmin_set(p)
-
-    def test_quadratic_input_unchanged(self):
-        p = x(0) * x(1) + 3 * x(0)
-        with pytest.warns(UserWarning, match="nothing reduced"):
-            res = reduce_by_substitution(p, (0, 1), gamma=5.0)
-        assert res.qubo_poly == p
-        assert res.alloc.aux_vars == ()
-
-    def test_gamma_validation(self):
-        p = x(0) * x(1) * x(2)
-        with pytest.raises(ValueError):
-            reduce_by_substitution(p, (0, 1), gamma=0.0)
-
-    def test_default_gamma_dominates(self):
-        p = x(0) * x(1) * x(2) * x(3) - 7 * (x(0) * x(1))
-        res = reduce_by_substitution(p, (0, 1))
-        assert res.penalties_used[0] == 10.0 * 8.0
 
 
 class TestNtr:
@@ -322,7 +268,6 @@ class TestQuadratizeFull:
         res = quadratize_full(p)
         assert res.qubo_poly == p
         assert res.alloc.aux_vars == ()
-        assert res.penalties_used == ()
 
     def test_sign_driven_method_choice(self):
         p = -1 * (x(0) * x(1) * x(2)) + 2 * (x(3) * x(4) * x(5) * x(6))

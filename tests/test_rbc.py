@@ -1,6 +1,7 @@
 """Growth-model benchmark, objective construction, and iteration drivers."""
 
 import csv
+import functools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annealdp.bqm import brute_force
+from annealdp.engines import SampleRecord, SampleSet, TimingReport, heuristic_anneal
 from annealdp.pbf import BinaryEncoding, LogCoefficients, ln_1mx_poly, ln_x_poly, to_qubo
 from annealdp.rbc import (
     DEFAULT_PARAMS,
@@ -19,17 +21,16 @@ from annealdp.rbc import (
     RbcParams,
     analytic_policy_update,
     build_gp_pbo,
+    _keep_lowest,
     build_gv_pbo,
     classical_ppi,
     closed_form_step,
     collocation_grid,
     combinatorial_ppi,
-    default_policy_encoding,
     default_valuation_encodings,
     fit_log_coefficients,
     gamma_constants,
     hybrid_ppi,
-    make_heuristic_sampler,
     oracle_sampler,
     simulate_consumption,
     true_parameters,
@@ -238,8 +239,11 @@ class TestLogFit:
 
 
 class TestGpPbo:
+    # x1 on 7 bits with scale 2^-7, covering (0, 1)
+    ENC = BinaryEncoding(0, 7, 2.0 ** -7)
+
     def test_composition_identity(self):
-        enc = default_policy_encoding()
+        enc = self.ENC
         coeffs = LogCoefficients()  # stock table, not the anchored fit
         poly = build_gp_pbo(1.2, enc, coeffs)
         kappa = AB * 1.2
@@ -247,14 +251,14 @@ class TestGpPbo:
         assert poly.approx_eq(direct, tol=1e-12)
 
     def test_quadratic_in_policy_bits(self):
-        enc = default_policy_encoding()
+        enc = self.ENC
         poly = build_gp_pbo(1.4566642388929352, enc)
         assert poly.degree == 2
         assert set(poly.variables()) <= set(enc.vars)
 
     @pytest.mark.parametrize("x3_bar", [0.5, 1.4566642388929352, 2.0])
     def test_all_zero_value_positive(self, x3_bar):
-        enc = default_policy_encoding()
+        enc = self.ENC
         coeffs = fit_log_coefficients(x3_bar)
         poly = build_gp_pbo(x3_bar, enc, coeffs)
         zeros = {v: 0 for v in enc.vars}
@@ -264,7 +268,7 @@ class TestGpPbo:
 
     @pytest.mark.parametrize("x3_bar", [0.5, 0.9, 1.3, 1.4566642388929352, 1.8, 2.2])
     def test_grid_argmin_within_one_step_of_foc(self, x3_bar):
-        enc = default_policy_encoding()
+        enc = self.ENC
         poly = build_gp_pbo(x3_bar, enc)
         best_m, best_e = None, math.inf
         for m in range(enc.max_int + 1):
@@ -277,7 +281,7 @@ class TestGpPbo:
 
     def test_rejects_nonpositive_slope(self):
         with pytest.raises(ValueError):
-            build_gp_pbo(0.0, default_policy_encoding())
+            build_gp_pbo(0.0, self.ENC)
 
 
 class TestGamma:
@@ -457,7 +461,7 @@ class TestHybridPpi:
     def test_heuristic_sampler_smoke(self):
         enc2 = BinaryEncoding(0, 6, -0.56)
         enc3 = BinaryEncoding(6, 6, 0.048)
-        sampler = make_heuristic_sampler(sweeps=192)
+        sampler = functools.partial(heuristic_anneal, sweeps=192)
         st = hybrid_ppi(sampler=sampler, encodings=(enc2, enc3), reads=30, seed=3)
         assert 0.0 < st.x1 < 1.0
         assert all(math.isfinite(l) for l in st.loss_history)
@@ -469,6 +473,30 @@ class TestHybridPpi:
             hybrid_ppi(keep_fraction=0.0)
         with pytest.raises(ValueError, match="reads"):
             hybrid_ppi(reads=0)
+
+    def test_keeps_lowest_reads_in_record_order(self):
+        # two distinct reads, 3 + 2 occurrences; keeping 60 % averages
+        # the three lowest, the tie broken by record order
+        enc2, enc3 = BinaryEncoding(0, 2, -1.0), BinaryEncoding(2, 2, 1.0)
+        seen = []
+
+        def sampler(req):
+            seen.append(req)
+            low, high = SampleRecord((1, 0, 0, 1), 1.0, 3), SampleRecord((0, 1, 1, 1), 1.0, 2)
+            return SampleSet((low, high), TimingReport(req.reads, 5.0))
+
+        st = hybrid_ppi(sampler=sampler, encodings=(enc2, enc3), iterations=1, reads=5,
+                        keep_fraction=0.6, seed=4)
+        assert (st.x2, st.x3) == (-1.0, 2.0)
+        (req,) = seen
+        assert (req.reads, req.seed, req.initial_state) == (5, 4, None)
+        assert req.schedule.total_time == 20.0
+
+
+def test_keep_lowest_is_stable_lowest_first():
+    # the count rule and the fraction check are in test_merged's test_keep_count
+    assert _keep_lowest([3.0, 1.0, 2.0, 1.0, 0.5], 0.6) == [4, 1, 3]
+    assert _keep_lowest([2.0, 2.0, 2.0], 1.0) == [0, 1, 2]
 
 
 class TestConsumption:
