@@ -250,10 +250,20 @@ def _bit_values(idx: np.ndarray, spin: bool) -> Callable[[int], np.ndarray]:
     return var
 
 
+# Up to this many states are folded one at a time by energy_of_bits: a
+# term costs it a few Python operations per state, but term_energies a
+# few numpy calls whatever the state count (about 20 states break even).
+_SCALAR_FOLD_MAX = 16
+
+
 def _fold_energies(model: IsingModel | QuboModel, idx: np.ndarray) -> np.ndarray:
     """Exact energies of the bit states with the given uint64 indices, in
     2^_BLOCK_BITS chunks: term_energies' dict-order fold, bit-for-bit
     equal to energy_of_bits. State index k encodes bit i as (k >> i) & 1."""
+    if len(idx) <= _SCALAR_FOLD_MAX:
+        n = model.n
+        return np.array([energy_of_bits(model, [(k >> i) & 1 for i in range(n)])
+                         for k in idx.tolist()], dtype=np.float64)
     out = np.empty(len(idx), dtype=np.float64)
     step = 1 << _BLOCK_BITS
     spin = isinstance(model, IsingModel)

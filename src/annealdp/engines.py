@@ -546,12 +546,23 @@ def heuristic_anneal(
     set: every earlier neighbour of a variable lies in a lower layer and
     every later one in a higher layer, so testing a whole layer at once
     over a (layer, reads) block, each variable with its own row of the
-    draws, gives exactly the sequential sweep. The state is variable-major
-    (one row of reads per variable), and each layer's fields are one
-    product w[:, vs].T @ states + d[vs]. BLAS may sum it in another
-    order than a per-variable loop, so a field can differ from the scalar
-    loop's in the last bits; the sample sets stay identical, and the tests
-    hold them to that.
+    draws, gives exactly the sequential sweep.
+
+    Layout. Each distinct active set has one permutation: its variables
+    layer by layer, then the frozen ones in index order. The state is
+    held in that order, one row of reads per variable, so every layer is
+    a contiguous slice of rows. The state is re-permuted only when the
+    active set changes, and chained reads carry it from one read to the
+    next; it returns to index order only to be read out. A layer's block
+    of w is zero, so its fields are a gemm over the rows before its slice
+    plus one over the rows after it, plus the biases. Each sweep draws
+    its (active, reads) block in index order, as the RNG contract says,
+    and one take puts the rows in layer order. Values are exactly 0/1 or
+    +-1, so the accepted flips need no mask: a bit becomes |x - accept|
+    and a spin x (1 - 2 accept). Summing a field over fewer, permuted
+    columns may round differently from a per-variable loop, so a field
+    can differ from the scalar loop's in the last bits; the sample sets
+    stay identical, and the tests hold them to that.
     """
     model = req.model
     n = model.n
@@ -565,43 +576,50 @@ def heuristic_anneal(
     timing = _schedule_timing(reads, sched.total_time)
 
     # lockstep reads update one state column each; chained reads one column
-    # in turn. The (n, count) state is updated in place, so views of it are
-    # taken once.
+    # in turn. The (n, count) buffers are updated in place, so views of
+    # them are taken once.
     count = reads if sched.reinitialize else 1
     if req.initial_state is None:
         # drawn (count, n) as the RNG contract says, then made variable-major
         bits = rng.integers(0, 2, size=(count, n)).T.astype(np.float64, order="C")
-        states = bits if is_qubo else 2.0 * bits - 1.0
+        start = bits if is_qubo else 2.0 * bits - 1.0
     else:
-        states = np.repeat(np.array(req.initial_state, dtype=np.float64)[:, None], count, axis=1)
+        start = np.repeat(np.array(req.initial_state, dtype=np.float64)[:, None], count, axis=1)
+    states = np.empty((n, count))
     draws = np.empty((n, count))
+    uniforms = np.empty((n, count))
     f_buf = np.empty((n, count))
     delta_buf = np.empty((n, count))
     p_buf = np.empty((n, count))
     accept_buf = np.empty((n, count), dtype=bool)
 
-    def layer_plan(active: np.ndarray) -> list[tuple]:
-        """Per coupling-free layer: its rows of w as one contiguous
-        (layer, n) block, the variables and their rows in the sweep's
-        draws, views of their state rows and draws when the variables are
-        one consecutive run (else None: gather them), the biases spread
-        over the reads, and the layer's work buffers."""
-        out = []
-        for pos in _layers(w, active):
-            vs = active[pos]
-            m = len(vs)
-            wt = np.ascontiguousarray(w[:, vs].T)
-            view = None
-            if vs[-1] - vs[0] + 1 == m:
-                # consecutive variables sit at consecutive positions in active
-                view = (states[vs[0]:vs[0] + m], draws[pos[0]:pos[0] + m])
-            bias = np.repeat(d[vs][:, None], count, axis=1)
-            out.append((wt, vs, pos, view, bias,
-                        f_buf[:m], delta_buf[:m], p_buf[:m], accept_buf[:m]))
-        return out
+    def layer_plan(active: np.ndarray) -> tuple:
+        """The active set's permutation of the variables, the positions in
+        the sweep's draws in layer order, and per layer: the gemm over the
+        rows before its slice and the one over the rows after it (None if
+        empty), the biases spread over the reads, views of its state rows
+        and uniforms, and its work buffers."""
+        split = _layers(w, active)
+        order = np.concatenate(split)
+        perm = np.concatenate((active[order], np.setdiff1d(np.arange(n), active)))
+        wp = w[np.ix_(perm, perm)]
+        layers = []
+        a = 0
+        for pos in split:
+            m = len(pos)
+            b = a + m
+            outside = [(np.ascontiguousarray(wp[a:b, lo:hi]), states[lo:hi])
+                       for lo, hi in ((0, a), (b, n)) if lo < hi]
+            # with no row outside the layer the field is the bias alone
+            head, *tail = outside or [(np.zeros((m, 0)), states[:0])]
+            bias = np.repeat(d[perm[a:b]][:, None], count, axis=1)
+            layers.append((head, tail[0] if tail else None, bias, states[a:b], uniforms[a:b],
+                           f_buf[:m], delta_buf[:m], p_buf[:m], accept_buf[:m]))
+            a = b
+        return perm, order, layers
 
-    layered: dict[bytes, list[tuple]] = {}
-    plan: list[tuple[float, np.ndarray, list[tuple]]] = []
+    layered: dict[bytes, tuple] = {}
+    sweep_sets: list[tuple[float, bytes]] = []
     if sched.total_time > 0.0 and n > 0:
         times = [(k + 0.5) * sched.total_time / sweeps for k in range(sweeps)]
         for row in fraction_table(sched, times, n):
@@ -616,46 +634,67 @@ def heuristic_anneal(
             key = active.tobytes()
             if key not in layered:
                 layered[key] = layer_plan(active)
-            plan.append((tau, draws[:len(active)], layered[key]))
+            sweep_sets.append((tau, key))
+
+    # between runs the state is in the order of the last sweep's set, so
+    # a chained read continues where the previous one stopped
+    prev = sweep_sets[-1][1] if sweep_sets else None
+    home = layered[prev][0] if sweep_sets else np.arange(n)
+    plan: list[tuple] = []
+    for tau, key in sweep_sets:
+        perm, order, layers = layered[key]
+        # rows of the previous order that make up this one
+        move = None if key == prev else np.argsort(layered[prev][0])[perm]
+        m = len(order)
+        plan.append((tau, move, draws[:m], order, uniforms[:m], layers))
+        prev = key
+    states[...] = start[home]
+    native = np.argsort(home)
 
     def run() -> None:
-        for tau, block, layers in plan:
+        for tau, move, block, order, u_all, layers in plan:
+            if move is not None:
+                states[...] = states[move]
             rng.random(out=block)
-            for wt, vs, pos, view, bias, f, delta, p, accept in layers:
-                np.matmul(wt, states, out=f)
+            # the positions are in range, so the take can skip its bounds check
+            np.take(block, order, axis=0, out=u_all, mode="wrap")
+            for (w_in, x_in), tail, bias, x, u, f, delta, p, accept in layers:
+                np.matmul(w_in, x_in, out=f)
+                if tail is not None:
+                    np.matmul(tail[0], tail[1], out=delta)
+                    f += delta
                 f += bias
-                x, u = view or (states[vs], draws[pos])
                 if is_qubo:
                     np.multiply(x, 2.0, out=delta)
                     np.subtract(1.0, delta, out=delta)
                 else:
                     np.multiply(x, -2.0, out=delta)
                 delta *= f
-                # 1 / (1 + exp(clip(delta / tau, -700, 700))) > u
+                # 1 / (1 + exp(min(delta / tau, 700))) > u; below -700,
+                # 1 + exp is already exactly 1, so no lower clip is needed
                 np.divide(delta, tau, out=p)
-                np.maximum(p, -700.0, out=p)
                 np.minimum(p, 700.0, out=p)
                 np.exp(p, out=p)
                 p += 1.0
                 np.divide(1.0, p, out=p)
                 np.less(u, p, out=accept)
                 if is_qubo:
-                    np.subtract(1.0, x, out=x, where=accept)
+                    np.subtract(x, accept, out=x)
+                    np.abs(x, out=x)
                 else:
                     # not np.negative: numpy 2.4 mis-writes it on 64-byte strides
-                    np.multiply(x, -1.0, out=x, where=accept)
-                if view is None:
-                    # x is a gathered copy: scatter the flips back
-                    states[vs] = x
+                    np.multiply(accept, -2.0, out=p)
+                    p += 1.0
+                    x *= p
 
     if sched.reinitialize:
         run()
-        return _assemble(model, _native_rows(states.T), timing)
+        return _assemble(model, _native_rows(states[native].T), timing)
 
     out = []
     for _ in range(reads):
         run()
-        out.extend(_native_rows(states.T))
+        out.extend(_native_rows(states[native].T))
     return _assemble(model, out, timing)
 
 

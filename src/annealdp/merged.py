@@ -20,6 +20,7 @@ one-shot post-processing ranks reads by per-parameter adjusted losses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -160,16 +161,44 @@ class MergedProblem:
                 state[var] = bit
         return tuple(state)
 
-    def component_losses(self, state: Sequence[int]) -> tuple[float, float]:
-        """(g_p, g_v) re-evaluated from a read's bits, activations ignored.
+    @functools.cached_property
+    def _loss_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return _compiled(self.gp_poly, self.x_p), _compiled(self.gv_poly, self.x_p)
+
+    def component_losses(self, states: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+        """(g_p, g_v) of each state, re-evaluated from its bits with the
+        activations ignored; each value is bit-for-bit Poly.evaluate on
+        the state's assignment.
 
         Terminal reads carry x_p = x_v = 0, which zeroes the merged
         energy; this is the reconstruction that makes reads comparable.
         """
         # g_p and g_v touch only the encoding bits, which precede the
-        # activations and every auxiliary
-        assign = {v: int(state[v]) for v in range(min(len(state), self.primary_count))}
-        return self.gp_poly.evaluate(assign), self.gv_poly.evaluate(assign)
+        # activations and every auxiliary; the extra column of ones pads
+        # the lower-degree terms
+        bits = np.ones((len(states), self.x_p + 1))
+        bits[:, :-1] = [s[:self.x_p] for s in states]
+        (coef_p, cols_p), (coef_v, cols_v) = self._loss_terms
+        return _evaluate(coef_p, cols_p, bits), _evaluate(coef_v, cols_v, bits)
+
+
+def _compiled(poly: Poly, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """poly's terms in dict order: their coefficients and a (terms, degree)
+    table of the bit columns each multiplies, padded with column `width`."""
+    cols = np.full((len(poly.terms), poly.degree), width, dtype=np.intp)
+    for t, key in enumerate(poly.terms):
+        cols[t, :len(key)] = sorted(key)
+    return np.array(list(poly.terms.values()), dtype=np.float64), cols
+
+
+def _evaluate(coef: np.ndarray, cols: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The compiled polynomial at each row of a 0/1 bit matrix whose last
+    column is all ones. A term is its coefficient or a zero of its sign,
+    as in Poly.evaluate, and cumsum adds the terms left to right after a
+    zero, as Poly.evaluate does, so the totals are bit-for-bit equal."""
+    terms = np.zeros((len(bits), len(coef) + 1))
+    np.multiply(coef, bits[:, cols].prod(axis=2), out=terms[:, 1:])
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def build_merged_problem(
@@ -357,9 +386,10 @@ def multi_anneal_ppi(
     records = sampler(req).records
     # each distinct read is scored once, then expanded by its occurrences
     # in record order, as expand_states would list it
-    recon = [problem.component_losses(r.state) for r in records]
+    g_p, g_v = problem.component_losses([r.state for r in records])
     states = [r.state for r in records for _ in range(r.occurrences)]
-    scored = [pair for pair, r in zip(recon, records) for _ in range(r.occurrences)]
+    scored = [pair for pair, r in zip(zip(g_p.tolist(), g_v.tolist()), records)
+              for _ in range(r.occurrences)]
     # the lowest read per objective, the first one on ties
     best_p = _keep_lowest([lp for lp, _ in scored], 1.0)[0]
     best_v = _keep_lowest([lv for _, lv in scored], 1.0)[0]
@@ -507,9 +537,9 @@ def one_shot_ensemble(
     distinct = [problem.decode(r.state) for r in records]
     for d in distinct:
         _check_read(d, problem)
-    recon = [problem.component_losses(r.state) for r in records]
+    g_p, g_v = problem.component_losses([r.state for r in records])
     decoded = [d for d, r in zip(distinct, records) for _ in range(r.occurrences)]
-    unadj = [lp + lv for (lp, lv), r in zip(recon, records) for _ in range(r.occurrences)]
+    unadj = [u for u, r in zip((g_p + g_v).tolist(), records) for _ in range(r.occurrences)]
 
     lowest = _keep_lowest(unadj, keep_fraction)
     anchor = tuple(float(np.mean([decoded[i][p] for i in lowest])) for p in range(3))

@@ -664,9 +664,9 @@ class TestHeuristicMatchesScalarLoop:
 
     @pytest.mark.parametrize("reads", [7, 8, 9, 16])
     def test_spin_rows_with_a_64_byte_read_stride(self, reads):
-        # the state is variable-major, so 8 reads put a variable's row at a
-        # 64-byte stride; dense 8 spins give one-variable layers, sparse 40
-        # spins gathered multi-variable ones
+        # the state holds one row of reads per variable, so 8 reads put a
+        # variable's row at a 64-byte stride; dense 8 spins give
+        # one-variable layers, sparse 40 spins multi-variable ones
         rng = np.random.default_rng(64)
         models = [random_ising(8, rng, density=1.0), random_ising(40, rng, density=0.1)]
         for model in models:
@@ -674,12 +674,16 @@ class TestHeuristicMatchesScalarLoop:
                 req = SamplerRequest(model, forward_schedule(3.0), reads=reads, seed=seed)
                 assert heuristic_anneal(req, sweeps=4) == scalar_heuristic(req, sweeps=4)
 
-    @pytest.mark.parametrize("reads", [8, 40])
-    def test_merged_problem_many_reads(self, merged_default, reads):
-        # lockstep from random starts: multi-variable layers both as
-        # consecutive runs (state views) and scattered (gather and scatter)
+    @pytest.mark.parametrize("reads, reinitialize", [
+        pytest.param(8, True, id="8"), pytest.param(40, True, id="40"),
+        pytest.param(8, False, id="8-chained"), pytest.param(40, False, id="40-chained")])
+    def test_merged_problem_many_reads(self, merged_default, reads, reinitialize):
+        # from random starts, with multi-variable layers whose variables
+        # are consecutive in index order and layers whose are not, so the
+        # layer-major permutation moves rows; chained reads carry the
+        # permuted state across reads and across active-set switches
         problem = merged_default
-        gs = merged_schedule(problem, cycles=2, reinitialize=True)
+        gs = merged_schedule(problem, cycles=2, reinitialize=reinitialize)
         req = SamplerRequest(problem.qubo, gs, reads=reads, seed=reads)
         planned, split = [], engines._layers
 

@@ -10,10 +10,13 @@ thresholds only.
 import functools
 import itertools
 import math
+import struct
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealdp import merged
 from annealdp.bqm import brute_force
@@ -92,6 +95,11 @@ def grid3():
 def prob_small(grid3) -> MergedProblem:
     encs = default_merged_encodings(DEFAULT_PARAMS, 2, 2, 2)
     return build_merged_problem(DEFAULT_PARAMS, encodings=encs, grid=grid3)
+
+
+@pytest.fixture(scope="module", params=["prob6", "prob_small"])
+def any_problem(request) -> MergedProblem:
+    return request.getfixturevalue(request.param)
 
 
 class TestDefaultEncodings:
@@ -396,11 +404,28 @@ class TestLosses:
         # the quadratic surrogates are exact on grid points, so the
         # reconstructed components equal the continuous formulas
         state = prob6.encode_initial(TRUTH)
-        lp, lv = prob6.component_losses(state)
+        (lp,), (lv,) = prob6.component_losses([state])
         assert lp == pytest.approx(GP_TRUTH_BITS, rel=1e-14)
         assert lv == pytest.approx(GV_TRUTH_BITS, rel=1e-14)
         out = losses(prob6.decode(state), prob6)
         assert out.unadjusted_loss == pytest.approx(lp + lv, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_batched_losses_match_poly_evaluate(self, any_problem, data):
+        # a few distinct states repeated, with the all-zero state among them
+        n = any_problem.n_vars
+        zero = (0,) * n
+        pool = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple),
+                                  min_size=1, max_size=8))
+        states = data.draw(st.lists(st.sampled_from(pool + [zero]), max_size=63))
+        states.insert(data.draw(st.integers(0, len(states))), zero)
+        g_p, g_v = any_problem.component_losses(states)
+        assert g_p.shape == g_v.shape == (len(states),)
+        for state, lp, lv in zip(states, g_p.tolist(), g_v.tolist()):
+            assign = {v: state[v] for v in range(any_problem.primary_count)}
+            for got, poly in ((lp, any_problem.gp_poly), (lv, any_problem.gv_poly)):
+                assert struct.pack("<d", got) == struct.pack("<d", poly.evaluate(assign))
 
     def test_local_minimality_at_truth(self, prob6):
         # flipping any single bit of the truth-snapped state cannot
