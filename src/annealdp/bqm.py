@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,8 +21,8 @@ BinaryState = Sequence[int]
 BRUTE_FORCE_MAX_VARS = 26
 # States per enumeration block, as a power of two: the approximate pass
 # ranks about this many states per gemm chunk, exact folds run in chunks
-# of this size, and engines.sequential_greedy scores its group
-# assignments in such blocks. Measured per brute_force call on the
+# of this size, and engines.sequential_greedy ranks or scores its group
+# assignments in such chunks. Measured per brute_force call on the
 # 18-variable combinatorial QUBO (median of 15, one BLAS thread):
 # 2^20 1.8 ms, 2^16 1.6 ms, 2^15 1.6 ms, 2^14 1.7 ms, 2^13 2.3 ms, 2^12 2.4 ms,
 # 2^10 5.0 ms.
@@ -322,59 +322,137 @@ def _value_table(bits: int, spin: bool) -> np.ndarray:
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _near_minimum(model: IsingModel | QuboModel, weights: list[float]) -> np.ndarray | None:
-    """Sorted indices of every state whose gemm-ranked energy is within
-    the proven bound of the approximate minimum; None when every state
-    must be a candidate (the bound would overflow).
-
-    The low n//2 bits a and the high bits b split the energy as
-    E(a, b) = E_low[a] + E_high[b] + v(a)^T C v(b), where C holds the
-    cross couplings and v is the value vector (bits, or spins for Ising).
-    The cross term is (V_low @ C) @ V_high^T over chunks of high states
-    of about 2^_BLOCK_BITS states each, so no 2^n array is ever held.
-    """
+def _rank_bound(weights: Iterable[float]) -> float | None:
+    """The proven bound 2 delta between the split ranking and the exact
+    fold, rounded up; None when S = sum |w| is not below 2^1020 (or is
+    not finite), where every state must be a candidate instead."""
+    weights = list(weights)
     s = math.fsum(abs(w) for w in weights)
     if not s <= 2.0**1020:
         return None
     mu = len(weights) * _UNIT_ROUNDOFF
-    bound = 4.0 * (mu / (1.0 - mu)) * s * (1.0 + 2.0**-50)
+    return 4.0 * (mu / (1.0 - mu)) * s * (1.0 + 2.0**-50)
 
-    n = model.n
-    n_lo = n // 2
-    n_hi = n - n_lo
-    spin = isinstance(model, IsingModel)
-    e_low = block_energies(_restrict(model, 0, n_lo), 0, 1 << n_lo)
-    e_high = block_energies(_restrict(model, n_lo, n), 0, 1 << n_hi)[:, None]
-    cross = np.zeros((n_lo, n_hi))
-    pairs = model.couplings.items() if spin else model.q.items()
-    for (i, j), w in pairs:
-        if i < n_lo <= j:
-            cross[i, j - n_lo] = w
+
+def _split_ranking(
+    e_low: np.ndarray, e_high: np.ndarray, cross: np.ndarray, spin: bool
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Approximate energies of every state, in index order and in chunks
+    of about 2^_BLOCK_BITS states, as (first state index, flat energies).
+    The flat array is a buffer that the next chunk overwrites.
+
+    The low n_lo bits a and the high n_hi bits b of state m = b << n_lo | a
+    split its energy as E(a, b) = E_low[a] + E_high[b] + v(a)^T C v(b),
+    where cross is the (n_lo x n_hi) matrix C of cross couplings and v is
+    the value vector (bits, or spins when spin is set). The cross term is
+    (V_low @ C) @ V_high^T over chunks of high states, so no 2^n array is
+    ever held.
+    """
+    n_lo, n_hi = cross.shape
     low_cross = np.ascontiguousarray((_value_table(n_lo, spin) @ cross).T)
     v_high = _value_table(n_hi, spin)
-
+    e_high = e_high[:, None]
     rows = 1 << max(0, _BLOCK_BITS - n_lo)
     buf = np.empty((min(rows, 1 << n_hi), 1 << n_lo))
-    emin = np.inf
-    thr = np.inf
-    found_idx: list[np.ndarray] = []
-    found_e: list[np.ndarray] = []
     for b0 in range(0, 1 << n_hi, rows):
         b1 = min(b0 + rows, 1 << n_hi)
         approx = buf[: b1 - b0]
         np.matmul(v_high[b0:b1], low_cross, out=approx)
         approx += e_low
         approx += e_high[b0:b1]
-        flat = approx.ravel()
+        yield b0 << n_lo, approx.ravel()
+
+
+def _near_minimum(model: IsingModel | QuboModel, weights: list[float]) -> np.ndarray | None:
+    """Sorted indices of every state whose split-ranked energy is within
+    the proven bound of the approximate minimum; None when every state
+    must be a candidate (the bound would overflow). The split is at
+    n_lo = n // 2."""
+    bound = _rank_bound(weights)
+    if bound is None:
+        return None
+    n = model.n
+    n_lo = n // 2
+    spin = isinstance(model, IsingModel)
+    e_low = block_energies(_restrict(model, 0, n_lo), 0, 1 << n_lo)
+    e_high = block_energies(_restrict(model, n_lo, n), 0, 1 << (n - n_lo))
+    cross = np.zeros((n_lo, n - n_lo))
+    pairs = model.couplings.items() if spin else model.q.items()
+    for (i, j), w in pairs:
+        if i < n_lo <= j:
+            cross[i, j - n_lo] = w
+
+    emin = np.inf
+    thr = np.inf
+    found_idx: list[np.ndarray] = []
+    found_e: list[np.ndarray] = []
+    for m0, flat in _split_ranking(e_low, e_high, cross, spin):
         cmin = flat.min()
         if cmin < emin:
             emin = cmin
             thr = np.nextafter(emin + bound, np.inf)
         hits = np.flatnonzero(flat <= thr)
-        found_idx.append(hits.astype(np.uint64) + np.uint64(b0 << n_lo))
+        found_idx.append(hits.astype(np.uint64) + np.uint64(m0))
         found_e.append(flat[hits])
     idx = np.concatenate(found_idx)
     return idx[np.concatenate(found_e) <= thr]
+
+
+# Candidate set of a first-improvement scan (engines.sequential_greedy).
+# The scan starts from an exact energy e_start and takes each entry that
+# beats its running best by more than a tolerance, so it takes only
+# strict exact prefix records of (e_start, e_0, e_1, ...): entries i with
+# e_i < min(e_start, min_{j<i} e_j). With |e~ - e| <= delta as above,
+# such an entry satisfies
+#     e~_i <= e_i + delta < e_start + delta   and
+#     e~_i <= e_i + delta < e_j + delta <= e~_j + 2 delta  for all j < i,
+# so e~_i - e_start <= delta and e~_i - min_{j<i} e~_j <= 2 delta, with
+# the running minimum of e~ carried across chunks. Rounding is monotone
+# and the float bound is at least 2 delta, so the computed differences
+# meet the same inequalities against bound / 2 and bound: no threshold
+# needs a step up. An entry outside this set is never taken, and an
+# entry that is not taken never changes the running best. By induction
+# over the entries in index order, the running best before each
+# candidate is the same in a scan over the candidates alone as in the
+# full scan, so both take exactly the same entries. Brute force's band
+# around the approximate minimum is not enough here: a record taken
+# before the scan reaches that band moves the running best, and with it
+# which entries inside the band beat it by the tolerance.
+
+
+def _record_candidates(
+    ranked: Iterable[tuple[int, np.ndarray]], e_start: float, bound: float
+) -> Iterator[np.ndarray]:
+    """The sorted int64 indices of every state of a split ranking that can
+    be a strict exact prefix record of (e_start, e_0, ...), given the
+    proven bound 2 delta between ranking and exact fold; yielded in
+    batches of at least 2^_BLOCK_BITS indices (the last may be smaller)."""
+    half = bound / 2.0
+    run = np.inf
+    found: list[np.ndarray] = []
+    count = 0
+    for m0, flat in ranked:
+        cmin = float(flat.min())
+        prior, run = run, min(run, cmin)
+        # rounding is monotone: if the chunk's minimum fails a test below
+        # against `prior`, every entry of the chunk fails it
+        if cmin - prior > bound or cmin - e_start > half:
+            continue
+        # the approximate minimum over every earlier state
+        before = np.empty_like(flat)
+        before[0] = prior
+        np.minimum.accumulate(flat[:-1], out=before[1:])
+        np.minimum(before, prior, out=before)
+        keep = np.subtract(flat, before, out=before) <= bound
+        keep &= flat - e_start <= half
+        hits = np.flatnonzero(keep) + m0
+        found.append(hits)
+        count += len(hits)
+        if count >= 1 << _BLOCK_BITS:
+            yield np.concatenate(found)
+            found, count = [], 0
+    if found:
+        yield np.concatenate(found)
 
 
 def brute_force(

@@ -182,6 +182,20 @@ class MergedProblem:
         return _evaluate(coef_p, cols_p, bits), _evaluate(coef_v, cols_v, bits)
 
 
+def _decode_states(
+    problem: MergedProblem, states: Sequence[Sequence[int]]
+) -> list[tuple[float, float, float]]:
+    """problem.decode of each state, bit-for-bit: each register's integer
+    m from its bits with integer weights, then scale * m, for registers of
+    up to 62 bits."""
+    bits = np.array([s[:problem.x_p] for s in states], dtype=np.int64)
+    values = []
+    for enc in (problem.enc1, problem.enc2, problem.enc3):
+        m = bits[:, enc.var_base:enc.var_base + enc.bit_count] @ (1 << np.arange(enc.bit_count))
+        values.append((enc.scale * m.astype(np.float64)).tolist())
+    return list(zip(*values))
+
+
 def _compiled(poly: Poly, width: int) -> tuple[np.ndarray, np.ndarray]:
     """poly's terms in dict order: their coefficients and a (terms, degree)
     table of the bit columns each multiplies, padded with column `width`."""
@@ -426,14 +440,19 @@ class AnnealOutcome:
             raise ValueError("losses must be finite")
 
 
-def _gp_value(x1: float, x3_bar: float, params: RbcParams) -> float:
-    """Continuous policy objective at the anchored quadratic surrogates.
+def _gp_surrogate(x3_bar: float, params: RbcParams) -> Callable[[float], float]:
+    """Continuous policy objective at the surrogates anchored at x3_bar,
+    as a function of x1; the surrogates are fitted once per anchor.
 
     Coincides with gp_poly evaluated at any bit state decoding to x1.
     """
     c = fit_log_coefficients(x3_bar, params)
     kappa = params.alpha * params.beta * x3_bar
-    return -(c.at0 + c.at1 * x1) - kappa * (c.a0 + c.a1 * x1 + c.a2 * x1 * x1)
+
+    def value(x1: float) -> float:
+        return -(c.at0 + c.at1 * x1) - kappa * (c.a0 + c.a1 * x1 + c.a2 * x1 * x1)
+
+    return value
 
 
 def _check_range(name: str, value: float, enc: BinaryEncoding) -> None:
@@ -478,28 +497,32 @@ def _scorer(
     anchor: tuple[float, float, float],
     reference: tuple[float, float, float] | None,
 ) -> Callable[[tuple[float, float, float]], AnnealOutcome]:
-    """The scoring of `losses` with the gamma constants of the anchor and
-    the reference computed once, for every read scored against them."""
+    """The scoring of `losses` with the gamma constants and policy
+    surrogates of the anchor and the reference computed once, for every
+    read scored against them."""
     params = problem.params
     a1, a2_, a3 = anchor
     gam_a = gamma_constants(a1, problem.grid)
-    gam_r = None
+    gam_r = gp_r = None
     if reference is not None:
         r1, r2, r3 = reference
         gam_r = gamma_constants(r1, problem.grid)
+        gp_r = _gp_surrogate(r3, params)
+    gp_built = _gp_surrogate(problem.x3_anchor, params)
+    gp_a = _gp_surrogate(a3, params)
 
     def score(outcome_params: tuple[float, float, float]) -> AnnealOutcome:
         x1, x2, x3 = outcome_params
-        unadjusted = _gp_value(x1, problem.x3_anchor, params) + problem.gammas.evaluate(x2, x3)
+        unadjusted = gp_built(x1) + problem.gammas.evaluate(x2, x3)
         adjusted = (
-            _gp_value(x1, a3, params),
+            gp_a(x1),
             gam_a.evaluate(x2, a3),
             gam_a.evaluate(a2_, x3),
         )
         minimum = None
         if gam_r is not None:
             minimum = (
-                _gp_value(x1, r3, params),
+                gp_r(x1),
                 gam_r.evaluate(x2, r3),
                 gam_r.evaluate(r2, x3),
             )
@@ -534,7 +557,7 @@ def one_shot_ensemble(
     records = sampler(SamplerRequest(problem.qubo, schedule, reads=reads, seed=seed)).records
     # each distinct read is decoded and scored once, then expanded by its
     # occurrences in record order, as expand_states would list it
-    distinct = [problem.decode(r.state) for r in records]
+    distinct = _decode_states(problem, [r.state for r in records])
     for d in distinct:
         _check_read(d, problem)
     g_p, g_v = problem.component_losses([r.state for r in records])

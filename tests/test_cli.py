@@ -286,6 +286,16 @@ class TestSolve:
         assert err.startswith("error: anneal time") and "integration steps" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("algorithm", ["one-shot", "multi-anneal"])
+    def test_wide_greedy_group_exits_4(self, tmp_path, capsys, algorithm):
+        # the 42-bit valuation group fails the guard before any group step
+        with mock.patch.object(engines, "_best_assignment", side_effect=AssertionError):
+            rc = main(["solve", "--algorithm", algorithm, "--engine", "greedy",
+                       "--j2", "20", "--j3", "20", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert err == "error: greedy group of 42 variables exceeds the guard of 26\n"
+
     def test_executions_logged_per_run(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["solve", "--algorithm", "one-shot", "--j1", "2", "--j2", "2",

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from annealdp import bqm as bqm_mod
 from annealdp import engines
 from annealdp.bqm import (
     CapacityError,
@@ -495,6 +496,160 @@ class TestGreedyMatchesScalarWalk:
             if e < want_e - 1e-12:
                 want_k, want_e = k, e
         assert engines._last_improvement(energies, best_e) == (want_k, want_e)
+
+
+def _block_energies(local, width, domain, start, stop):
+    """The group step's fold over assignments [start, stop), one numpy
+    pass per folded term, as the walk scored before the split ranking."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    lo, hi = domain
+    vals = [lo + (hi - lo) * ((idx >> b) & 1).astype(np.float64) for b in range(width)]
+    energies = np.zeros(stop - start)
+    for bits, c in local.items():
+        prod = vals[bits[0]]
+        for b in bits[1:]:
+            prod = prod * vals[b]
+        energies += c * prod
+    return energies
+
+
+def block_scan_best_assignment(terms, group, domain, state):
+    """Reference group step: every assignment scored in enumeration order,
+    in blocks, by the first-improvement scan."""
+    pos = {v: b for b, v in enumerate(group)}
+    local = engines._fold(terms, pos, state)
+    width = len(group)
+    best_m = sum(1 << b for b, v in enumerate(group) if state[v] == domain[1])
+    best_e = float(_block_energies(local, width, domain, best_m, best_m + 1)[0])
+    block = 1 << min(width, 14)
+    for start in range(0, 1 << width, block):
+        energies = _block_energies(local, width, domain, start, min(start + block, 1 << width))
+        k, best_e = engines._last_improvement(energies, best_e)
+        if k >= 0:
+            best_m = start + k
+    return best_m
+
+
+# Coefficient draws for the split ranking. Decimal tenths are not dyadic,
+# so states with equal real energies fold and rank to different floats;
+# multiples of 1e-13 do the same with gaps inside the 1e-12 tolerance;
+# multiples of 2^-42 sum exactly with gaps inside it; small integers tie.
+SPLIT_COEFFS = {
+    "decimal": st.integers(-7, 7).map(lambda k: k / 10),
+    "near_tie": st.integers(-30, 30).map(lambda k: k * 1e-13),
+    "dyadic": st.integers(-64, 64).map(lambda k: k * 2.0**-42),
+    "integer": st.integers(-2, 2).map(float),
+}
+
+
+@st.composite
+def wide_greedy_cases(draw):
+    """Like greedy_cases, but with groups up to 16 variables wide, so the
+    split ranking engages, and coefficients that round."""
+    width = draw(st.sampled_from(range(1, 17)))
+    n = min(16, width + draw(st.integers(0, 3)))
+    kind = draw(st.sampled_from(["poly", "qubo", "ising"]))
+    coeff = SPLIT_COEFFS[draw(st.sampled_from(sorted(SPLIT_COEFFS)))]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    if kind == "poly":
+        keys = st.lists(st.integers(0, n - 1), max_size=3).map(frozenset)
+        model = Poly(draw(st.dictionaries(keys, coeff, max_size=40)))
+    elif kind == "qubo":
+        model = QuboModel(n, draw(st.dictionaries(st.sampled_from(pairs), coeff, max_size=40)))
+    else:
+        biases = draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=n))
+        off = [(i, j) for i, j in pairs if i < j]
+        couplings = draw(st.dictionaries(st.sampled_from(off), coeff, max_size=40)) if off else {}
+        model = IsingModel(n, biases, couplings)
+    domain = (-1, 1) if kind == "ising" else (0, 1)
+
+    perm = list(draw(st.permutations(range(n))))
+    groups = [tuple(perm[:width])]
+    perm = perm[width:]
+    if perm and draw(st.booleans()):
+        size = draw(st.integers(1, len(perm)))
+        groups.append(tuple(perm[:size]))
+        perm = perm[size:]
+    activations = None
+    if draw(st.booleans()):
+        activations = [perm.pop() if perm and draw(st.booleans()) else None for _ in groups]
+    initial = tuple(draw(st.lists(st.sampled_from(domain), min_size=n, max_size=n)))
+    return model, groups, initial, draw(st.integers(1, 2)), activations
+
+
+class TestSplitGreedyStep:
+    @settings(max_examples=150, deadline=None)
+    @given(wide_greedy_cases(), st.sampled_from([1, 5, 12]), st.sampled_from([1, 3, 14]))
+    def test_walk_matches_block_scan(self, case, min_bits, block_bits):
+        # small chunks carry the running minimum and best across chunks
+        model, groups, initial, cycles, activations = case
+        with mock.patch.object(engines, "_best_assignment", block_scan_best_assignment):
+            want = sequential_greedy(model, groups, initial, cycles=cycles, activations=activations)
+        with mock.patch.object(engines, "_SPLIT_MIN_BITS", min_bits), \
+                mock.patch.object(engines, "_BLOCK_BITS", block_bits), \
+                mock.patch.object(bqm_mod, "_BLOCK_BITS", block_bits):
+            got = sequential_greedy(model, groups, initial, cycles=cycles, activations=activations)
+        assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 12), st.sampled_from(sorted(SPLIT_COEFFS)), st.booleans(),
+           st.sampled_from([1, 3, 14]))
+    def test_candidates_hold_every_exact_prefix_record(self, data, width, coeff_kind, spin, block_bits):
+        keys = st.sampled_from([(i,) for i in range(width)]
+                               + [(i, j) for i in range(width) for j in range(width) if i != j])
+        local = data.draw(st.dictionaries(keys, SPLIT_COEFFS[coeff_kind], max_size=40))
+        domain = (-1, 1) if spin else (0, 1)
+        exact = engines._local_energies(local, domain, np.arange(1 << width))
+        e_start = float(exact[data.draw(st.integers(0, (1 << width) - 1))])
+        before = np.minimum.accumulate(np.concatenate(([e_start], exact[:-1])))
+        records = np.flatnonzero(exact < before)
+        with mock.patch.object(bqm_mod, "_BLOCK_BITS", block_bits):
+            chunks = list(engines._split_candidates(local, width, domain, e_start))
+        cands = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+        assert np.all(np.diff(cands) > 0)
+        assert set(records.tolist()) <= set(cands.tolist())
+
+    def test_candidates_hold_a_record_the_ranking_puts_late(self):
+        # States 1 and 5 both have real energy -0.7. The exact fold gives
+        # state 1 -0.6999999999999998 and state 5 -0.7, a strict record,
+        # while the ranking gives them -0.7000000000000001 and
+        # -0.6999999999999997: only the 2 delta margin keeps state 5, and
+        # a band around the minimum (states 6 and 7) keeps neither.
+        local = {(0, 1): 0.3, (0, 2): 0.3, (1, 2): -0.3, (2, 1): -0.5, (0,): -0.4,
+                 (1,): -0.4, (2,): -0.5, (1, 0): 0.4, (2, 0): -0.6}
+        exact = engines._local_energies(local, (-1, 1), np.arange(8))
+        assert exact[5] < exact[1] < exact[2]
+        cands = np.concatenate(list(engines._split_candidates(local, 3, (-1, 1), float(exact[2]))))
+        assert cands.tolist() == [1, 5, 6, 7]
+
+    def test_cubic_fold_keeps_the_block_scan(self):
+        cubic, _, _ = hc_problem()
+        terms, domain = engines._native_terms(cubic)
+        local = engines._fold(terms, {v: v for v in range(4)}, (0, 0, 0, 0))
+        assert engines._split_candidates(local, 4, domain, 0.0) is None
+        huge = {(0,): 2.0**1021, (1,): -1.0}
+        assert engines._split_candidates(huge, 2, domain, 0.0) is None
+
+    def test_pipeline_fold_rescores_few_assignments(self):
+        # the default valuation group: 14 bits, a quadratic fold; only a
+        # small share of its 2^14 assignments reaches the exact fold
+        prob = build_merged_problem()
+        terms, domain = engines._native_terms(prob.poly)
+        state = [0] * prob.primary_count
+        state[prob.x_p] = state[prob.x_v] = 1
+        group = prob.groups[1]
+        local = engines._fold(terms, {v: b for b, v in enumerate(group)}, state)
+        assert len(group) == 14 and max(map(len, local)) == 2
+        cands = np.concatenate(list(engines._split_candidates(local, 14, domain, 0.0)))
+        assert 0 < len(cands) < 1 << 10
+        assert (engines._best_assignment(terms, group, domain, state)
+                == block_scan_best_assignment(terms, group, domain, state))
+
+    def test_wide_group_exceeds_guard(self):
+        wide = QuboModel(27, {})
+        with mock.patch.object(engines, "_best_assignment", side_effect=AssertionError):
+            with pytest.raises(CapacityError, match="greedy group of 27"):
+                sequential_greedy(wide, [tuple(range(27))], (0,) * 27)
 
 
 def scalar_heuristic(req, sweeps=256, t_hot=None):

@@ -42,6 +42,8 @@ from annealdp.rbc import (
     build_gv_pbo,
     collocation_grid,
     combinatorial_ppi,
+    fit_log_coefficients,
+    gamma_constants,
     true_parameters,
 )
 from annealdp.engines import SamplerRequest, sequential_greedy
@@ -79,6 +81,19 @@ def spearman(a, b) -> float:
     ra -= ra.mean()
     rb -= rb.mean()
     return float(ra @ rb / math.sqrt((ra @ ra) * (rb @ rb)))
+
+
+def _bytes(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+def _gp_refit(x1, x3_bar):
+    """The continuous policy objective with its surrogates refitted on
+    every call."""
+    p = DEFAULT_PARAMS
+    c = fit_log_coefficients(x3_bar, p)
+    kappa = p.alpha * p.beta * x3_bar
+    return -(c.at0 + c.at1 * x1) - kappa * (c.a0 + c.a1 * x1 + c.a2 * x1 * x1)
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +441,42 @@ class TestLosses:
             assign = {v: state[v] for v in range(any_problem.primary_count)}
             for got, poly in ((lp, any_problem.gp_poly), (lv, any_problem.gv_poly)):
                 assert struct.pack("<d", got) == struct.pack("<d", poly.evaluate(assign))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_ensemble_scoring_matches_per_read_reference(self, any_problem, data):
+        # the batched decode against problem.decode, and losses (policy
+        # surrogates fitted once per anchor) against a per-read refit
+        n = any_problem.primary_count
+        states = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple),
+                                    min_size=1, max_size=16))
+        decoded = merged._decode_states(any_problem, states)
+        assert len(decoded) == len(states)
+        for got, state in zip(decoded, states):
+            assert _bytes(got) == _bytes(any_problem.decode(state))
+
+        def inside(enc, lo_frac):
+            top = enc.scale * enc.max_int
+            return st.floats(lo_frac, 1.0).map(lambda f: f * top)
+
+        anchor = (data.draw(st.floats(0.01, 0.99)), data.draw(inside(any_problem.enc2, 0.0)),
+                  data.draw(inside(any_problem.enc3, 0.01)))
+        reference = data.draw(st.sampled_from([None, TRUTH]))
+        gam_a = gamma_constants(anchor[0], any_problem.grid)
+        gam_r = gamma_constants(TRUTH[0], any_problem.grid)
+        for x1, x2, x3 in decoded:
+            out = losses((x1, x2, x3), any_problem, reference=reference, anchor=anchor)
+            want_unadj = _gp_refit(x1, any_problem.x3_anchor) + any_problem.gammas.evaluate(x2, x3)
+            want_adj = (_gp_refit(x1, anchor[2]), gam_a.evaluate(x2, anchor[2]),
+                        gam_a.evaluate(anchor[1], x3))
+            assert _bytes((out.unadjusted_loss,)) == _bytes((want_unadj,))
+            assert _bytes(out.adjusted_loss) == _bytes(want_adj)
+            if reference is None:
+                assert out.minimum_loss is None
+            else:
+                want_min = (_gp_refit(x1, TRUTH[2]), gam_r.evaluate(x2, TRUTH[2]),
+                            gam_r.evaluate(TRUTH[1], x3))
+                assert _bytes(out.minimum_loss) == _bytes(want_min)
 
     def test_local_minimality_at_truth(self, prob6):
         # flipping any single bit of the truth-snapped state cannot
