@@ -334,24 +334,33 @@ def _rank_bound(weights: Iterable[float]) -> float | None:
     return 4.0 * (mu / (1.0 - mu)) * s * (1.0 + 2.0**-50)
 
 
-def _split_ranking(
-    e_low: np.ndarray, e_high: np.ndarray, cross: np.ndarray, spin: bool
-) -> Iterator[tuple[int, np.ndarray]]:
+def _split_ranking(model: IsingModel | QuboModel) -> Iterator[tuple[int, np.ndarray]]:
     """Approximate energies of every state, in index order and in chunks
     of about 2^_BLOCK_BITS states, as (first state index, flat energies).
     The flat array is a buffer that the next chunk overwrites.
 
-    The low n_lo bits a and the high n_hi bits b of state m = b << n_lo | a
-    split its energy as E(a, b) = E_low[a] + E_high[b] + v(a)^T C v(b),
-    where cross is the (n_lo x n_hi) matrix C of cross couplings and v is
-    the value vector (bits, or spins when spin is set). The cross term is
+    The low n_lo = n // 2 bits a and the high n_hi bits b of state
+    m = b << n_lo | a split its energy as
+    E(a, b) = E_low[a] + E_high[b] + v(a)^T C v(b), where E_low and
+    E_high are the energies of the terms inside each half, C is the
+    (n_lo x n_hi) matrix of cross couplings and v is the value vector
+    (bits, or spins for an Ising model). The cross term is
     (V_low @ C) @ V_high^T over chunks of high states, so no 2^n array is
     ever held.
     """
-    n_lo, n_hi = cross.shape
+    n = model.n
+    n_lo = n // 2
+    n_hi = n - n_lo
+    spin = isinstance(model, IsingModel)
+    e_low = block_energies(_restrict(model, 0, n_lo), 0, 1 << n_lo)
+    e_high = block_energies(_restrict(model, n_lo, n), 0, 1 << n_hi)[:, None]
+    cross = np.zeros((n_lo, n_hi))
+    pairs = model.couplings.items() if spin else model.q.items()
+    for (i, j), w in pairs:
+        if i < n_lo <= j:
+            cross[i, j - n_lo] = w
     low_cross = np.ascontiguousarray((_value_table(n_lo, spin) @ cross).T)
     v_high = _value_table(n_hi, spin)
-    e_high = e_high[:, None]
     rows = 1 << max(0, _BLOCK_BITS - n_lo)
     buf = np.empty((min(rows, 1 << n_hi), 1 << n_lo))
     for b0 in range(0, 1 << n_hi, rows):
@@ -366,27 +375,15 @@ def _split_ranking(
 def _near_minimum(model: IsingModel | QuboModel, weights: list[float]) -> np.ndarray | None:
     """Sorted indices of every state whose split-ranked energy is within
     the proven bound of the approximate minimum; None when every state
-    must be a candidate (the bound would overflow). The split is at
-    n_lo = n // 2."""
+    must be a candidate (the bound would overflow)."""
     bound = _rank_bound(weights)
     if bound is None:
         return None
-    n = model.n
-    n_lo = n // 2
-    spin = isinstance(model, IsingModel)
-    e_low = block_energies(_restrict(model, 0, n_lo), 0, 1 << n_lo)
-    e_high = block_energies(_restrict(model, n_lo, n), 0, 1 << (n - n_lo))
-    cross = np.zeros((n_lo, n - n_lo))
-    pairs = model.couplings.items() if spin else model.q.items()
-    for (i, j), w in pairs:
-        if i < n_lo <= j:
-            cross[i, j - n_lo] = w
-
     emin = np.inf
     thr = np.inf
     found_idx: list[np.ndarray] = []
     found_e: list[np.ndarray] = []
-    for m0, flat in _split_ranking(e_low, e_high, cross, spin):
+    for m0, flat in _split_ranking(model):
         cmin = flat.min()
         if cmin < emin:
             emin = cmin
@@ -417,7 +414,12 @@ def _near_minimum(model: IsingModel | QuboModel, weights: list[float]) -> np.nda
 # full scan, so both take exactly the same entries. Brute force's band
 # around the approximate minimum is not enough here: a record taken
 # before the scan reaches that band moves the running best, and with it
-# which entries inside the band beat it by the tolerance.
+# which entries inside the band beat it by the tolerance. The scan's
+# fold may hold two terms on the same pair of variables, which its model
+# merges into one coefficient: fl(c1 + c2) v = fl(c1 v + c2 v) for v in
+# {-1, 0, 1} is one rounding of a sum of the fold's terms, so e~ is still
+# a sum of the fold's m terms with at most m - 1 roundings, and delta is
+# taken over the fold's own coefficients.
 
 
 def _record_candidates(

@@ -17,7 +17,6 @@ import numpy as np
 
 from .bqm import (
     _BLOCK_BITS,
-    _SCALAR_FOLD_MAX,
     BRUTE_FORCE_MAX_VARS,
     CapacityError,
     IsingModel,
@@ -762,14 +761,25 @@ def _fold(terms, pos: dict[int, int], state: Sequence[int]) -> dict[tuple[int, .
     return local
 
 
+# Up to this many assignments are folded one at a time in Python: the
+# scalar fold costs a few operations per term and assignment, the numpy
+# fold a few calls per term whatever the count. Median per call on the
+# default walk's folds, one BLAS thread: 1 term breaks even near 13
+# assignments, the 7-bit policy fold (28 terms) near 12 and the 14-bit
+# valuation fold (105 terms) near 10. Default one-shot and multi-anneal
+# greedy solves (seeds 1-3) call it with 1, 2, 128, 150 or 154
+# assignments, far from the cut on either side.
+_SCALAR_LOCAL_MAX = 10
+
+
 def _local_energies(local, domain: tuple[int, int], idx: np.ndarray) -> np.ndarray:
     """Folded energies of the group assignments with the given int64
     indices; bit b of index m sets group variable b to domain[(m >> b) & 1].
     Terms add in dict order, one at a time from 0.0, so an assignment's
     energy is the same bit for bit whichever indices share the call; up
-    to _SCALAR_FOLD_MAX assignments are folded one at a time in Python."""
+    to _SCALAR_LOCAL_MAX assignments are folded one at a time in Python."""
     lo, hi = domain
-    if len(idx) <= _SCALAR_FOLD_MAX:
+    if len(idx) <= _SCALAR_LOCAL_MAX:
         out = []
         for m in idx.tolist():
             e = 0.0
@@ -845,17 +855,14 @@ def _split_candidates(local, width: int, domain, e_start: float) -> Iterator[np.
     bound = _rank_bound(local.values())
     if bound is None:
         return None
-    n_lo = width // 2
-    low = {k: c for k, c in local.items() if max(k) < n_lo}
-    high = {k: c for k, c in local.items() if min(k) >= n_lo}
-    cross = np.zeros((n_lo, width - n_lo))
-    for k, c in local.items():
-        if min(k) < n_lo <= max(k):
-            cross[min(k), max(k) - n_lo] += c
-    e_low = _local_energies(low, domain, np.arange(1 << n_lo))
-    e_high = _local_energies(high, domain, np.arange(1 << (width - n_lo)) << n_lo)
-    ranked = _split_ranking(e_low, e_high, cross, domain[0] == -1)
-    return _record_candidates(ranked, e_start, bound)
+    # the fold as a model over the group's bit positions; the model
+    # merges terms on the same positions, which bqm's bound allows for
+    if domain[0] == -1:
+        model = IsingModel(width, {k[0]: c for k, c in local.items() if len(k) == 1},
+                           {k: c for k, c in local.items() if len(k) == 2})
+    else:
+        model = QuboModel(width, {(k[0], k[-1]): c for k, c in local.items()})
+    return _record_candidates(_split_ranking(model), e_start, bound)
 
 
 def _best_assignment(terms, group: tuple[int, ...], domain, state: Sequence[int]) -> int:

@@ -145,12 +145,25 @@ class MergedProblem:
         return sum(1 for r in self.alloc.records if self.x_v in r.term)
 
     def decode(self, state: Sequence[int]) -> tuple[float, float, float]:
-        assign = {v: int(state[v]) for v in range(min(len(state), self.primary_count))}
-        return (
-            self.enc1.decode_assignment(assign),
-            self.enc2.decode_assignment(assign),
-            self.enc3.decode_assignment(assign),
-        )
+        return self.decode_states([state])[0]
+
+    def decode_states(self, states: Sequence[Sequence[int]]) -> list[tuple[float, float, float]]:
+        """(x1, x2, x3) of each state: each register's integer m from its
+        0/1 bits, then scale * m, bit-for-bit BinaryEncoding.encode_value."""
+        bits = np.array([s[:self.x_p] for s in states], dtype=np.int64).reshape(len(states), self.x_p)
+        if ((bits != 0) & (bits != 1)).any():
+            raise ValueError("bit values must be 0 or 1")
+        values = []
+        for enc in (self.enc1, self.enc2, self.enc3):
+            reg = bits[:, enc.var_base:enc.var_base + enc.bit_count]
+            if enc.bit_count <= 62:
+                m = reg @ (1 << np.arange(enc.bit_count))
+                values.append((enc.scale * m.astype(np.float64)).tolist())
+            else:
+                # past 62 bits the weights leave int64: Python integers
+                m = reg.astype(object) @ np.array([1 << j for j in range(enc.bit_count)], dtype=object)
+                values.append([enc.scale * mi for mi in m])
+        return list(zip(*values))
 
     def encode_initial(self, init: tuple[float, float, float] = DEFAULT_INIT) -> tuple[int, ...]:
         """Full classical start state: nearest bits for the parameters,
@@ -180,20 +193,6 @@ class MergedProblem:
         bits[:, :-1] = [s[:self.x_p] for s in states]
         (coef_p, cols_p), (coef_v, cols_v) = self._loss_terms
         return _evaluate(coef_p, cols_p, bits), _evaluate(coef_v, cols_v, bits)
-
-
-def _decode_states(
-    problem: MergedProblem, states: Sequence[Sequence[int]]
-) -> list[tuple[float, float, float]]:
-    """problem.decode of each state, bit-for-bit: each register's integer
-    m from its bits with integer weights, then scale * m, for registers of
-    up to 62 bits."""
-    bits = np.array([s[:problem.x_p] for s in states], dtype=np.int64)
-    values = []
-    for enc in (problem.enc1, problem.enc2, problem.enc3):
-        m = bits[:, enc.var_base:enc.var_base + enc.bit_count] @ (1 << np.arange(enc.bit_count))
-        values.append((enc.scale * m.astype(np.float64)).tolist())
-    return list(zip(*values))
 
 
 def _compiled(poly: Poly, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -557,7 +556,7 @@ def one_shot_ensemble(
     records = sampler(SamplerRequest(problem.qubo, schedule, reads=reads, seed=seed)).records
     # each distinct read is decoded and scored once, then expanded by its
     # occurrences in record order, as expand_states would list it
-    distinct = _decode_states(problem, [r.state for r in records])
+    distinct = problem.decode_states([r.state for r in records])
     for d in distinct:
         _check_read(d, problem)
     g_p, g_v = problem.component_losses([r.state for r in records])

@@ -613,7 +613,7 @@ class TestSplitGreedyStep:
         # States 1 and 5 both have real energy -0.7. The exact fold gives
         # state 1 -0.6999999999999998 and state 5 -0.7, a strict record,
         # while the ranking gives them -0.7000000000000001 and
-        # -0.6999999999999997: only the 2 delta margin keeps state 5, and
+        # -0.6999999999999998: only the 2 delta margin keeps state 5, and
         # a band around the minimum (states 6 and 7) keeps neither.
         local = {(0, 1): 0.3, (0, 2): 0.3, (1, 2): -0.3, (2, 1): -0.5, (0,): -0.4,
                  (1,): -0.4, (2,): -0.5, (1, 0): 0.4, (2, 0): -0.6}
@@ -621,6 +621,20 @@ class TestSplitGreedyStep:
         assert exact[5] < exact[1] < exact[2]
         cands = np.concatenate(list(engines._split_candidates(local, 3, (-1, 1), float(exact[2]))))
         assert cands.tolist() == [1, 5, 6, 7]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 8), st.sampled_from(sorted(SPLIT_COEFFS)), st.booleans())
+    def test_scalar_and_numpy_folds_agree(self, data, width, coeff_kind, spin):
+        keys = st.lists(st.integers(0, width - 1), min_size=1, max_size=3, unique=True).map(tuple)
+        local = data.draw(st.dictionaries(keys, SPLIT_COEFFS[coeff_kind], max_size=30))
+        domain = (-1, 1) if spin else (0, 1)
+        idx = np.array(data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=20)),
+                       dtype=np.int64)
+        with mock.patch.object(engines, "_SCALAR_LOCAL_MAX", 1 << 30):
+            scalar = engines._local_energies(local, domain, idx)
+        with mock.patch.object(engines, "_SCALAR_LOCAL_MAX", -1):
+            vector = engines._local_energies(local, domain, idx)
+        assert scalar.tobytes() == vector.tobytes()
 
     def test_cubic_fold_keeps_the_block_scan(self):
         cubic, _, _ = hc_problem()

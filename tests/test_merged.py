@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import struct
+import types
 from unittest import mock
 
 import numpy as np
@@ -194,6 +195,28 @@ class TestBuild:
     def test_negative_bias_rejected(self):
         with pytest.raises(ValueError, match="bias"):
             build_merged_problem(DEFAULT_PARAMS, bias=-0.1)
+
+    def test_decode_rejects_non_binary_bits(self, prob6):
+        state = list(prob6.encode_initial(TRUTH))
+        state[0] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
+            prob6.decode(state)
+
+    def test_decode_states_past_int64_registers(self):
+        # registers of 63 and 64 bits take Python integer weights
+        wide = types.SimpleNamespace(
+            x_p=130,
+            enc1=BinaryEncoding(0, 2, 0.25),
+            enc2=BinaryEncoding(2, 64, -1e-18),
+            enc3=BinaryEncoding(66, 63, 3e-17),
+        )
+        rng = np.random.default_rng(5)
+        states = [tuple(int(b) for b in rng.integers(0, 2, size=130)) for _ in range(4)]
+        states.append((1,) * 130)
+        for got, state in zip(MergedProblem.decode_states(wide, states), states):
+            assign = dict(enumerate(state))
+            want = tuple(enc.decode_assignment(assign) for enc in (wide.enc1, wide.enc2, wide.enc3))
+            assert _bytes(got) == _bytes(want)
 
     def test_encode_initial(self, prob6):
         state = prob6.encode_initial(TRUTH)
@@ -445,15 +468,20 @@ class TestLosses:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_ensemble_scoring_matches_per_read_reference(self, any_problem, data):
-        # the batched decode against problem.decode, and losses (policy
-        # surrogates fitted once per anchor) against a per-read refit
+        # the batched decode against each register's decode_assignment,
+        # and losses (policy surrogates fitted once per anchor) against a
+        # per-read refit
         n = any_problem.primary_count
         states = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple),
                                     min_size=1, max_size=16))
-        decoded = merged._decode_states(any_problem, states)
+        decoded = any_problem.decode_states(states)
         assert len(decoded) == len(states)
         for got, state in zip(decoded, states):
-            assert _bytes(got) == _bytes(any_problem.decode(state))
+            assign = dict(enumerate(state))
+            want = tuple(enc.decode_assignment(assign)
+                         for enc in (any_problem.enc1, any_problem.enc2, any_problem.enc3))
+            assert _bytes(got) == _bytes(want)
+            assert _bytes(any_problem.decode(state)) == _bytes(want)
 
         def inside(enc, lo_frac):
             top = enc.scale * enc.max_int
