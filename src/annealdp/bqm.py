@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,14 +31,6 @@ _BLOCK_BITS = 14
 
 class CapacityError(Exception):
     """Raised when a problem exceeds an exhaustive-enumeration guard."""
-
-
-class ParseError(ValueError):
-    """Malformed model or polynomial text. Carries a 1-based line number."""
-
-    def __init__(self, message: str, lineno: int):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
 
 
 def _canonical_pair(i: int, j: int) -> tuple[int, int]:
@@ -519,70 +511,6 @@ def brute_force(
         argmin_states=tuple(to_state(k) for k in argmin_idx),
         spectrum=spectrum,
     )
-
-
-def write_model(model: IsingModel | QuboModel, path: str) -> None:
-    """Serialise to the shared text format.
-
-    Header `qubo n=<N>` or `ising n=<N>`, then one `i j coefficient`
-    line per stored term (i == j for linear terms), `#` for comments.
-    """
-    lines = []
-    if isinstance(model, QuboModel):
-        lines.append(f"qubo n={model.n}")
-        for (i, j), w in sorted(model.q.items()):
-            lines.append(f"{i} {j} {w!r}")
-    else:
-        lines.append(f"ising n={model.n}")
-        for i, h in sorted(model.biases.items()):
-            lines.append(f"{i} {i} {h!r}")
-        for (i, j), w in sorted(model.couplings.items()):
-            lines.append(f"{i} {j} {w!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_model(path: str) -> IsingModel | QuboModel:
-    """Parse the text format written by write_model. Raises ParseError."""
-    with open(path) as fh:
-        raw = fh.readlines()
-    header: tuple[str, int] | None = None
-    entries: list[tuple[int, int, float]] = []
-    for lineno, line in enumerate(raw, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if header is None:
-            parts = text.split()
-            if len(parts) != 2 or parts[0] not in ("qubo", "ising") or not parts[1].startswith("n="):
-                raise ParseError(f"expected 'qubo n=<N>' or 'ising n=<N>', got {text!r}", lineno)
-            try:
-                header = (parts[0], int(parts[1][2:]))
-            except ValueError:
-                raise ParseError(f"bad variable count in {text!r}", lineno) from None
-            continue
-        parts = text.split()
-        if len(parts) != 3:
-            raise ParseError(f"expected 'i j coefficient', got {text!r}", lineno)
-        try:
-            entries.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        except ValueError:
-            raise ParseError(f"bad term {text!r}", lineno) from None
-    if header is None:
-        raise ParseError("empty model file", len(raw) or 1)
-    kind, n = header
-    # repeated lines accumulate here; the constructors fold transposed pairs
-    terms: dict[tuple[int, int], float] = {}
-    for i, j, w in entries:
-        terms[(i, j)] = terms.get((i, j), 0.0) + w
-    try:
-        if kind == "qubo":
-            return QuboModel(n, terms)
-        biases = {i: w for (i, j), w in terms.items() if i == j}
-        couplings = {(i, j): w for (i, j), w in terms.items() if i != j}
-        return IsingModel(n, biases, couplings)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1) from None
 
 
 def random_ising(n: int, rng: np.random.Generator, density: float = 0.5) -> IsingModel:

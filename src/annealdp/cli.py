@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bqm import CapacityError, ParseError, QuboModel, brute_force, qubo_energy
+from .bqm import CapacityError, QuboModel, brute_force, qubo_energy
 from .engines import (
     Sampler,
     SamplerRequest,
@@ -44,7 +44,7 @@ from .merged import (
     multi_anneal_ppi,
     one_shot_ppi,
 )
-from .pbf import BinaryEncoding, Poly, read_poly, to_qubo, write_poly
+from .pbf import BinaryEncoding, ParseError, Poly, read_poly, to_qubo, write_poly
 from .quadratize import min_over_aux, quadratize_full
 from .rbc import (
     DEFAULT_INIT,

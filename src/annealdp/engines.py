@@ -27,7 +27,7 @@ from .bqm import (
     term_energies,
 )
 from .pbf import Poly
-from .schedules import AnnealSchedule, GroupedSchedule, fraction_table
+from .schedules import AnnealSchedule, fraction_table
 
 STATE_VECTOR_MAX_VARS = 16
 
@@ -73,10 +73,6 @@ class SamplerRequest:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        sched = self.schedule
-        if isinstance(sched, GroupedSchedule):
-            sched = sched.schedule
-            object.__setattr__(self, "schedule", sched)
         if self.reads < 1:
             raise ValueError("reads must be >= 1")
         if self.initial_state is not None:

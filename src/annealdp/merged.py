@@ -43,6 +43,7 @@ from .rbc import (
     DEFAULT_INIT,
     DEFAULT_PARAMS,
     CollocationGrid,
+    DegenerateEstimateError,
     GammaConstants,
     PpiState,
     RbcParams,
@@ -54,7 +55,7 @@ from .rbc import (
     gamma_constants,
     true_parameters,
 )
-from .schedules import GroupedSchedule, grouped_cycle_schedule
+from .schedules import AnnealSchedule, grouped_cycle_schedule
 
 # Per-anneal schedule lengths printed for the one- and three-cycle runs
 # are 23 and 115 microseconds; 23(2C - 1) reproduces both.
@@ -303,7 +304,7 @@ def merged_schedule(
     reversal_target: float = 0.0,
     down_fraction: float = 0.2,
     hold_fraction: float = 0.0,
-) -> GroupedSchedule:
+) -> AnnealSchedule:
     """Grouped reverse anneal over the problem's two blocks.
 
     Auxiliaries are always active so each block's gadgets relax with it.
@@ -374,7 +375,7 @@ def greedy_merged_sampler(problem: MergedProblem, req: SamplerRequest) -> Sample
 def multi_anneal_ppi(
     problem: MergedProblem,
     sampler: Sampler | None = None,
-    schedule: GroupedSchedule | None = None,
+    schedule: AnnealSchedule | None = None,
     reads: int = 50,
     init: tuple[float, float, float] = DEFAULT_INIT,
     seed: int = 0,
@@ -385,6 +386,8 @@ def multi_anneal_ppi(
     starts from `init`. Terminal energies are all zero (activations
     drop), so the two objective components are reconstructed per read
     and the parameters come from the per-objective lowest-loss reads.
+    x1 comes from the lowest-policy-loss read that decodes it inside
+    (0, 1); DegenerateEstimateError is raised when no read does.
     The sampler defaults to heuristic_anneal.
     """
     if sampler is None:
@@ -397,17 +400,22 @@ def multi_anneal_ppi(
         raise ValueError("multi-anneal reads continue from terminal states; "
                          "build the schedule with reinitialize=False")
     records = sampler(req).records
-    # each distinct read is scored once, then expanded by its occurrences
-    # in record order, as expand_states would list it
+    # each distinct read is decoded and scored once, then expanded by its
+    # occurrences in record order, as expand_states would list it
+    distinct = problem.decode_states([r.state for r in records])
     g_p, g_v = problem.component_losses([r.state for r in records])
-    states = [r.state for r in records for _ in range(r.occurrences)]
+    decoded = [d for d, r in zip(distinct, records) for _ in range(r.occurrences)]
     scored = [pair for pair, r in zip(zip(g_p.tolist(), g_v.tolist()), records)
               for _ in range(r.occurrences)]
-    # the lowest read per objective, the first one on ties
-    best_p = _keep_lowest([lp for lp, _ in scored], 1.0)[0]
+    # the lowest read per objective, the first one on ties; the policy
+    # pick skips reads whose x1 anchors no valuation step
+    usable = [i for i, d in enumerate(decoded) if 0.0 < d[0] < 1.0]
+    if not usable:
+        raise DegenerateEstimateError("no read decodes x1 in (0, 1)")
+    best_p = usable[_keep_lowest([scored[i][0] for i in usable], 1.0)[0]]
     best_v = _keep_lowest([lv for _, lv in scored], 1.0)[0]
-    x1 = problem.decode(states[best_p])[0]
-    _, x2, x3 = problem.decode(states[best_v])
+    x1 = decoded[best_p][0]
+    _, x2, x3 = decoded[best_v]
     return PpiState(
         x1=x1,
         x2=x2,
@@ -533,7 +541,7 @@ def _scorer(
 def one_shot_ensemble(
     problem: MergedProblem,
     sampler: Sampler | None = None,
-    schedule: GroupedSchedule | None = None,
+    schedule: AnnealSchedule | None = None,
     reads: int = 200,
     cycles: int = 3,
     keep_fraction: float = 0.1,
@@ -572,7 +580,7 @@ def one_shot_ensemble(
 def one_shot_ppi(
     problem: MergedProblem,
     sampler: Sampler | None = None,
-    schedule: GroupedSchedule | None = None,
+    schedule: AnnealSchedule | None = None,
     reads: int = 200,
     cycles: int = 3,
     keep_fraction: float = 0.1,

@@ -10,11 +10,19 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .bqm import ParseError, QuboModel
+from .bqm import QuboModel
 
 PRUNE_TOL = 1e-12
 
 Assignment = Union[Mapping[int, float], Sequence[float]]
+
+
+class ParseError(ValueError):
+    """Malformed polynomial text. Carries a 1-based line number."""
+
+    def __init__(self, message: str, lineno: int):
+        super().__init__(f"line {lineno}: {message}")
+        self.lineno = lineno
 
 
 class EncodingRangeWarning(UserWarning):

@@ -1,16 +1,13 @@
 """Annealing schedules: global and per-variable piecewise-linear anneal
-fraction paths, factory functions for the shapes the experiments use,
-and CSV serialization of grouped schedules."""
+fraction paths and factory functions for the shapes the experiments use."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-from .bqm import ParseError
 
 Path = tuple[tuple[float, float], ...]
 
@@ -120,34 +117,6 @@ def forward_schedule(total_time: float) -> AnnealSchedule:
     return AnnealSchedule(total_time, ((0.0, 0.0), (total_time, 1.0)))
 
 
-def reverse_schedule(total_time: float, reversal_target: float = 0.0, hold: float = 0.0) -> AnnealSchedule:
-    """Reverse anneal: s runs 1 -> target -> 1, with an optional hold
-    plateau at the bottom taking `hold` fraction of the total time."""
-    if not 0.0 <= hold < 1.0:
-        raise ValueError("hold must lie in [0, 1)")
-    t_lo = total_time * (1.0 - hold) / 2.0
-    t_hi = total_time * (1.0 + hold) / 2.0
-    pts = [(0.0, 1.0), (t_lo, reversal_target)]
-    if hold > 0.0:
-        pts.append((t_hi, reversal_target))
-    pts.append((total_time, 1.0))
-    return AnnealSchedule(total_time, tuple(pts), reversal_target=reversal_target)
-
-
-@dataclass(frozen=True)
-class GroupedSchedule:
-    """An AnnealSchedule plus the group structure that produced it, kept
-    for serialization and reporting."""
-
-    schedule: AnnealSchedule
-    groups: tuple[tuple[int, ...], ...]
-    always_active: tuple[int, ...] = ()
-
-    @property
-    def total_time(self) -> float:
-        return self.schedule.total_time
-
-
 def grouped_cycle_schedule(
     total_time: float,
     groups: Sequence[Iterable[int]],
@@ -157,7 +126,7 @@ def grouped_cycle_schedule(
     reinitialize: bool = True,
     down_fraction: float = 0.2,
     hold_fraction: float = 0.0,
-) -> GroupedSchedule:
+) -> AnnealSchedule:
     """Inhomogeneous reverse anneal in group windows.
 
     Time splits into cycles x len(groups) equal windows. Within window w
@@ -208,7 +177,7 @@ def grouped_cycle_schedule(
             pts.append((end, 1.0))
             paths[v].extend(pts)
     variable_paths = {v: tuple(pts) for v, pts in paths.items()}
-    schedule = AnnealSchedule(
+    return AnnealSchedule(
         total_time,
         ((0.0, 1.0), (total_time, 1.0)),
         variable_paths=variable_paths,
@@ -216,104 +185,3 @@ def grouped_cycle_schedule(
         cycles=cycles,
         reinitialize=reinitialize,
     )
-    return GroupedSchedule(schedule, groups, always)
-
-
-def write_schedule_csv(gs: GroupedSchedule, path: str) -> None:
-    """CSV of (time_us, group, fraction) breakpoints.
-
-    Group membership and schedule scalars ride along in `#` comments so
-    the file is self-describing.
-    """
-    sched = gs.schedule
-    lines = [
-        f"# total_time_us={sched.total_time!r} cycles={sched.cycles}"
-        f" reversal_target={sched.reversal_target!r} reinitialize={int(sched.reinitialize)}",
-    ]
-    for gi, g in enumerate(gs.groups):
-        lines.append(f"# group g{gi}: {' '.join(str(v) for v in g)}")
-    if gs.always_active:
-        lines.append(f"# group always: {' '.join(str(v) for v in gs.always_active)}")
-    lines.append("time_us,group,fraction")
-    for t, f in sched.breakpoints:
-        lines.append(f"{t!r},global,{f!r}")
-    emitted: set[int] = set()
-    for gi, g in enumerate(gs.groups):
-        rep = g[0]
-        for t, f in (sched.variable_paths or {}).get(rep, ()):
-            lines.append(f"{t!r},g{gi},{f!r}")
-        emitted |= set(g)
-    if gs.always_active:
-        rep = gs.always_active[0]
-        for t, f in (sched.variable_paths or {}).get(rep, ()):
-            lines.append(f"{t!r},always,{f!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_schedule_csv(path: str) -> GroupedSchedule:
-    """Parse the CSV written by write_schedule_csv. Raises ParseError on
-    malformed text and on values AnnealSchedule rejects."""
-    with open(path) as fh:
-        raw = fh.readlines()
-    meta: dict[str, float] = {}
-    group_vars: dict[str, tuple[int, ...]] = {}
-    rows: list[tuple[float, str, float]] = []
-    for lineno, line in enumerate(raw, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            body = text[1:].strip()
-            if body.startswith("group "):
-                try:
-                    name, members = body[len("group "):].split(":", 1)
-                    name = name.strip()
-                    if name != "always" and not (name[:1] == "g" and name[1:].isdecimal()):
-                        raise ValueError(name)
-                    group_vars[name] = tuple(int(v) for v in members.split())
-                except ValueError:
-                    raise ParseError(f"bad group line {text!r}", lineno) from None
-            else:
-                for tok in body.split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        try:
-                            meta[k] = float(v)
-                        except ValueError:
-                            raise ParseError(f"bad header value {tok!r}", lineno) from None
-            continue
-        if text.startswith("time_us"):
-            continue
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"expected 'time_us,group,fraction', got {text!r}", lineno)
-        try:
-            rows.append((float(parts[0]), parts[1].strip(), float(parts[2])))
-        except ValueError:
-            raise ParseError(f"bad row {text!r}", lineno) from None
-    if "total_time_us" not in meta:
-        raise ParseError("missing total_time_us header comment", 1)
-    global_path = tuple((t, f) for t, g, f in rows if g == "global")
-    variable_paths: dict[int, Path] = {}
-    for name, members in group_vars.items():
-        gpath = tuple((t, f) for t, g, f in rows if g == name)
-        for v in members:
-            variable_paths[v] = gpath
-    try:
-        schedule = AnnealSchedule(
-            meta["total_time_us"],
-            global_path,
-            variable_paths=variable_paths or None,
-            reversal_target=meta.get("reversal_target", 0.0),
-            cycles=int(meta.get("cycles", 1)),
-            reinitialize=bool(int(meta.get("reinitialize", 1))),
-        )
-    except (ValueError, OverflowError) as exc:
-        # OverflowError: an infinite cycles or reinitialize value
-        raise ParseError(str(exc), 1) from None
-    # the writer names group k "g<k>": order by k, not by the name's text
-    indexed = sorted((int(k[1:]), v) for k, v in group_vars.items() if k != "always")
-    groups = tuple(v for _, v in indexed)
-    always = group_vars.get("always", ())
-    return GroupedSchedule(schedule, groups, tuple(always))

@@ -15,7 +15,6 @@ from annealdp.bqm import (
     BRUTE_FORCE_MAX_VARS,
     CapacityError,
     IsingModel,
-    ParseError,
     QuboModel,
     block_energies,
     brute_force,
@@ -25,8 +24,6 @@ from annealdp.bqm import (
     qubo_energy,
     qubo_to_ising,
     random_ising,
-    read_model,
-    write_model,
 )
 from annealdp.rbc import combinatorial_ppi
 
@@ -394,51 +391,6 @@ class TestSplitEnumeration:
             for keep in (False, True):
                 with pytest.raises(ValueError, match="finite"):
                     brute_force(model, keep_spectrum=keep)
-
-
-class TestSerialization:
-    def test_roundtrip_ising(self, tmp_path):
-        path = tmp_path / "model.txt"
-        write_model(TWO_SPIN, str(path))
-        back = read_model(str(path))
-        assert isinstance(back, IsingModel)
-        assert back == TWO_SPIN
-
-    def test_roundtrip_qubo_preserves_floats(self, tmp_path):
-        m = QuboModel(3, {(0, 0): 1 / 3, (0, 2): -math.pi, (1, 1): 1e-17})
-        path = tmp_path / "model.txt"
-        write_model(m, str(path))
-        back = read_model(str(path))
-        assert back == m
-
-    def test_comments_and_blank_lines(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_text("# a comment\n\nqubo n=2\n0 0 1.0  # trailing\n0 1 -2.0\n")
-        m = read_model(str(path))
-        assert m == QuboModel(2, {(0, 0): 1.0, (0, 1): -2.0})
-
-    @pytest.mark.parametrize("kind", ["qubo", "ising"])
-    def test_repeated_and_transposed_lines_accumulate(self, tmp_path, kind):
-        path = tmp_path / "model.txt"
-        path.write_text(f"{kind} n=3\n0 0 0.5\n0 2 1.0\n0 0 0.25\n0 2 2.0\n2 0 -0.5\n1 2 4.0\n")
-        m = read_model(str(path))
-        if kind == "qubo":
-            assert m == QuboModel(3, {(0, 0): 0.75, (0, 2): 2.5, (1, 2): 4.0})
-        else:
-            assert m == IsingModel(3, {0: 0.75}, {(0, 2): 2.5, (1, 2): 4.0})
-
-    def test_parse_errors_carry_line_numbers(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_text("qubo n=2\n0 nope 1.0\n")
-        with pytest.raises(ParseError) as exc:
-            read_model(str(path))
-        assert exc.value.lineno == 2
-        path.write_text("spins n=2\n")
-        with pytest.raises(ParseError):
-            read_model(str(path))
-        path.write_text("# nothing here\n")
-        with pytest.raises(ParseError):
-            read_model(str(path))
 
 
 @settings(max_examples=40, deadline=None)

@@ -247,6 +247,15 @@ class TestSolve:
                    "--out-dir", str(out)])
         assert rc == EXIT_OK
 
+    def test_multi_anneal_skips_degenerate_reads(self, tmp_path):
+        # the lowest-policy-loss read decodes x1 = 0; the next one is kept
+        out = tmp_path / "out"
+        rc = main(["solve", "--algorithm", "multi-anneal", "--engine", "heuristic",
+                   "--reads", "4", "--seed", "1815163413", "--out-dir", str(out)])
+        assert rc == EXIT_OK
+        assert (out / "multi_anneal_summary.csv").is_file()
+        assert (out / "multi_anneal_iterations.csv").is_file()
+
     def test_merged_statevector_rejected(self, tmp_path, capsys):
         rc = main(["solve", "--algorithm", "one-shot", "--engine", "statevector",
                    "--out-dir", str(tmp_path)])
@@ -258,9 +267,9 @@ class TestSolve:
         ("--algorithm", "one-shot", "--j1", "1", "--j2", "1", "--j3", "1", "--reads", "1"),
         # a negative slope register cannot hold a positive x3
         ("--algorithm", "hybrid", "--engine", "heuristic", "--s2", "0.5", "--s3", "-0.5"),
-        # the lowest-policy-loss read decodes x1 = 0
-        ("--algorithm", "multi-anneal", "--engine", "heuristic", "--reads", "4",
-         "--seed", "1815163413"),
+        # the only read decodes x1 = 0
+        ("--algorithm", "multi-anneal", "--engine", "heuristic", "--reads", "1",
+         "--seed", "102"),
         # the kept reads average to x1 = 0, which anchors no valuation step
         ("--algorithm", "one-shot", "--j1", "1", "--j2", "2", "--j3", "1", "--reads", "2",
          "--sweeps", "7", "--seed", "13844", "--k-count", "5", "--cycles", "2",

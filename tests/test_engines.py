@@ -46,8 +46,16 @@ from annealdp.schedules import (
     AnnealSchedule,
     forward_schedule,
     grouped_cycle_schedule,
-    reverse_schedule,
 )
+
+
+def reverse_with_hold(total, target, hold):
+    """Reverse anneal on the global path: s runs 1 -> target, holds there
+    for `hold` of the total time, then returns to 1."""
+    lo, hi = total * (1.0 - hold) / 2.0, total * (1.0 + hold) / 2.0
+    return AnnealSchedule(total, ((0.0, 1.0), (lo, target), (hi, target), (total, 1.0)),
+                          reversal_target=target)
+
 
 # Two-spin instance from the worked tables: ground (-1, -1) at -1.0.
 TABLE1 = IsingModel(2, {0: 0.5, 1: -0.3}, {(0, 1): -0.8})
@@ -762,7 +770,7 @@ def heuristic_requests(draw, models=anneal_models()):
         sched = forward_schedule(total)
     elif shape == "reverse":
         hold = draw(st.sampled_from([0.0, 0.25, 0.5]))
-        sched = reverse_schedule(total, draw(st.sampled_from([0.0, 0.4])), hold=hold)
+        sched = reverse_with_hold(total, draw(st.sampled_from([0.0, 0.4])), hold)
     else:
         perm = list(draw(st.permutations(range(n))))
         cut = draw(st.integers(1, n))
@@ -771,7 +779,7 @@ def heuristic_requests(draw, models=anneal_models()):
         sched = grouped_cycle_schedule(
             max(total, 1.0), groups, cycles=draw(st.integers(1, 2)),
             reversal_target=draw(st.sampled_from([0.0, 0.3])), always_active=always,
-            down_fraction=0.4, hold_fraction=draw(st.sampled_from([0.0, 0.2]))).schedule
+            down_fraction=0.4, hold_fraction=draw(st.sampled_from([0.0, 0.2])))
     sched = dataclasses.replace(sched, reinitialize=draw(st.booleans()))
     domain = (0, 1) if isinstance(model, QuboModel) else (-1, 1)
     initial = None
@@ -1055,11 +1063,11 @@ def integrator_requests(draw, sizes, reads=1):
         sched, initial = forward_schedule(2.0), None
     else:
         if shape == "reverse":
-            sched = reverse_schedule(2.0, 0.2, hold=0.3)
+            sched = reverse_with_hold(2.0, 0.2, 0.3)
         else:
             groups = [tuple(range(0, n, 2)), tuple(range(1, n, 2))]
             sched = grouped_cycle_schedule(
-                3.0, [g for g in groups if g], down_fraction=0.3).schedule
+                3.0, [g for g in groups if g], down_fraction=0.3)
         initial = tuple(domain[int(b)] for b in rng.integers(0, 2, n))
     if reads > 1:
         sched = dataclasses.replace(sched, reinitialize=False)
@@ -1105,10 +1113,10 @@ def sampling_case(c):
         sched = forward_schedule(2.0)
     else:
         if shape == "reverse":
-            sched = reverse_schedule(2.0, 0.2, hold=0.3)
+            sched = reverse_with_hold(2.0, 0.2, 0.3)
         else:
             groups = [tuple(range(0, n, 2)), tuple(range(1, n, 2))]
-            sched = grouped_cycle_schedule(3.0, groups, down_fraction=0.3).schedule
+            sched = grouped_cycle_schedule(3.0, groups, down_fraction=0.3)
         initial = tuple(domain[int(b)] for b in rng.integers(0, 2, n))
     return SamplerRequest(model, sched, reads=200, initial_state=initial, seed=c), convention
 

@@ -38,6 +38,7 @@ from annealdp.pbf import BinaryEncoding, from_qubo, to_qubo
 from annealdp.quadratize import min_over_aux
 from annealdp.rbc import (
     DEFAULT_PARAMS,
+    DegenerateEstimateError,
     _keep_lowest,
     analytic_policy_update,
     build_gv_pbo,
@@ -47,7 +48,13 @@ from annealdp.rbc import (
     gamma_constants,
     true_parameters,
 )
-from annealdp.engines import SamplerRequest, sequential_greedy
+from annealdp.engines import (
+    SampleRecord,
+    SampleSet,
+    SamplerRequest,
+    TimingReport,
+    sequential_greedy,
+)
 
 TRUTH = (0.3135, -18.116633445402133, 1.4566642388929352)
 
@@ -287,24 +294,28 @@ class TestExhaustiveCorrectness:
 class TestSchedule:
     def test_groups_pair_bits_with_activation(self, prob6):
         sched = merged_schedule(prob6)
-        assert sched.groups[0] == prob6.enc1.vars + (prob6.x_p,)
-        assert sched.groups[1] == prob6.enc2.vars + prob6.enc3.vars + (prob6.x_v,)
-        assert sched.always_active == prob6.aux_vars
+        width = sched.total_time / 2
+        # variables below 0.5 at the bottom of each window's dip
+        dipped = [{v for v in range(prob6.n_vars) if sched.s_at((w + 0.2) * width, v) < 0.5}
+                  for w in range(2)]
+        aux = set(prob6.aux_vars)
+        assert dipped[0] == set(prob6.enc1.vars + (prob6.x_p,)) | aux
+        assert dipped[1] == set(prob6.enc2.vars + prob6.enc3.vars + (prob6.x_v,)) | aux
 
     @pytest.mark.parametrize("cycles,total", [(1, 23.0), (3, 115.0), (5, 207.0)])
     def test_default_times(self, prob6, cycles, total):
         sched = merged_schedule(prob6, cycles=cycles)
-        assert sched.schedule.total_time == pytest.approx(total)
+        assert sched.total_time == pytest.approx(total)
         assert total == pytest.approx(CYCLE_BASE_US * (2 * cycles - 1))
 
     def test_full_reversal_and_reinit_flag(self, prob6):
         sched = merged_schedule(prob6, reinitialize=False)
-        assert sched.schedule.reversal_target == 0.0
-        assert not sched.schedule.reinitialize
-        assert merged_schedule(prob6).schedule.reinitialize
+        assert sched.reversal_target == 0.0
+        assert not sched.reinitialize
+        assert merged_schedule(prob6).reinitialize
 
     def test_policy_block_moves_first(self, prob6):
-        sched = merged_schedule(prob6).schedule
+        sched = merged_schedule(prob6)
         half = sched.total_time / 2
         # window bottoms: each group's fraction dips to the reversal
         # target inside its own window and pins at 1 elsewhere
@@ -562,6 +573,34 @@ class TestMultiAnneal:
         assert 0.0 < state.x1 < 1.0
         assert 2 * TRUTH[1] <= state.x2 <= 0.0
         assert 0.0 <= state.x3 <= 2 * TRUTH[2]
+
+    @staticmethod
+    def stub(states_and_counts):
+        """A sampler returning these (state, occurrences) records."""
+        def sampler(req):
+            records = tuple(SampleRecord(s, 0.0, c) for s, c in states_and_counts)
+            return SampleSet(records, TimingReport(req.reads, 5.0))
+        return sampler
+
+    def test_policy_pick_skips_degenerate_reads(self, prob_small):
+        at_zero = prob_small.encode_initial((0.0, TRUTH[1], TRUTH[2]))
+        inside = prob_small.encode_initial((0.875, TRUTH[1], 0.5))
+        g_p, g_v = prob_small.component_losses([at_zero, inside])
+        # the lowest policy loss sits on the read that decodes x1 = 0
+        assert g_p[0] < g_p[1]
+        sampler = self.stub([(at_zero, 2), (inside, 1)])
+        state = multi_anneal_ppi(prob_small, sampler=sampler, reads=3)
+        assert state.x1 == prob_small.decode(inside)[0] == 0.875
+        # the valuation pick still takes the lowest read of all
+        lowest_v = (at_zero, inside)[int(np.argmin(g_v))]
+        assert (state.x2, state.x3) == prob_small.decode(lowest_v)[1:]
+
+    def test_all_degenerate_reads_raise(self, prob_small):
+        at_zero = prob_small.encode_initial((0.0, TRUTH[1], TRUTH[2]))
+        also_zero = prob_small.encode_initial((0.0, TRUTH[1], 0.5))
+        sampler = self.stub([(at_zero, 1), (also_zero, 2)])
+        with pytest.raises(DegenerateEstimateError, match="x1"):
+            multi_anneal_ppi(prob_small, sampler=sampler, reads=3)
 
 
 class TestOneShot:

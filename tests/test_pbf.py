@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annealdp.bqm import ParseError, qubo_energy
+from annealdp.bqm import qubo_energy
 from annealdp.pbf import (
     PRUNE_TOL,
     BinaryEncoding,
     EncodingRangeWarning,
     LogCoefficients,
+    ParseError,
     Poly,
     from_qubo,
     ln_1mx_poly,
