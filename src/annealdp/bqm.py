@@ -1,17 +1,18 @@
 """Binary quadratic models: Ising and QUBO containers plus exact tooling.
 
 Both model classes store sparse coefficient dicts keyed by canonical
-index pairs. An energy is the fold of its terms in dict insertion order;
-term_energies vectorises that fold and reproduces the scalar sums
-bit-for-bit. brute_force ranks states approximately with gemms, within
-a proven rounding bound, and reports only those exact folds.
+index pairs. An energy is the fold of its terms in dict insertion order:
+energy_terms lists them, and fold_values and fold_indices add any such
+term list over many states at once, bit-for-bit equal to the scalar
+sums. brute_force ranks states approximately with gemms, within a proven
+rounding bound, and reports only those exact folds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -203,78 +204,95 @@ def energy_of_bits(model: IsingModel | QuboModel, bits: BinaryState) -> float:
     return ising_energy(model, [2 * b - 1 for b in bits])
 
 
-def term_energies(
-    model: IsingModel | QuboModel, value: Callable[[int], np.ndarray], size: int
-) -> np.ndarray:
-    """Energies of `size` states, where value(i) is variable i's value in
-    each state, in the model's native domain.
-
-    Terms accumulate in dict order; each term is the coefficient times a
-    product with a value in {-1, 0, 1}, so every partial sum is identical
-    to the scalar path and entries agree bit-for-bit with energy_of_bits.
-    """
-    energies = np.zeros(size, dtype=np.float64)
+def energy_terms(model: IsingModel | QuboModel) -> list[tuple[tuple[int, ...], float]]:
+    """(variables, coefficient) per term, in the order energy_of_bits adds
+    them: an Ising model's biases, then its couplings; a QUBO's entries in
+    dict order, a diagonal entry as a one-variable term."""
     if isinstance(model, IsingModel):
-        for i, h in model.biases.items():
-            energies += h * value(i)
-        for (i, j), w in model.couplings.items():
-            energies += w * (value(i) * value(j))
-    else:
-        for (i, j), w in model.q.items():
-            if i == j:
-                energies += w * value(i)
-            else:
-                energies += w * (value(i) * value(j))
-    return energies
+        return [((i,), h) for i, h in model.biases.items()] + list(model.couplings.items())
+    return [((i,) if i == j else (i, j), w) for (i, j), w in model.q.items()]
 
 
-def _bit_values(idx: np.ndarray, spin: bool) -> Callable[[int], np.ndarray]:
-    """value(i) for term_energies: bit i of each state index, as a spin
-    when spin is set. Each variable's column is built once."""
-    cols: dict[int, np.ndarray] = {}
-
-    def var(i: int) -> np.ndarray:
-        if i not in cols:
-            b = ((idx >> np.uint64(i)) & np.uint64(1)).astype(np.float64)
-            cols[i] = 2.0 * b - 1.0 if spin else b
-        return cols[i]
-
-    return var
+def value_domain(model) -> tuple[int, int]:
+    """A variable's (off, on) values: spins for an Ising model, else bits."""
+    return (-1, 1) if isinstance(model, IsingModel) else (0, 1)
 
 
-# Up to this many states are folded one at a time by energy_of_bits: a
-# term costs it a few Python operations per state, but term_energies a
-# few numpy calls whatever the state count (about 20 states break even).
+# The exact fold. A term is its coefficient times its variables' values,
+# each -1, 0 or 1, so every term is exactly +-c or a zero, whatever the
+# order of its products. The terms are added in the order given, one at
+# a time from 0.0, so a state's energy is the same bit for bit whichever
+# entry or branch scores it and whichever states share the call: over
+# energy_terms it is energy_of_bits, over a Poly's terms Poly.evaluate.
+
+# Up to this many states are folded one at a time in Python: that costs a
+# few operations per term and state, the numpy fold a few calls per term
+# whatever the state count. Median per call, one BLAS thread, on every
+# term list the benchmark workloads fold (1 to 471 terms: the greedy
+# group, activation and merged-polynomial folds, g_p and g_v, the
+# one-shot QUBO, the combinatorial and hybrid valuation QUBOs and their
+# split halves): the two break even near 16 states, and near 4-8 for a
+# 1-term fold. The workloads fold 1, 2, 64, 73, 128, 154, 200 or 512
+# states per call, far from the cut on either side.
 _SCALAR_FOLD_MAX = 16
 
 
-def _fold_energies(model: IsingModel | QuboModel, idx: np.ndarray) -> np.ndarray:
-    """Exact energies of the bit states with the given uint64 indices, in
-    2^_BLOCK_BITS chunks: term_energies' dict-order fold, bit-for-bit
-    equal to energy_of_bits. State index k encodes bit i as (k >> i) & 1."""
-    if len(idx) <= _SCALAR_FOLD_MAX:
-        n = model.n
-        return np.array([energy_of_bits(model, [(k >> i) & 1 for i in range(n)])
-                         for k in idx.tolist()], dtype=np.float64)
-    out = np.empty(len(idx), dtype=np.float64)
+def fold_values(terms: Iterable[tuple[Iterable[int], float]], cols: np.ndarray) -> np.ndarray:
+    """Energies of the states whose values are the columns of `cols`
+    (row v holds variable v's value in each state). A term without
+    variables, a polynomial's constant, adds its coefficient. Up to
+    _SCALAR_FOLD_MAX states are folded one at a time in Python; the
+    terms are then read once per state, so pass a list or a dict view,
+    not a generator."""
+    if cols.shape[1] <= _SCALAR_FOLD_MAX:
+        out = []
+        for x in cols.T.tolist():
+            e = 0.0
+            for vars_, c in terms:
+                for v in vars_:
+                    c *= x[v]
+                e += c
+            out.append(e)
+        return np.array(out, dtype=np.float64)
+    energies = np.zeros(cols.shape[1])
+    for vars_, c in terms:
+        term = c
+        for v in vars_:
+            term = term * cols[v]
+        energies += term
+    return energies
+
+
+def fold_indices(
+    terms: Iterable[tuple[Iterable[int], float]],
+    idx: np.ndarray,
+    n: int,
+    domain: tuple[int, int] = (0, 1),
+) -> np.ndarray:
+    """Energies of the states over n variables with the given int64
+    indices, by fold_values in chunks of 2^_BLOCK_BITS states: bit v of
+    index m sets variable v to domain[(m >> v) & 1]."""
+    values = np.array(domain, dtype=np.float64)
+    shifts = np.arange(n)[:, None]
+    out = np.empty(len(idx))
     step = 1 << _BLOCK_BITS
-    spin = isinstance(model, IsingModel)
     for start in range(0, len(idx), step):
         chunk = idx[start:start + step]
-        out[start:start + len(chunk)] = term_energies(model, _bit_values(chunk, spin), len(chunk))
+        out[start:start + len(chunk)] = fold_values(terms, values[(chunk >> shifts) & 1])
     return out
+
+
+def _fold_energies(model: IsingModel | QuboModel, idx: np.ndarray) -> np.ndarray:
+    """Exact energies of the model's bit states with the given int64
+    indices, bit-for-bit equal to energy_of_bits. State index k encodes
+    bit i as (k >> i) & 1."""
+    return fold_indices(energy_terms(model), idx, model.n, value_domain(model))
 
 
 def block_energies(model: IsingModel | QuboModel, start: int, stop: int) -> np.ndarray:
     """Energies of the bit states with indices [start, stop), bit-for-bit
     equal to energy_of_bits. State index k encodes bit i as (k >> i) & 1."""
-    return _fold_energies(model, np.arange(start, stop, dtype=np.uint64))
-
-
-def _weights(model: IsingModel | QuboModel) -> list[float]:
-    if isinstance(model, IsingModel):
-        return [*model.biases.values(), *model.couplings.values()]
-    return list(model.q.values())
+    return _fold_energies(model, np.arange(start, stop, dtype=np.int64))
 
 
 def _restrict(model: IsingModel | QuboModel, lo: int, hi: int) -> IsingModel | QuboModel:
@@ -381,7 +399,7 @@ def _near_minimum(model: IsingModel | QuboModel, weights: list[float]) -> np.nda
             emin = cmin
             thr = np.nextafter(emin + bound, np.inf)
         hits = np.flatnonzero(flat <= thr)
-        found_idx.append(hits.astype(np.uint64) + np.uint64(m0))
+        found_idx.append(hits + m0)
         found_e.append(flat[hits])
     idx = np.concatenate(found_idx)
     return idx[np.concatenate(found_e) <= thr]
@@ -457,8 +475,8 @@ def brute_force(
     """Exhaustively enumerate all 2^n states.
 
     A first pass ranks every state approximately with gemms over a split
-    of the bits; a second pass rescores, with the exact dict-order fold
-    of term_energies, every state within a proven rounding bound of the
+    of the bits; a second pass rescores, with the exact fold over
+    energy_terms, every state within a proven rounding bound of the
     approximate minimum (every state when keep_spectrum is set). The
     reported energies are those exact folds, bit-for-bit equal to
     energy_of_bits, so results do not depend on the gemm or on the block
@@ -469,7 +487,7 @@ def brute_force(
     n = model.n
     if n > max_vars:
         raise CapacityError(f"brute force over {n} variables exceeds the guard of {max_vars}")
-    weights = _weights(model)
+    weights = [c for _, c in energy_terms(model)]
     if not all(math.isfinite(w) for w in weights):
         raise ValueError("brute force needs finite coefficients")
     total = 1 << n
@@ -477,7 +495,7 @@ def brute_force(
     if candidates is None:
         block = 1 << min(n, _BLOCK_BITS)
         chunks: Iterable[np.ndarray] = (
-            np.arange(start, min(start + block, total), dtype=np.uint64)
+            np.arange(start, min(start + block, total), dtype=np.int64)
             for start in range(0, total, block)
         )
     else:

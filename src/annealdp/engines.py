@@ -24,7 +24,10 @@ from .bqm import (
     _rank_bound,
     _record_candidates,
     _split_ranking,
-    term_energies,
+    energy_terms,
+    fold_indices,
+    fold_values,
+    value_domain,
 )
 from .pbf import Poly
 from .schedules import AnnealSchedule, fraction_table
@@ -97,7 +100,6 @@ class SampleRecord:
 @dataclass(frozen=True)
 class SampleSet:
     records: tuple[SampleRecord, ...]
-    timing: TimingReport
     norm_drift: float = 0.0
 
     def lowest(self) -> SampleRecord:
@@ -121,20 +123,22 @@ Sampler = Callable[[SamplerRequest], SampleSet]
 
 
 def _assemble(
-    model: IsingModel | QuboModel,
+    model: IsingModel | QuboModel | Poly,
     states: Iterable[tuple[int, ...]],
-    timing: TimingReport,
     norm_drift: float = 0.0,
 ) -> SampleSet:
+    """One record per distinct read state, with its exact energy (a
+    Poly's constant included), sorted by energy, then by occurrences,
+    most first, then by state."""
     counts: dict[tuple[int, ...], int] = {}
     for s in states:
         counts[s] = counts.get(s, 0) + 1
     # one column of values per variable over the distinct states
-    cols = np.array(list(counts), dtype=np.float64).reshape(len(counts), model.n).T
-    energies = term_energies(model, cols.__getitem__, len(counts)).tolist()
+    cols = np.array(list(counts), dtype=np.float64).T
+    energies = fold_values(_native_terms(model), cols).tolist()
     records = [SampleRecord(s, e, c) for (s, c), e in zip(counts.items(), energies)]
     records.sort(key=lambda r: (r.energy, -r.occurrences, r.state))
-    return SampleSet(tuple(records), timing, norm_drift)
+    return SampleSet(tuple(records), norm_drift)
 
 
 def _to_bits(model, state: Sequence[int]) -> list[int]:
@@ -147,11 +151,6 @@ def _from_bits(model, bits: Sequence[int]) -> tuple[int, ...]:
     if isinstance(model, QuboModel):
         return tuple(int(b) for b in bits)
     return tuple(2 * int(b) - 1 for b in bits)
-
-
-def _schedule_timing(reads: int, total_time: float) -> TimingReport:
-    # device floor: a read is never billed below the 5 microsecond minimum
-    return TimingReport(reads, max(5.0, total_time))
 
 
 def initial_hamiltonian_spectrum(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -453,19 +452,18 @@ def schrodinger_anneal(
     sched = req.schedule
     rng = np.random.default_rng(req.seed)
 
-    timing = _schedule_timing(req.reads, sched.total_time)
     psi = _start_vector(req, convention)
     if sched.total_time == 0.0:
         outcomes = measure(psi, req.reads, rng)
         states = [_from_bits(model, [(int(k) >> i) & 1 for i in range(n)]) for k in outcomes]
-        return _assemble(model, states, timing)
+        return _assemble(model, states)
 
     plan = _Integration(model, sched, steps, convention)
     if sched.reinitialize:
         psi, drift = plan.run(psi)
         outcomes = measure(psi, req.reads, rng)
         states = [_from_bits(model, [(int(k) >> i) & 1 for i in range(n)]) for k in outcomes]
-        return _assemble(model, states, timing, drift)
+        return _assemble(model, states, drift)
 
     # chained reads: each read collapses to its outcome and seeds the next
     states = []
@@ -477,7 +475,7 @@ def schrodinger_anneal(
         states.append(_from_bits(model, [(k >> i) & 1 for i in range(n)]))
         psi = np.zeros(1 << n, dtype=np.complex128)
         psi[k] = 1.0
-    return _assemble(model, states, timing, drift)
+    return _assemble(model, states, drift)
 
 
 def final_probabilities(
@@ -579,7 +577,6 @@ def heuristic_anneal(
         t_hot = default_hot_temperature(model)
     is_qubo = isinstance(model, QuboModel)
     w, d = _dense_form(model)
-    timing = _schedule_timing(reads, sched.total_time)
 
     # lockstep reads update one state column each; chained reads one column
     # in turn. The (n, count) buffers are updated in place, so views of
@@ -695,13 +692,13 @@ def heuristic_anneal(
 
     if sched.reinitialize:
         run()
-        return _assemble(model, _native_rows(states[native].T), timing)
+        return _assemble(model, _native_rows(states[native].T))
 
     out = []
     for _ in range(reads):
         run()
         out.extend(_native_rows(states[native].T))
-    return _assemble(model, out, timing)
+    return _assemble(model, out)
 
 
 def _layers(w: np.ndarray, active: np.ndarray) -> list[np.ndarray]:
@@ -729,15 +726,10 @@ def _native_rows(states: np.ndarray) -> list[tuple[int, ...]]:
 _TIE_TOL = 1e-12
 
 
-def _native_terms(model) -> tuple[list[tuple[tuple[int, ...], float]], tuple[int, int]]:
-    """(variables, coefficient) per non-constant term, and the model's
-    (off, on) values: a term's value is its coefficient times the product
-    of its variables' values."""
-    if isinstance(model, Poly):
-        return [(tuple(k), c) for k, c in model.terms.items() if k], (0, 1)
-    lin, quad = _model_terms(model)
-    terms = [((i,), c) for i, c in lin.items()] + list(quad.items())
-    return terms, ((-1, 1) if isinstance(model, IsingModel) else (0, 1))
+def _native_terms(model):
+    """(variables, coefficient) per term, in the order the model's energy
+    adds them; a Poly's are its own, the constant included."""
+    return model.terms.items() if isinstance(model, Poly) else energy_terms(model)
 
 
 def _fold(terms, pos: dict[int, int], state: Sequence[int]) -> dict[tuple[int, ...], float]:
@@ -755,51 +747,6 @@ def _fold(terms, pos: dict[int, int], state: Sequence[int]) -> dict[tuple[int, .
         if c != 0.0:
             local[inside] = local.get(inside, 0.0) + c
     return local
-
-
-# Up to this many assignments are folded one at a time in Python: the
-# scalar fold costs a few operations per term and assignment, the numpy
-# fold a few calls per term whatever the count. Median per call on the
-# default walk's folds, one BLAS thread: 1 term breaks even near 13
-# assignments, the 7-bit policy fold (28 terms) near 12 and the 14-bit
-# valuation fold (105 terms) near 10. Default one-shot and multi-anneal
-# greedy solves (seeds 1-3) call it with 1, 2, 128, 150 or 154
-# assignments, far from the cut on either side.
-_SCALAR_LOCAL_MAX = 10
-
-
-def _local_energies(local, domain: tuple[int, int], idx: np.ndarray) -> np.ndarray:
-    """Folded energies of the group assignments with the given int64
-    indices; bit b of index m sets group variable b to domain[(m >> b) & 1].
-    Terms add in dict order, one at a time from 0.0, so an assignment's
-    energy is the same bit for bit whichever indices share the call; up
-    to _SCALAR_LOCAL_MAX assignments are folded one at a time in Python."""
-    lo, hi = domain
-    if len(idx) <= _SCALAR_LOCAL_MAX:
-        out = []
-        for m in idx.tolist():
-            e = 0.0
-            for bits, c in local.items():
-                prod = domain[(m >> bits[0]) & 1]
-                for b in bits[1:]:
-                    prod *= domain[(m >> b) & 1]
-                e += c * prod
-            out.append(e)
-        return np.array(out, dtype=np.float64)
-    vals: dict[int, np.ndarray] = {}
-
-    def val(b: int) -> np.ndarray:
-        if b not in vals:
-            vals[b] = lo + (hi - lo) * ((idx >> b) & 1).astype(np.float64)
-        return vals[b]
-
-    energies = np.zeros(len(idx))
-    for bits, c in local.items():
-        prod = val(bits[0])
-        for b in bits[1:]:
-            prod = prod * val(b)
-        energies += c * prod
-    return energies
 
 
 def _last_improvement(energies: np.ndarray, best_e: float) -> tuple[int, float]:
@@ -868,14 +815,14 @@ def _best_assignment(terms, group: tuple[int, ...], domain, state: Sequence[int]
     local = _fold(terms, pos, state)
     width = len(group)
     best_m = sum(1 << b for b, v in enumerate(group) if state[v] == domain[1])
-    best_e = float(_local_energies(local, domain, np.array([best_m]))[0])
+    best_e = float(fold_indices(local.items(), np.array([best_m]), width, domain)[0])
     chunks = _split_candidates(local, width, domain, best_e) if width >= _SPLIT_MIN_BITS else None
     if chunks is None:
         block = 1 << min(width, _BLOCK_BITS)
         chunks = (np.arange(start, min(start + block, 1 << width))
                   for start in range(0, 1 << width, block))
     for idx in chunks:
-        k, best_e = _last_improvement(_local_energies(local, domain, idx), best_e)
+        k, best_e = _last_improvement(fold_indices(local.items(), idx, width, domain), best_e)
         if k >= 0:
             best_m = int(idx[k])
     return best_m
@@ -953,7 +900,8 @@ def sequential_greedy(
             f"greedy group of {wide} variables exceeds the guard of {BRUTE_FORCE_MAX_VARS}"
         )
 
-    terms, domain = _native_terms(model)
+    terms = _native_terms(model)
+    domain = value_domain(model)
     state = [int(v) for v in initial]
 
     for _ in range(cycles):
@@ -965,6 +913,7 @@ def sequential_greedy(
             for b, v in enumerate(group):
                 state[v] = domain[(m >> b) & 1]
             if act is not None:
-                e_off, e_on = _local_energies(_fold(terms, {act: 0}, state), domain, np.arange(2))
+                local = _fold(terms, {act: 0}, state)
+                e_off, e_on = fold_indices(local.items(), np.arange(2), 1, domain)
                 state[act] = domain[1] if e_on < e_off - _TIE_TOL else domain[0]
     return tuple(state)

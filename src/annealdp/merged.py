@@ -20,20 +20,18 @@ one-shot post-processing ranks reads by per-parameter adjusted losses.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bqm import QuboModel
+from .bqm import QuboModel, fold_values
 from .engines import (
     Sampler,
-    SampleRecord,
     SampleSet,
     SamplerRequest,
-    TimingReport,
+    _assemble,
     heuristic_anneal,
     sequential_greedy,
 )
@@ -145,9 +143,6 @@ class MergedProblem:
     def valuation_aux_count(self) -> int:
         return sum(1 for r in self.alloc.records if self.x_v in r.term)
 
-    def decode(self, state: Sequence[int]) -> tuple[float, float, float]:
-        return self.decode_states([state])[0]
-
     def decode_states(self, states: Sequence[Sequence[int]]) -> list[tuple[float, float, float]]:
         """(x1, x2, x3) of each state: each register's integer m from its
         0/1 bits, then scale * m, bit-for-bit BinaryEncoding.encode_value."""
@@ -175,10 +170,6 @@ class MergedProblem:
                 state[var] = bit
         return tuple(state)
 
-    @functools.cached_property
-    def _loss_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        return _compiled(self.gp_poly, self.x_p), _compiled(self.gv_poly, self.x_p)
-
     def component_losses(self, states: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
         """(g_p, g_v) of each state, re-evaluated from its bits with the
         activations ignored; each value is bit-for-bit Poly.evaluate on
@@ -188,31 +179,10 @@ class MergedProblem:
         energy; this is the reconstruction that makes reads comparable.
         """
         # g_p and g_v touch only the encoding bits, which precede the
-        # activations and every auxiliary; the extra column of ones pads
-        # the lower-degree terms
-        bits = np.ones((len(states), self.x_p + 1))
-        bits[:, :-1] = [s[:self.x_p] for s in states]
-        (coef_p, cols_p), (coef_v, cols_v) = self._loss_terms
-        return _evaluate(coef_p, cols_p, bits), _evaluate(coef_v, cols_v, bits)
-
-
-def _compiled(poly: Poly, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """poly's terms in dict order: their coefficients and a (terms, degree)
-    table of the bit columns each multiplies, padded with column `width`."""
-    cols = np.full((len(poly.terms), poly.degree), width, dtype=np.intp)
-    for t, key in enumerate(poly.terms):
-        cols[t, :len(key)] = sorted(key)
-    return np.array(list(poly.terms.values()), dtype=np.float64), cols
-
-
-def _evaluate(coef: np.ndarray, cols: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """The compiled polynomial at each row of a 0/1 bit matrix whose last
-    column is all ones. A term is its coefficient or a zero of its sign,
-    as in Poly.evaluate, and cumsum adds the terms left to right after a
-    zero, as Poly.evaluate does, so the totals are bit-for-bit equal."""
-    terms = np.zeros((len(bits), len(coef) + 1))
-    np.multiply(coef, bits[:, cols].prod(axis=2), out=terms[:, 1:])
-    return np.cumsum(terms, axis=1)[:, -1]
+        # activations and every auxiliary; one contiguous row per bit
+        bits = np.array([s[:self.x_p] for s in states], dtype=np.float64).reshape(len(states), self.x_p)
+        cols = bits.T.copy()
+        return fold_values(self.gp_poly.terms.items(), cols), fold_values(self.gv_poly.terms.items(), cols)
 
 
 def build_merged_problem(
@@ -351,25 +321,19 @@ def greedy_merged_sampler(problem: MergedProblem, req: SamplerRequest) -> Sample
             activations=(problem.x_p, problem.x_v),
         )
 
-    left = req.reads
-    counts: dict[tuple[int, ...], int] = {}
     if sched.reinitialize:
-        counts[walk(start)] = left
-    else:
-        cur = start
-        while left:
-            nxt = walk(cur)
-            if nxt == cur:
-                # a fixed point: every remaining read returns it again
-                counts[cur] = counts.get(cur, 0) + left
-                break
-            counts[nxt] = counts.get(nxt, 0) + 1
-            cur, left = nxt, left - 1
-    records = sorted(
-        (SampleRecord(s, problem.poly.evaluate(s), c) for s, c in counts.items()),
-        key=lambda r: (r.energy, r.state),
-    )
-    return SampleSet(tuple(records), TimingReport(req.reads, max(5.0, sched.total_time)))
+        return _assemble(problem.poly, [walk(start)] * req.reads)
+    states: list[tuple[int, ...]] = []
+    cur = start
+    while len(states) < req.reads:
+        nxt = walk(cur)
+        if nxt == cur:
+            # a fixed point: every remaining read returns it again
+            states += [cur] * (req.reads - len(states))
+            break
+        states.append(nxt)
+        cur = nxt
+    return _assemble(problem.poly, states)
 
 
 def multi_anneal_ppi(

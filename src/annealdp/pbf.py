@@ -93,10 +93,6 @@ class Poly:
     def degree(self) -> int:
         return max((len(k) for k in self.terms), default=0)
 
-    @property
-    def constant_term(self) -> float:
-        return self.terms.get(frozenset(), 0.0)
-
     def variables(self) -> tuple[int, ...]:
         seen: set[int] = set()
         for k in self.terms:

@@ -91,8 +91,8 @@ def ptr_reduce(vars_: Iterable[int], coeff: float, aux_ids: Sequence[int]) -> Po
 
 
 def _ptr_terms(vs: Sequence[int], coeff: float, aux_ids: Sequence[int]) -> dict[frozenset[int], float]:
-    # key order is part of the result (the greedy walk and term_energies
-    # fold terms in dict order): per auxiliary {a}, {a, v_idx}, then
+    # key order is part of the result (the greedy walk and bqm's exact
+    # folds add terms in dict order): per auxiliary {a}, {a, v_idx}, then
     # {a, v_j} for j > idx; the closing pair last
     d = len(vs)
     terms: dict[frozenset[int], float] = {}

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bqm import brute_force
-from .engines import Sampler, SampleRecord, SampleSet, SamplerRequest, TimingReport
+from .engines import Sampler, SampleSet, SamplerRequest, _assemble
 from .pbf import BinaryEncoding, LogCoefficients, Poly, ln_1mx_poly, ln_x_poly, to_qubo
 from .schedules import AnnealSchedule, forward_schedule
 
@@ -449,10 +449,9 @@ def combinatorial_ppi(
 
 
 def oracle_sampler(req: SamplerRequest) -> SampleSet:
-    """Exhaustive stand-in for an annealer: every read is the argmin."""
-    res = brute_force(req.model)
-    rec = SampleRecord(state=res.argmin_states[0], energy=res.min_energy, occurrences=req.reads)
-    return SampleSet(records=(rec,), timing=TimingReport(reads=req.reads, t_anneal=5.0))
+    """Exhaustive stand-in for an annealer: every read is the argmin,
+    scored with brute force's exact fold."""
+    return _assemble(req.model, [brute_force(req.model).argmin_states[0]] * req.reads)
 
 
 def _keep_lowest(values: Sequence[float], fraction: float) -> list[int]:

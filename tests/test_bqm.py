@@ -302,7 +302,7 @@ def _delta_window(model: IsingModel | QuboModel) -> tuple[set[int], set[int], se
     them), those within 2 delta plus one unit (the threshold is rounded up
     by less than that), and those strictly between delta and 2 delta."""
     energies = block_energies(model, 0, 1 << model.n)
-    weights = bqm_mod._weights(model)
+    weights = [c for _, c in bqm_mod.energy_terms(model)]
     m = Fraction(len(weights), 2**53)
     delta = 2 * m / (1 - m) * sum(Fraction(abs(w)) for w in weights)
     emin = float(energies.min())
@@ -351,7 +351,7 @@ class TestSplitEnumeration:
         # while the split ranking gives state 7 -0.20000000000000007.
         model = QuboModel(4, {(0, 1): 0.1, (0, 2): -0.3, (0, 3): 0.7, (1, 2): -0.7,
                               (1, 3): -0.2, (2, 2): 0.7, (2, 3): 0.3})
-        weights = bqm_mod._weights(model)
+        weights = [c for _, c in bqm_mod.energy_terms(model)]
         with mock.patch.object(bqm_mod, "_UNIT_ROUNDOFF", 0.0):
             assert bqm_mod._near_minimum(model, weights).tolist() == [7]
         results = []

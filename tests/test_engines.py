@@ -7,6 +7,7 @@ schedule improves the ground-state share only in the right parameter
 window, and the tests pin seeds to keep the checks exact."""
 
 import dataclasses
+import functools
 import math
 from unittest import mock
 
@@ -26,7 +27,6 @@ from annealdp.bqm import (
     ising_energy,
     qubo_energy,
     random_ising,
-    term_energies,
 )
 from annealdp.engines import (
     SamplerRequest,
@@ -607,7 +607,7 @@ class TestSplitGreedyStep:
                                + [(i, j) for i in range(width) for j in range(width) if i != j])
         local = data.draw(st.dictionaries(keys, SPLIT_COEFFS[coeff_kind], max_size=40))
         domain = (-1, 1) if spin else (0, 1)
-        exact = engines._local_energies(local, domain, np.arange(1 << width))
+        exact = bqm_mod.fold_indices(local.items(), np.arange(1 << width), width, domain)
         e_start = float(exact[data.draw(st.integers(0, (1 << width) - 1))])
         before = np.minimum.accumulate(np.concatenate(([e_start], exact[:-1])))
         records = np.flatnonzero(exact < before)
@@ -625,28 +625,63 @@ class TestSplitGreedyStep:
         # a band around the minimum (states 6 and 7) keeps neither.
         local = {(0, 1): 0.3, (0, 2): 0.3, (1, 2): -0.3, (2, 1): -0.5, (0,): -0.4,
                  (1,): -0.4, (2,): -0.5, (1, 0): 0.4, (2, 0): -0.6}
-        exact = engines._local_energies(local, (-1, 1), np.arange(8))
+        exact = bqm_mod.fold_indices(local.items(), np.arange(8), 3, (-1, 1))
         assert exact[5] < exact[1] < exact[2]
         cands = np.concatenate(list(engines._split_candidates(local, 3, (-1, 1), float(exact[2]))))
         assert cands.tolist() == [1, 5, 6, 7]
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data(), st.integers(1, 8), st.sampled_from(sorted(SPLIT_COEFFS)), st.booleans())
-    def test_scalar_and_numpy_folds_agree(self, data, width, coeff_kind, spin):
-        keys = st.lists(st.integers(0, width - 1), min_size=1, max_size=3, unique=True).map(tuple)
-        local = data.draw(st.dictionaries(keys, SPLIT_COEFFS[coeff_kind], max_size=30))
-        domain = (-1, 1) if spin else (0, 1)
-        idx = np.array(data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=20)),
-                       dtype=np.int64)
-        with mock.patch.object(engines, "_SCALAR_LOCAL_MAX", 1 << 30):
-            scalar = engines._local_energies(local, domain, idx)
-        with mock.patch.object(engines, "_SCALAR_LOCAL_MAX", -1):
-            vector = engines._local_energies(local, domain, idx)
+    @given(st.data(), st.integers(1, 8), st.sampled_from(sorted(SPLIT_COEFFS)),
+           st.sampled_from(["local", "qubo", "ising", "poly"]))
+    def test_scalar_and_numpy_folds_agree(self, data, width, coeff_kind, source):
+        # both branches of the index fold, over a greedy group's folded
+        # terms or a model's own term list, equal the scalar energy by bytes
+        coeff = SPLIT_COEFFS[coeff_kind]
+        domain = (-1, 1) if source == "ising" else (0, 1)
+        if source == "local":
+            keys = st.lists(st.integers(0, width - 1), min_size=1, max_size=3, unique=True).map(tuple)
+            terms = list(data.draw(st.dictionaries(keys, coeff, max_size=30)).items())
+            want = None
+        elif source == "poly":
+            # a cubic polynomial with a constant term, in tenths, so that
+            # the order of its additions shows in the last bits
+            keys = st.lists(st.integers(0, width - 1), max_size=3).map(frozenset)
+            tenths = SPLIT_COEFFS["decimal"].filter(bool)
+            poly = Poly({**data.draw(st.dictionaries(keys, tenths, min_size=min(width + 1, 3),
+                                                     max_size=30)),
+                         frozenset(): data.draw(tenths),
+                         frozenset(range(min(width, 3))): data.draw(tenths)})
+            terms = poly.terms.items()
+            want = poly.evaluate
+        elif source == "qubo":
+            # diagonal and off-diagonal keys interleave in the dict
+            pairs = [(i, j) for i in range(width) for j in range(i, width)]
+            model = QuboModel(width, data.draw(st.dictionaries(st.sampled_from(pairs), coeff,
+                                                               max_size=30)))
+            terms = bqm_mod.energy_terms(model)
+            want = functools.partial(energy_of_bits, model)
+        else:
+            off = [(i, j) for i in range(width) for j in range(i + 1, width)]
+            model = IsingModel(width, data.draw(st.dictionaries(st.integers(0, width - 1), coeff)),
+                               data.draw(st.dictionaries(st.sampled_from(off), coeff, max_size=30))
+                               if off else {})
+            terms = bqm_mod.energy_terms(model)
+            want = functools.partial(energy_of_bits, model)
+        # the all-ones state, which sets every term, is always among them
+        idx = np.array(data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=19))
+                       + [(1 << width) - 1], dtype=np.int64)
+        with mock.patch.object(bqm_mod, "_SCALAR_FOLD_MAX", 1 << 30):
+            scalar = bqm_mod.fold_indices(terms, idx, width, domain)
+        with mock.patch.object(bqm_mod, "_SCALAR_FOLD_MAX", -1):
+            vector = bqm_mod.fold_indices(terms, idx, width, domain)
         assert scalar.tobytes() == vector.tobytes()
+        if want is not None:
+            bits = [[(m >> v) & 1 for v in range(width)] for m in idx.tolist()]
+            assert scalar.tobytes() == np.array([want(b) for b in bits], dtype=np.float64).tobytes()
 
     def test_cubic_fold_keeps_the_block_scan(self):
         cubic, _, _ = hc_problem()
-        terms, domain = engines._native_terms(cubic)
+        terms, domain = engines._native_terms(cubic), (0, 1)
         local = engines._fold(terms, {v: v for v in range(4)}, (0, 0, 0, 0))
         assert engines._split_candidates(local, 4, domain, 0.0) is None
         huge = {(0,): 2.0**1021, (1,): -1.0}
@@ -656,7 +691,7 @@ class TestSplitGreedyStep:
         # the default valuation group: 14 bits, a quadratic fold; only a
         # small share of its 2^14 assignments reaches the exact fold
         prob = build_merged_problem()
-        terms, domain = engines._native_terms(prob.poly)
+        terms, domain = engines._native_terms(prob.poly), (0, 1)
         state = [0] * prob.primary_count
         state[prob.x_p] = state[prob.x_v] = 1
         group = prob.groups[1]
@@ -686,7 +721,6 @@ def scalar_heuristic(req, sweeps=256, t_hot=None):
         t_hot = engines.default_hot_temperature(model)
     is_qubo = isinstance(model, QuboModel)
     w, d = engines._dense_form(model)
-    timing = engines._schedule_timing(reads, sched.total_time)
 
     def init_rows(count):
         if req.initial_state is None:
@@ -725,14 +759,14 @@ def scalar_heuristic(req, sweeps=256, t_hot=None):
     if sched.reinitialize:
         terminal = run(init_rows(reads))
         out = [native_row(terminal[r]) for r in range(reads)]
-        return engines._assemble(model, out, timing)
+        return engines._assemble(model, out)
 
     out = []
     cur = init_rows(1)
     for _ in range(reads):
         cur = run(cur)
         out.append(native_row(cur[0]))
-    return engines._assemble(model, out, timing)
+    return engines._assemble(model, out)
 
 
 # Small integers make exact ties and zero-cost flips; general floats
@@ -939,24 +973,29 @@ class TestLayers:
 
 class TestAssembledEnergies:
     @settings(max_examples=300, deadline=None)
-    @given(anneal_models(), st.data())
-    def test_energies_equal_energy_of_bits(self, model, data):
-        # every bit of the energy, the sign of a zero included
+    @given(anneal_models(), st.data(), st.sampled_from([-1, 1 << 30]))
+    def test_energies_equal_energy_of_bits(self, model, data, cut):
+        # every bit of the energy, the sign of a zero included, from the
+        # numpy fold (cut -1) and from the scalar one
         n = model.n
         bits = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
                                   min_size=1, max_size=12))
         states = [engines._from_bits(model, b) for b in bits]
-        timing = engines._schedule_timing(len(states), 0.0)
-        records = engines._assemble(model, states, timing).records
+        # a polynomial over the same bits, with a constant and a cubic
+        # term, assembles to Poly.evaluate
+        terms = {frozenset(k): c for k, c in bqm_mod.energy_terms(model)}
+        poly = Poly({frozenset(): data.draw(coefficients), frozenset(range(min(n, 3))): 1.5,
+                     **terms})
+        with mock.patch.object(bqm_mod, "_SCALAR_FOLD_MAX", cut):
+            records = engines._assemble(model, states).records
+            poly_records = engines._assemble(poly, [tuple(b) for b in bits]).records
         assert sum(r.occurrences for r in records) == len(states)
         for r in records:
             want = energy_of_bits(model, engines._to_bits(model, r.state))
             assert type(r.energy) is float
             assert np.float64(r.energy).tobytes() == np.float64(want).tobytes()
-        cols = np.array(states, dtype=np.float64).T
-        got = term_energies(model, cols.__getitem__, len(states))
-        want = [energy_of_bits(model, b) for b in bits]
-        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        for r in poly_records:
+            assert np.float64(r.energy).tobytes() == np.float64(poly.evaluate(r.state)).tobytes()
 
 
 def scalar_pass(model, sched, psi, steps=None, convention="standard"):
@@ -1034,8 +1073,7 @@ def scalar_chained(req, steps=None, convention="standard"):
         states.append(engines._from_bits(model, [(k >> i) & 1 for i in range(n)]))
         psi = np.zeros(1 << n, dtype=np.complex128)
         psi[k] = 1.0
-    timing = engines._schedule_timing(req.reads, req.schedule.total_time)
-    return engines._assemble(model, states, timing, drift)
+    return engines._assemble(model, states, drift)
 
 
 @st.composite
@@ -1090,8 +1128,7 @@ def scalar_sampled(req, steps=None, convention="standard"):
                              steps, convention)
     outcomes = measure(psi, req.reads, np.random.default_rng(req.seed))
     states = [engines._from_bits(model, [(int(k) >> i) & 1 for i in range(n)]) for k in outcomes]
-    timing = engines._schedule_timing(req.reads, req.schedule.total_time)
-    return engines._assemble(model, states, timing, drift)
+    return engines._assemble(model, states, drift)
 
 
 def sampling_case(c):

@@ -52,7 +52,6 @@ from annealdp.engines import (
     SampleRecord,
     SampleSet,
     SamplerRequest,
-    TimingReport,
     sequential_greedy,
 )
 
@@ -207,7 +206,7 @@ class TestBuild:
         state = list(prob6.encode_initial(TRUTH))
         state[0] = 2
         with pytest.raises(ValueError, match="0 or 1"):
-            prob6.decode(state)
+            prob6.decode_states([state])
 
     def test_decode_states_past_int64_registers(self):
         # registers of 63 and 64 bits take Python integer weights
@@ -231,7 +230,7 @@ class TestBuild:
         assert state[prob6.x_p] == 0
         assert state[prob6.x_v] == 0
         assert all(state[a] == 0 for a in prob6.aux_vars)
-        decoded = prob6.decode(state)
+        decoded = prob6.decode_states([state])[0]
         assert decoded[0] == pytest.approx(0.3125)
         # mid-grid ties resolve to the smaller integer
         assert decoded[1] == pytest.approx(63 * S2_6)
@@ -389,7 +388,7 @@ class TestGreedyOracle:
             cycles=1,
             activations=(prob_small.x_p, prob_small.x_v),
         )
-        assert prob_small.decode(direct) == (state.x1, state.x2, state.x3)
+        assert prob_small.decode_states([direct])[0] == (state.x1, state.x2, state.x3)
         assert direct[prob_small.x_p] == 0
         assert direct[prob_small.x_v] == 0
 
@@ -426,7 +425,10 @@ class TestGreedyOracle:
         with mock.patch.object(merged, "sequential_greedy", wraps=sequential_greedy) as walk:
             ss = greedy_merged_sampler(prob_small, req)
         assert walk.call_count < reads
-        assert ss.expand_states() == sorted(full, key=lambda s: (prob_small.poly.evaluate(s), s))
+        # _assemble's order: energy, then occurrences (most first), then state
+        counts = {s: full.count(s) for s in full}
+        assert ss.expand_states() == sorted(
+            full, key=lambda s: (prob_small.poly.evaluate(s), -counts[s], s))
 
     def test_determinism(self, prob_small):
         greedy = functools.partial(greedy_merged_sampler, prob_small)
@@ -456,7 +458,7 @@ class TestLosses:
         (lp,), (lv,) = prob6.component_losses([state])
         assert lp == pytest.approx(GP_TRUTH_BITS, rel=1e-14)
         assert lv == pytest.approx(GV_TRUTH_BITS, rel=1e-14)
-        out = losses(prob6.decode(state), prob6)
+        out = losses(prob6.decode_states([state])[0], prob6)
         assert out.unadjusted_loss == pytest.approx(lp + lv, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -492,7 +494,7 @@ class TestLosses:
             want = tuple(enc.decode_assignment(assign)
                          for enc in (any_problem.enc1, any_problem.enc2, any_problem.enc3))
             assert _bytes(got) == _bytes(want)
-            assert _bytes(any_problem.decode(state)) == _bytes(want)
+            assert _bytes(any_problem.decode_states([state])[0]) == _bytes(want)
 
         def inside(enc, lo_frac):
             top = enc.scale * enc.max_int
@@ -522,11 +524,11 @@ class TestLosses:
         # lower that parameter's adjusted loss below its truth value
         at = losses(TRUTH, prob6, anchor=TRUTH)
         base = prob6.encode_initial(TRUTH)
-        base_decoded = prob6.decode(base)
+        base_decoded = prob6.decode_states([base])[0]
         for v in range(prob6.primary_count - 2):
             flipped = list(base)
             flipped[v] ^= 1
-            cand = prob6.decode(flipped)
+            cand = prob6.decode_states([flipped])[0]
             out = losses(cand, prob6, anchor=TRUTH)
             for p in range(3):
                 if abs(cand[p] - base_decoded[p]) > 1e-15:
@@ -579,7 +581,7 @@ class TestMultiAnneal:
         """A sampler returning these (state, occurrences) records."""
         def sampler(req):
             records = tuple(SampleRecord(s, 0.0, c) for s, c in states_and_counts)
-            return SampleSet(records, TimingReport(req.reads, 5.0))
+            return SampleSet(records)
         return sampler
 
     def test_policy_pick_skips_degenerate_reads(self, prob_small):
@@ -590,10 +592,10 @@ class TestMultiAnneal:
         assert g_p[0] < g_p[1]
         sampler = self.stub([(at_zero, 2), (inside, 1)])
         state = multi_anneal_ppi(prob_small, sampler=sampler, reads=3)
-        assert state.x1 == prob_small.decode(inside)[0] == 0.875
+        assert state.x1 == prob_small.decode_states([inside])[0][0] == 0.875
         # the valuation pick still takes the lowest read of all
         lowest_v = (at_zero, inside)[int(np.argmin(g_v))]
-        assert (state.x2, state.x3) == prob_small.decode(lowest_v)[1:]
+        assert (state.x2, state.x3) == prob_small.decode_states([lowest_v])[0][1:]
 
     def test_all_degenerate_reads_raise(self, prob_small):
         at_zero = prob_small.encode_initial((0.0, TRUTH[1], TRUTH[2]))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annealdp.bqm import brute_force
-from annealdp.engines import SampleRecord, SampleSet, TimingReport, heuristic_anneal
+from annealdp.engines import SampleRecord, SampleSet, heuristic_anneal
 from annealdp.pbf import BinaryEncoding, LogCoefficients, ln_1mx_poly, ln_x_poly, to_qubo
 from annealdp.rbc import (
     DEFAULT_PARAMS,
@@ -483,7 +483,7 @@ class TestHybridPpi:
         def sampler(req):
             seen.append(req)
             low, high = SampleRecord((1, 0, 0, 1), 1.0, 3), SampleRecord((0, 1, 1, 1), 1.0, 2)
-            return SampleSet((low, high), TimingReport(req.reads, 5.0))
+            return SampleSet((low, high))
 
         st = hybrid_ppi(sampler=sampler, encodings=(enc2, enc3), iterations=1, reads=5,
                         keep_fraction=0.6, seed=4)
