@@ -223,7 +223,7 @@ def _check_statevector(model, convention: str) -> None:
 # 32 per unit of anneal time, so this caps the time near 8,192.
 MAX_STEPS = 1 << 18
 # Qubits per axis of the Hadamard transform: psi is reshaped into axes
-# of at most 2^6 basis states, each transformed by one gemm.
+# of at most 2^6 basis states, each transformed by one real gemm.
 _AXIS_BITS = 6
 
 
@@ -263,8 +263,11 @@ class _Integration:
 
     Every step multiplies psi by the half-step diagonal phase, applies the
     transverse stage (every qubit's rotation at once), multiplies by the
-    phase again and renormalizes; a norm drift beyond 1e-6 in one step
-    raises IntegrationError. The plan holds what does not change between
+    phase again and takes the norm; a norm drift beyond 1e-6 in one step
+    raises IntegrationError. The step does not divide psi by its norm:
+    1 / norm rides on the next step's level phase (a few dozen entries at
+    most), so each step starts from a unit state as if it had, and the
+    last psi is divided once. The plan holds what does not change between
     steps or reads.
 
     Diagonal, folded by schedule path. Variables with equal fraction
@@ -281,12 +284,16 @@ class _Integration:
     ``prod_i exp(i theta_i X_i) = H diag(exp(i sum_i theta_i z_i)) H / 2^n``
     with H the unnormalised Sylvester (+-1) matrix of n qubits and
     z_i = 1 - 2 bit_i; theta_i = (1 - s_i) dt, or -(1 - s_i) h_i dt for the
-    literal convention. H is one gemm per axis of psi reshaped into
+    literal convention. H is one real gemm per axis of psi reshaped into
     ceil(n / 6) axes of at most 2^6 states (two axes up to 12 qubits,
     three at 13-16; two 2^8 axes at 16 qubits were slower on a grouped
-    schedule), the smaller axes lowest. The lowest axis is a complex
-    matmul; every other axis multiplies a float64 view, in which the real
-    and imaginary parts are just more columns. The phase
+    schedule), the smaller axes lowest, over the float64 view, in which
+    the real and imaginary parts are just more columns of every axis but
+    the lowest. So each H pass transposes once to make the lowest axis
+    lead: the first pass ends, and the level phase is spread, in that
+    layout (the level index is permuted once, in the plan), and the second
+    pass turns back. A transpose and a real gemm cost less than the
+    complex matmul the lowest axis would otherwise need. The phase
     ``sum_i theta_i z_i`` takes few distinct values (n + 1 on a forward
     schedule): qubits with equal angle columns form a group, a group of m
     qubits with c set bits has z sum m - 2c, and a state's level is its
@@ -339,7 +346,7 @@ class _Integration:
         angles, group = _equal_columns(theta)
         width = np.bincount(group, minlength=len(angles))
         radix = np.cumprod([1, *(width[:-1] + 1)])
-        self.level = sum(radix[g] * bits[i] for i, g in enumerate(group))
+        level = sum(radix[g] * bits[i] for i, g in enumerate(group))
         counts = np.indices(tuple(width[::-1] + 1)).reshape(len(width), -1)[::-1].T
         self.zsums = (width - 2 * counts).astype(np.float64)
         self.angles = np.ascontiguousarray(angles.T)
@@ -347,27 +354,32 @@ class _Integration:
 
         count = -(-n // _AXIS_BITS)
         sizes = [1 << (n // count + (a >= count - n % count)) for a in range(count)]
+        low, rest = sizes[0], dim // sizes[0]
+        # the level phase is spread with the lowest axis leading
+        self.level = level.reshape(rest, low).T.ravel()
+
+        def gemm(size, inner):
+            h = _sylvester(size)
+            shape = (-1, size, 2 * inner)
+            return lambda src, dst: (np.matmul, h, src.view(np.float64).reshape(shape),
+                                     dst.view(np.float64).reshape(shape))
+
+        def turn(rows):
+            return lambda src, dst: (np.copyto, dst.reshape(-1, rows),
+                                     src.reshape(rows, -1).T, "no")
+
+        # a pass is the gemms of the axes above the lowest, highest first,
+        # a transpose, and the lowest axis's gemm; the second pass mirrors it
+        upper = [gemm(sizes[a], math.prod(sizes[:a])) for a in range(count - 1, 0, -1)]
+        passes = [*upper, turn(rest), gemm(low, rest)], [gemm(low, rest), turn(low), *upper]
         self.basis = (np.empty(dim, dtype=np.complex128), np.empty(dim, dtype=np.complex128))
-        # one (left, right, out) np.matmul per axis, lowest first, for each
-        # of the two H passes; the buffers alternate, so the first pass
-        # ends in basis[count % 2] and the second back in basis[0]
-        hadamard = [_sylvester(size) for size in sizes]
-        hadamard[0] = hadamard[0].astype(np.complex128)
+        # (op, x, y, z) stages, run as op(x, y, z); each writes the other
+        # buffer, and the two passes are equally long, so the second ends in
+        # basis[0], where the step began
         self.stages = []
-        cur = 0
-        for _ in range(2):
-            inner = 1
-            for a, (size, h) in enumerate(zip(sizes, hadamard)):
-                src, dst = self.basis[cur], self.basis[1 - cur]
-                if a == 0:
-                    stage = (src.reshape(-1, size), h, dst.reshape(-1, size))
-                else:
-                    shape = (-1, size, 2 * inner)
-                    stage = (h, src.view(np.float64).reshape(shape),
-                             dst.view(np.float64).reshape(shape))
-                self.stages.append(stage)
-                inner *= size
-                cur = 1 - cur
+        for make in passes[0] + passes[1]:
+            cur = len(self.stages) % 2
+            self.stages.append(make(self.basis[cur], self.basis[1 - cur]))
         self.arg = np.empty(dim)
         self.phase = np.empty(dim, dtype=np.complex128)
         self.level_angle = np.empty(len(self.zsums))
@@ -384,23 +396,25 @@ class _Integration:
         first, second = self.stages[:half], self.stages[half:]
         mid, out = self.basis[half % 2], self.basis[0]
         flat = out.view(np.float64)
+        nrm = 1.0
         worst_drift = 0.0
         for k in range(self.steps):
             np.dot(self.coef[k], self.rows, out=arg)
             np.cos(arg, out=phase_re)
             np.sin(arg, out=phase_im)
             np.multiply(phase, psi, out=out)
-            for left, right, dst in first:
-                np.matmul(left, right, out=dst)
+            for op, x, y, z in first:
+                op(x, y, z)
             np.dot(self.zsums, self.angles[k], out=angle)
             np.cos(angle, out=level_re)
             np.sin(angle, out=level_im)
-            level_phase *= self.scale
+            # the previous step's renormalisation rides on the level phase
+            level_phase *= self.scale / nrm
             # levels are in range, so the take can skip its bounds check
             level_phase.take(self.level, out=spread, mode="wrap")
             mid *= spread
-            for left, right, dst in second:
-                np.matmul(left, right, out=dst)
+            for op, x, y, z in second:
+                op(x, y, z)
             psi = out
             np.multiply(phase, psi, out=psi)
             nrm = math.sqrt(np.dot(flat, flat))
@@ -408,8 +422,7 @@ class _Integration:
             if drift > 1e-6:
                 raise IntegrationError(f"norm drifted by {drift:.2e} in one step")
             worst_drift = max(worst_drift, drift)
-            np.divide(flat, nrm, out=flat)
-        return psi.copy(), worst_drift
+        return (flat / nrm).view(np.complex128), worst_drift
 
 
 def _start_vector(req: SamplerRequest, convention: str) -> np.ndarray:
@@ -439,12 +452,13 @@ def schrodinger_anneal(
     convention instead puts h_i on the transverse term and leaves only
     couplings on the diagonal (Ising models only). Integration is
     second-order operator splitting with the schedule evaluated at step
-    midpoints; the norm is renormalized each step and a drift beyond
-    1e-6 in any single step raises IntegrationError. All qubit rotations
-    of a step are one phase in the Hadamard basis and the diagonal is
-    folded by schedule path (see _Integration), so probabilities match a
-    per-qubit rotation loop up to the last bits; the samples drawn for a
-    seed are the same.
+    midpoints; the norm is taken each step and a drift beyond 1e-6 in any
+    single step raises IntegrationError, and each step's renormalisation
+    is folded into the next step's phase. All qubit rotations of a step
+    are one phase in the Hadamard basis, applied by real gemms, and the
+    diagonal is folded by schedule path (see _Integration), so
+    probabilities match a per-qubit rotation loop up to the last bits;
+    the samples drawn for a seed are the same.
     """
     model = req.model
     n = model.n
@@ -600,8 +614,8 @@ def heuristic_anneal(
         """The active set's permutation of the variables, the positions in
         the sweep's draws in layer order, and per layer: the gemm over the
         rows before its slice and the one over the rows after it (None if
-        empty), the biases spread over the reads, views of its state rows
-        and uniforms, and its work buffers."""
+        empty or all zero), the biases spread over the reads, views of its
+        state rows and uniforms, and its work buffers."""
         split = _layers(w, active)
         order = np.concatenate(split)
         perm = np.concatenate((active[order], np.setdiff1d(np.arange(n), active)))
@@ -611,9 +625,11 @@ def heuristic_anneal(
         for pos in split:
             m = len(pos)
             b = a + m
+            # an all-zero block would only add +-0.0 to the fields, which
+            # changes no decision (p = 1/2 at a zero field either way)
             outside = [(np.ascontiguousarray(wp[a:b, lo:hi]), states[lo:hi])
-                       for lo, hi in ((0, a), (b, n)) if lo < hi]
-            # with no row outside the layer the field is the bias alone
+                       for lo, hi in ((0, a), (b, n)) if wp[a:b, lo:hi].any()]
+            # with no such block the field is the bias alone
             head, *tail = outside or [(np.zeros((m, 0)), states[:0])]
             bias = np.repeat(d[perm[a:b]][:, None], count, axis=1)
             layers.append((head, tail[0] if tail else None, bias, states[a:b], uniforms[a:b],

@@ -27,6 +27,12 @@ def _validate_path(path: Path, total_time: float, what: str) -> None:
         last_t = t
 
 
+def _frozen(path) -> Path:
+    # + 0.0 makes a fraction of -0.0 a 0.0, so paths equal by value give
+    # the same floats and may share a fraction_table column
+    return tuple((t, f + 0.0) for t, f in path)
+
+
 def _interp(path: Path, t: float) -> float:
     if t <= path[0][0]:
         return path[0][1]
@@ -66,11 +72,11 @@ class AnnealSchedule:
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
         _validate_path(tuple(self.breakpoints), self.total_time, "global path")
-        object.__setattr__(self, "breakpoints", tuple(tuple(p) for p in self.breakpoints))
+        object.__setattr__(self, "breakpoints", _frozen(self.breakpoints))
         if self.variable_paths is not None:
             frozen = {}
             for v, path in self.variable_paths.items():
-                path = tuple(tuple(p) for p in path)
+                path = _frozen(path)
                 _validate_path(path, self.total_time, f"path of variable {v}")
                 frozen[int(v)] = path
             object.__setattr__(self, "variable_paths", frozen)
@@ -93,23 +99,39 @@ class AnnealSchedule:
         return any(self.s_at(0.0, v) > 0.0 for v in range(n))
 
 
+def _interp_all(path: Path, times: np.ndarray) -> np.ndarray:
+    """_interp(path, t) for every t in `times` in one numpy pass. The
+    first breakpoint at or after t ends t's segment, which is the segment
+    _interp picks, and the interpolation is its arithmetic in its order,
+    so every value is the same float. That segment starts strictly
+    before t, so no division is by zero."""
+    t_at = np.array([t for t, _ in path])
+    f_at = np.array([f for _, f in path])
+    end = np.searchsorted(t_at, times)
+    # at or before the first breakpoint, or past the last one (NaN included)
+    out = np.where(end == 0, f_at[0], f_at[-1])
+    inside = (end > 0) & (end < len(path))
+    end = end[inside]
+    t0, t1, f0, f1 = t_at[end - 1], t_at[end], f_at[end - 1], f_at[end]
+    out[inside] = f0 + (f1 - f0) * (times[inside] - t0) / (t1 - t0)
+    return out
+
+
 def fraction_table(sched: AnnealSchedule, times: Sequence[float], n: int) -> np.ndarray:
     """s_at(t, v) at every time in `times` for variables 0..n-1, as a
-    (len(times), n) array. Variables whose paths are equal by value share
-    one column of s_at calls, so the cost is one call per distinct path
-    per time rather than one per variable."""
+    (len(times), n) array, equal to s_at bit for bit. Variables whose paths
+    are equal by value share one column, and each distinct path is
+    evaluated over all the times in one numpy pass (_interp_all)."""
     paths = sched.variable_paths or {}
     column: dict[Path, int] = {}
-    reps: list[int] = []
     which = np.empty(n, dtype=np.intp)
     for v in range(n):
-        key = paths.get(v, sched.breakpoints)
-        if key not in column:
-            column[key] = len(reps)
-            reps.append(v)
-        which[v] = column[key]
-    distinct = np.array([[sched.s_at(t, v) for v in reps] for t in times], dtype=np.float64)
-    return distinct.reshape(len(times), len(reps))[:, which]
+        which[v] = column.setdefault(paths.get(v, sched.breakpoints), len(column))
+    times = np.asarray(times, dtype=np.float64)
+    distinct = np.empty((len(times), len(column)))
+    for c, path in enumerate(column):
+        distinct[:, c] = _interp_all(path, times)
+    return distinct[:, which]
 
 
 def forward_schedule(total_time: float) -> AnnealSchedule:

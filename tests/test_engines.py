@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from annealdp import bqm as bqm_mod
 from annealdp import engines
+from annealdp import schedules as schedules_mod
 from annealdp.bqm import (
     CapacityError,
     IsingModel,
@@ -29,6 +30,7 @@ from annealdp.bqm import (
     random_ising,
 )
 from annealdp.engines import (
+    IntegrationError,
     SamplerRequest,
     final_probabilities,
     heuristic_anneal,
@@ -917,15 +919,15 @@ class TestHeuristicMatchesScalarLoop:
         assert heuristic_anneal(req) == scalar_heuristic(req)
 
     def test_schedule_read_once_per_distinct_path(self):
-        # one s_at call per distinct path per sweep, not one per variable
+        # one table over all sweeps, each distinct path evaluated once
         _, qubo, aux = hc_problem()
         gs = grouped_cycle_schedule(16.0, [(0, 2), (1, 3)], always_active=aux,
                                     reinitialize=False, down_fraction=0.5)
         req = SamplerRequest(qubo, gs, reads=4, initial_state=(0,) * 6, seed=1)
-        with mock.patch.object(AnnealSchedule, "s_at", autospec=True,
-                               side_effect=AnnealSchedule.s_at) as s_at:
+        with mock.patch.object(schedules_mod, "_interp_all",
+                               side_effect=schedules_mod._interp_all) as interp:
             heuristic_anneal(req, sweeps=10)
-        assert s_at.call_count == 10 * 3
+        assert interp.call_count == 3
 
 
 @pytest.fixture(scope="module")
@@ -1197,7 +1199,8 @@ class TestIntegratorMatchesScalarLoop:
         got = schrodinger_anneal(req, convention=convention)
         assert got.records == scalar_sampled(req, convention=convention).records
 
-    @pytest.mark.parametrize("n, axes", [(1, 1), (2, 1), (7, 2), (12, 2), (13, 3), (16, 3)])
+    @pytest.mark.parametrize("n, axes", [(1, 1), (2, 1), (7, 2), (11, 2), (12, 2), (13, 3),
+                                         (14, 3), (16, 3)])
     @pytest.mark.parametrize("convention", ["standard", "literal"])
     def test_transverse_stage_is_the_qubit_rotations(self, n, axes, convention):
         # No diagonal terms, so one step is the transverse stage alone. The
@@ -1211,10 +1214,35 @@ class TestIntegratorMatchesScalarLoop:
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         psi /= np.linalg.norm(psi)
         plan = engines._Integration(model, sched, 1, convention)
-        assert len(plan.stages) == 2 * axes
+        assert [op for op, *_ in plan.stages].count(np.matmul) == 2 * axes
         got, _ = plan.run(psi)
         want, _ = scalar_pass(model, sched, psi, 1, convention)
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+class TestNormCheck:
+    def test_drift_beyond_tolerance_raises(self):
+        # every Hadamard gemm scaled by 1.001: each step grows the norm by
+        # about 0.4 %, far past the 1e-6 a step may drift
+        sylvester = engines._sylvester
+        req = SamplerRequest(TABLE1, forward_schedule(2.0))
+        with mock.patch.object(engines, "_sylvester", lambda size: 1.001 * sylvester(size)):
+            with pytest.raises(IntegrationError, match="norm drifted"):
+                final_probabilities(req, steps=5)
+            with pytest.raises(IntegrationError, match="norm drifted"):
+                schrodinger_anneal(req, steps=5)
+
+    def test_drift_inside_tolerance_is_removed_every_step(self):
+        # two gemms per step at 2 qubits, each scaled by 1 + 1e-7: a step
+        # drifts by about 2e-7, which would pass 1e-6 within six steps if
+        # the drift carried over from step to step
+        sylvester = engines._sylvester
+        req = SamplerRequest(TABLE1, forward_schedule(2.0), reads=5)
+        with mock.patch.object(engines, "_sylvester", lambda size: (1 + 1e-7) * sylvester(size)):
+            got = schrodinger_anneal(req, steps=40)
+            probs = final_probabilities(req, steps=40)
+        assert 1.9e-7 < got.norm_drift < 2.1e-7
+        assert abs(probs.sum() - 1.0) <= 1e-12
 
 
 class TestStepGuard:

@@ -5,8 +5,12 @@ import dataclasses
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from annealdp import schedules
 from annealdp.schedules import (
     AnnealSchedule,
     forward_schedule,
@@ -187,13 +191,36 @@ class TestFractionTable:
                 for v in range(n):
                     assert table[r, v] == sched.s_at(t, v), (sched, t, v)
 
-    def test_one_s_at_call_per_distinct_path(self):
+    def test_each_distinct_path_evaluated_once_per_table(self):
         # groups (0,3) (1,) (2,5), always (6,), and the global path
         copies = self.cases()[-1][0]
-        with mock.patch.object(AnnealSchedule, "s_at", autospec=True,
-                               side_effect=AnnealSchedule.s_at) as s_at:
+        with mock.patch.object(schedules, "_interp_all", side_effect=schedules._interp_all) as interp:
             fraction_table(copies, [0.5, 1.5, 2.5], 8)
-        assert s_at.call_count == 5 * 3
+        assert interp.call_count == 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_s_at_bit_for_bit(self, data):
+        # breakpoint times from a small grid, so paths repeat times (steps
+        # and holds at one instant); -0.0 fractions too, since a path equal
+        # by value to one holding 0.0 shares its column
+        total = data.draw(st.sampled_from([1.0, 3.0, 40.0]))
+        grid = st.sampled_from([0.0, 0.1, 0.5, 1.0 / 3.0, 0.75, 1.0])
+        fraction = st.one_of(st.floats(0.0, 1.0), st.just(-0.0))
+
+        def path():
+            ts = sorted(data.draw(st.lists(grid, min_size=1, max_size=6)))
+            return tuple((total * t, data.draw(fraction)) for t in ts)
+
+        n = data.draw(st.integers(1, 5))
+        own = data.draw(st.sets(st.integers(0, n - 1)))
+        sched = AnnealSchedule(total, path(), {v: path() for v in own} or None)
+        knots = {t for p in [sched.breakpoints, *(sched.variable_paths or {}).values()] for t, _ in p}
+        times = [-1.0, total + 1.0, *data.draw(st.lists(st.floats(0.0, total), max_size=8))]
+        for t in knots:
+            times += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+        want = np.array([[sched.s_at(t, v) for v in range(n)] for t in times])
+        assert fraction_table(sched, times, n).tobytes() == want.tobytes()
 
     def test_no_variables_or_times(self):
         sched = forward_schedule(4.0)
