@@ -192,31 +192,10 @@ def _model_terms(model):
     return lin, quad
 
 
-def _transverse_ground(model, convention: str) -> np.ndarray:
-    n = model.n
-    dim = 1 << n
-    if convention == "standard":
-        return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
-    # literal form: qubit i sees +h_i sigma^x; its ground is (1, -sign(h_i))/sqrt(2)
-    lin, _ = _model_terms(model)
-    psi = np.ones(1, dtype=np.complex128)
-    for i in range(n - 1, -1, -1):
-        h = lin.get(i, 0.0)
-        comp = -1.0 if h > 0 else 1.0
-        psi = np.concatenate([psi, comp * psi]) / math.sqrt(2.0)
-    # concatenation above builds amplitudes so that bit i selects the
-    # second half at tensor slot i (state index k, bit i = (k>>i)&1)
-    return psi
-
-
-def _check_statevector(model, convention: str) -> None:
+def _check_statevector(model) -> None:
     if model.n > STATE_VECTOR_MAX_VARS:
         raise CapacityError(
             f"state vector over {model.n} variables exceeds the guard of {STATE_VECTOR_MAX_VARS}")
-    if convention not in ("standard", "literal"):
-        raise ValueError(f"unknown convention {convention!r}")
-    if convention == "literal" and not isinstance(model, IsingModel):
-        raise ValueError("the literal convention is defined for Ising models")
 
 
 # Integration steps allowed per schedule pass; the default count is
@@ -258,6 +237,17 @@ def _step_count(sched: AnnealSchedule, steps: int | None) -> int:
     return steps
 
 
+# Steps from one exact evaluation of the diagonal phase to the next within
+# a schedule segment (see _Integration). Worst |p - p_scalar| against the
+# tests' per-qubit loop after a 1,280-step forward or grouped pass on the
+# hybrid's native 10- and 14-qubit valuation QUBOs (half-step phase up to
+# 17.1 rad): 5.5e-14 at 8, 1.9e-13 at 16, 8.6e-13 at 32 (the bound is
+# 1e-12). At 8 a step costs x0.6-0.9 of exact phases every step at
+# 10-16 qubits, and 16 saves a few per cent more (one BLAS thread,
+# BENCH_16.json).
+_ANCHOR_EVERY = 8
+
+
 class _Integration:
     """Strang-split evolution of one schedule pass, planned once per request.
 
@@ -276,15 +266,30 @@ class _Integration:
     linear rows of path g's variables and ``D_gh`` the weighted coupling
     rows between paths g and h. The plan keeps one row per path and per
     coupled path pair, and a (steps x rows) table of their coefficients
-    with -dt/2 folded in. A step is one ``np.dot(coef[k], rows)`` and a
-    cos and a sin written into the phase's real and imaginary parts. A
-    forward schedule has one path, so at most two rows.
+    with -dt/2 folded in; a forward schedule has one path, so at most two
+    rows.
+
+    Diagonal phase, by an anchored recurrence. A segment is a run of steps
+    whose midpoints lie between the same two breakpoints of the schedule
+    (the global path's and every variable's together). Inside one, every
+    fraction is linear in the step index k, so every coefficient, and the
+    phase argument ``a_k = coef[k] . rows``, is quadratic in k. The phase
+    ``p_k = exp(i a_k)`` therefore advances by two complex multiplies per
+    step, ``p <- p r`` and ``r <- r q``, with ``r = exp(i (a_{k+1} - a_k))``
+    and ``q = exp(i (a_{k+2} - 2 a_{k+1} + a_k))`` fixed per segment. An
+    anchor step evaluates p and r exactly from the coefficient table (one
+    dot and a cos and a sin each), and q once per segment from the second
+    difference of its first three coefficient rows. Every segment's first
+    step is an anchor, and so is every _ANCHOR_EVERY-th step after it; a
+    segment shorter than three steps is all anchors. Rounding accumulates
+    only between anchors; _ANCHOR_EVERY = 8 keeps the worst probability
+    difference at native scale near 5e-14.
 
     Transverse stage, in the Hadamard basis. The rotations commute, so
     ``prod_i exp(i theta_i X_i) = H diag(exp(i sum_i theta_i z_i)) H / 2^n``
-    with H the unnormalised Sylvester (+-1) matrix of n qubits and
-    z_i = 1 - 2 bit_i; theta_i = (1 - s_i) dt, or -(1 - s_i) h_i dt for the
-    literal convention. H is one real gemm per axis of psi reshaped into
+    with H the unnormalised Sylvester (+-1) matrix of n qubits,
+    z_i = 1 - 2 bit_i and theta_i = (1 - s_i) dt. H is one real gemm per
+    axis of psi reshaped into
     ceil(n / 6) axes of at most 2^6 states (two axes up to 12 qubits,
     three at 13-16; two 2^8 axes at 16 qubits were slower on a grouped
     schedule), the smaller axes lowest, over the float64 view, in which
@@ -302,18 +307,20 @@ class _Integration:
     No (steps x 2^n) table is held.
 
     Contract: the arithmetic is reordered against the per-qubit scalar
-    loop kept in the tests, so probabilities differ from it in the last
-    bits (the tests bound the difference by 1e-12); sample sets and
-    artifacts stay identical.
+    loop kept in the tests, and the diagonal phase between anchors carries
+    the recurrence's rounding, so probabilities differ from the loop in
+    the last bits (the tests bound the difference by 1e-12, at native
+    problem scale too); sample sets and artifacts stay identical.
     """
 
-    def __init__(self, model, sched: AnnealSchedule, steps: int | None, convention: str):
+    def __init__(self, model, sched: AnnealSchedule, steps: int | None):
         self.steps = _step_count(sched, steps)
         n = model.n
         dim = 1 << n
         lin, quad = _model_terms(model)
         dt = sched.total_time / self.steps
-        table = fraction_table(sched, [(k + 0.5) * dt for k in range(self.steps)], n)
+        times = (np.arange(self.steps) + 0.5) * dt
+        table = fraction_table(sched, times, n)
         bits = [(np.arange(dim) >> i) & 1 for i in range(n)]
 
         paths, path = _equal_columns(table)
@@ -322,10 +329,9 @@ class _Integration:
         else:
             vals = [2.0 * b - 1.0 for b in bits]
         rows: dict[tuple[int, ...], np.ndarray] = {}
-        if convention == "standard":
-            for i, w in lin.items():
-                key = (path[i],)
-                rows[key] = rows.get(key, 0.0) + w * vals[i]
+        for i, w in lin.items():
+            key = (path[i],)
+            rows[key] = rows.get(key, 0.0) + w * vals[i]
         for (i, j), w in quad.items():
             key = tuple(sorted((path[i], path[j])))
             rows[key] = rows.get(key, 0.0) + w * (vals[i] * vals[j])
@@ -334,13 +340,36 @@ class _Integration:
         for r, (key, row) in enumerate(rows.items()):
             self.rows[r] = row
             coef[:, r] = np.prod(paths[list(key)], axis=0)
-        self.coef = coef * (-0.5 * dt)
+        coef *= -0.5 * dt
 
-        if convention == "standard":
-            theta = (1.0 - table) * dt
-        else:
-            h = np.array([lin.get(i, 0.0) for i in range(n)], dtype=np.float64)
-            theta = (-(1.0 - table) * h) * dt
+        # the diagonal phase p, its step ratio r and the ratio's step ratio q
+        self.phase, self.ratio, self.curve = (np.empty(dim, dtype=np.complex128) for _ in range(3))
+        p_parts, r_parts, q_parts = (tuple(buf.view(np.float64).reshape(-1, 2).T)
+                                     for buf in (self.phase, self.ratio, self.curve))
+        # a segment's steps have their midpoints between the same two
+        # breakpoints of any path
+        knots = np.unique([t for pts in (sched.breakpoints, *(sched.variable_paths or {}).values())
+                           for t, _ in pts])
+        segment = np.searchsorted(knots, times)
+        bounds = [0, *(np.flatnonzero(np.diff(segment)) + 1).tolist(), self.steps]
+        # per step, the exact evaluations of an anchor as (coefficient row,
+        # real part, imaginary part of the buffer it fills); none for a
+        # recurrence step
+        self.phase_plan = []
+        for a, b in zip(bounds, bounds[1:]):
+            every = _ANCHOR_EVERY if b - a >= 3 else 1
+            for k in range(a, b):
+                exact = []
+                if (k - a) % every == 0:
+                    exact.append((coef[k], *p_parts))
+                    # the next step continues the recurrence, so it needs r
+                    if every > 1 and k + 1 < b:
+                        exact.append((coef[k + 1] - coef[k], *r_parts))
+                    if k == a and every > 1:
+                        exact.append((coef[a] - 2.0 * coef[a + 1] + coef[a + 2], *q_parts))
+                self.phase_plan.append(exact)
+
+        theta = (1.0 - table) * dt
         # a group of m qubits with equal angle columns has z sum m - 2c,
         # c its set bits, so a state's level is its c per group in mixed radix
         angles, group = _equal_columns(theta)
@@ -381,16 +410,14 @@ class _Integration:
             cur = len(self.stages) % 2
             self.stages.append(make(self.basis[cur], self.basis[1 - cur]))
         self.arg = np.empty(dim)
-        self.phase = np.empty(dim, dtype=np.complex128)
         self.level_angle = np.empty(len(self.zsums))
         self.level_phase = np.empty(len(self.zsums), dtype=np.complex128)
         self.spread = np.empty(dim, dtype=np.complex128)
 
     def run(self, psi: np.ndarray) -> tuple[np.ndarray, float]:
         """Evolve psi over the pass; returns (new psi, worst norm drift)."""
-        arg, phase, spread = self.arg, self.phase, self.spread
+        arg, phase, ratio, curve, spread = self.arg, self.phase, self.ratio, self.curve, self.spread
         angle, level_phase = self.level_angle, self.level_phase
-        phase_re, phase_im = phase.view(np.float64).reshape(-1, 2).T
         level_re, level_im = level_phase.view(np.float64).reshape(-1, 2).T
         half = len(self.stages) // 2
         first, second = self.stages[:half], self.stages[half:]
@@ -398,10 +425,16 @@ class _Integration:
         flat = out.view(np.float64)
         nrm = 1.0
         worst_drift = 0.0
-        for k in range(self.steps):
-            np.dot(self.coef[k], self.rows, out=arg)
-            np.cos(arg, out=phase_re)
-            np.sin(arg, out=phase_im)
+        for k, exact in enumerate(self.phase_plan):
+            for row, re, im in exact:
+                np.dot(row, self.rows, out=arg)
+                np.cos(arg, out=re)
+                np.sin(arg, out=im)
+            if not exact:
+                # r advances past what the next anchor overwrites; one
+                # multiply per anchor interval, not worth a flag
+                phase *= ratio
+                ratio *= curve
             np.multiply(phase, psi, out=out)
             for op, x, y, z in first:
                 op(x, y, z)
@@ -425,14 +458,17 @@ class _Integration:
         return (flat / nrm).view(np.complex128), worst_drift
 
 
-def _start_vector(req: SamplerRequest, convention: str) -> np.ndarray:
-    """The initial state as a vector; a schedule that starts above s = 0
-    (a reverse anneal) has no transverse ground to start from."""
+def _start_vector(req: SamplerRequest) -> np.ndarray:
+    """The initial state as a vector: the transverse ground, the uniform
+    superposition, unless the request gives a basis state. A schedule
+    that starts above s = 0 (a reverse anneal) has no transverse ground
+    to start from."""
     model = req.model
     if req.initial_state is None:
         if req.schedule.needs_initial_state(model.n):
             raise ValueError("schedule starts above s=0: initial_state is required")
-        return _transverse_ground(model, convention)
+        dim = 1 << model.n
+        return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     bits = _to_bits(model, req.initial_state)
     k = sum(b << i for i, b in enumerate(bits))
     psi = np.zeros(1 << model.n, dtype=np.complex128)
@@ -440,39 +476,35 @@ def _start_vector(req: SamplerRequest, convention: str) -> np.ndarray:
     return psi
 
 
-def schrodinger_anneal(
-    req: SamplerRequest,
-    steps: int | None = None,
-    convention: str = "standard",
-) -> SampleSet:
+def schrodinger_anneal(req: SamplerRequest, steps: int | None = None) -> SampleSet:
     """Integrate the annealing Hamiltonian and sample the final state.
 
     H(t) = sum_i (1 - s_i(t)) (-sigma^x_i) + [problem diagonal with bias
-    terms scaled by s_i and coupling terms by s_i s_j]. The "literal"
-    convention instead puts h_i on the transverse term and leaves only
-    couplings on the diagonal (Ising models only). Integration is
+    terms scaled by s_i and coupling terms by s_i s_j]. Integration is
     second-order operator splitting with the schedule evaluated at step
     midpoints; the norm is taken each step and a drift beyond 1e-6 in any
     single step raises IntegrationError, and each step's renormalisation
     is folded into the next step's phase. All qubit rotations of a step
-    are one phase in the Hadamard basis, applied by real gemms, and the
-    diagonal is folded by schedule path (see _Integration), so
-    probabilities match a per-qubit rotation loop up to the last bits;
-    the samples drawn for a seed are the same.
+    are one phase in the Hadamard basis, applied by real gemms. The
+    diagonal is folded by schedule path, and its phase advances by a
+    recurrence that is evaluated exactly at every schedule breakpoint and
+    every _ANCHOR_EVERY steps (see _Integration). So probabilities match a
+    per-qubit rotation loop within 1e-12; the samples drawn for a seed
+    are the same.
     """
     model = req.model
     n = model.n
-    _check_statevector(model, convention)
+    _check_statevector(model)
     sched = req.schedule
     rng = np.random.default_rng(req.seed)
 
-    psi = _start_vector(req, convention)
+    psi = _start_vector(req)
     if sched.total_time == 0.0:
         outcomes = measure(psi, req.reads, rng)
         states = [_from_bits(model, [(int(k) >> i) & 1 for i in range(n)]) for k in outcomes]
         return _assemble(model, states)
 
-    plan = _Integration(model, sched, steps, convention)
+    plan = _Integration(model, sched, steps)
     if sched.reinitialize:
         psi, drift = plan.run(psi)
         outcomes = measure(psi, req.reads, rng)
@@ -492,19 +524,15 @@ def schrodinger_anneal(
     return _assemble(model, states, drift)
 
 
-def final_probabilities(
-    req: SamplerRequest,
-    steps: int | None = None,
-    convention: str = "standard",
-) -> np.ndarray:
+def final_probabilities(req: SamplerRequest, steps: int | None = None) -> np.ndarray:
     """|amplitude|^2 over the 2^n basis states after one pass of the
     schedule, with no measurement noise. Diagnostic view of the same
     integrator schrodinger_anneal samples from; basis state k has bit i
     of k as variable i."""
-    _check_statevector(req.model, convention)
-    psi = _start_vector(req, convention)
+    _check_statevector(req.model)
+    psi = _start_vector(req)
     if req.schedule.total_time > 0.0:
-        psi, _ = _Integration(req.model, req.schedule, steps, convention).run(psi)
+        psi, _ = _Integration(req.model, req.schedule, steps).run(psi)
     return np.abs(psi) ** 2
 
 

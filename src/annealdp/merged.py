@@ -29,6 +29,7 @@ import numpy as np
 from .bqm import QuboModel, fold_values
 from .engines import (
     Sampler,
+    SampleRecord,
     SampleSet,
     SamplerRequest,
     _assemble,
@@ -336,6 +337,21 @@ def greedy_merged_sampler(problem: MergedProblem, req: SamplerRequest) -> Sample
     return _assemble(problem.poly, states)
 
 
+def _decoded_reads(
+    problem: MergedProblem, records: Sequence[SampleRecord],
+) -> tuple[list[tuple[float, float, float]], list[float], list[float]]:
+    """Every read of `records` decoded, with its policy and valuation
+    losses, in the order expand_states lists the reads. Each distinct
+    record is decoded and scored once and repeated by its occurrences."""
+    states = [r.state for r in records]
+    g_p, g_v = problem.component_losses(states)
+
+    def expand(values):
+        return [v for v, r in zip(values, records) for _ in range(r.occurrences)]
+
+    return expand(problem.decode_states(states)), expand(g_p.tolist()), expand(g_v.tolist())
+
+
 def multi_anneal_ppi(
     problem: MergedProblem,
     sampler: Sampler | None = None,
@@ -363,21 +379,14 @@ def multi_anneal_ppi(
     if req.schedule.reinitialize:
         raise ValueError("multi-anneal reads continue from terminal states; "
                          "build the schedule with reinitialize=False")
-    records = sampler(req).records
-    # each distinct read is decoded and scored once, then expanded by its
-    # occurrences in record order, as expand_states would list it
-    distinct = problem.decode_states([r.state for r in records])
-    g_p, g_v = problem.component_losses([r.state for r in records])
-    decoded = [d for d, r in zip(distinct, records) for _ in range(r.occurrences)]
-    scored = [pair for pair, r in zip(zip(g_p.tolist(), g_v.tolist()), records)
-              for _ in range(r.occurrences)]
+    decoded, g_p, g_v = _decoded_reads(problem, sampler(req).records)
     # the lowest read per objective, the first one on ties; the policy
     # pick skips reads whose x1 anchors no valuation step
     usable = [i for i, d in enumerate(decoded) if 0.0 < d[0] < 1.0]
     if not usable:
         raise DegenerateEstimateError("no read decodes x1 in (0, 1)")
-    best_p = usable[_keep_lowest([scored[i][0] for i in usable], 1.0)[0]]
-    best_v = _keep_lowest([lv for _, lv in scored], 1.0)[0]
+    best_p = usable[_keep_lowest([g_p[i] for i in usable], 1.0)[0]]
+    best_v = _keep_lowest(g_v, 1.0)[0]
     x1 = decoded[best_p][0]
     _, x2, x3 = decoded[best_v]
     return PpiState(
@@ -385,7 +394,7 @@ def multi_anneal_ppi(
         x2=x2,
         x3=x3,
         iteration=reads,
-        loss_history=tuple(lp + lv for lp, lv in scored),
+        loss_history=tuple(lp + lv for lp, lv in zip(g_p, g_v)),
     )
 
 
@@ -526,19 +535,17 @@ def one_shot_ensemble(
     if schedule is None:
         schedule = merged_schedule(problem, cycles=cycles, reinitialize=True)
     records = sampler(SamplerRequest(problem.qubo, schedule, reads=reads, seed=seed)).records
-    # each distinct read is decoded and scored once, then expanded by its
-    # occurrences in record order, as expand_states would list it
-    distinct = problem.decode_states([r.state for r in records])
+    decoded, g_p, g_v = _decoded_reads(problem, records)
+    distinct = dict.fromkeys(decoded)
     for d in distinct:
         _check_read(d, problem)
-    g_p, g_v = problem.component_losses([r.state for r in records])
-    decoded = [d for d, r in zip(distinct, records) for _ in range(r.occurrences)]
-    unadj = [u for u, r in zip((g_p + g_v).tolist(), records) for _ in range(r.occurrences)]
 
-    lowest = _keep_lowest(unadj, keep_fraction)
+    lowest = _keep_lowest([lp + lv for lp, lv in zip(g_p, g_v)], keep_fraction)
     anchor = tuple(float(np.mean([decoded[i][p] for i in lowest])) for p in range(3))
     score = _scorer(problem, anchor, reference)
-    return [o for d, r in zip(distinct, records) for o in [score(d)] * r.occurrences]
+    # each distinct parameter triple is scored once
+    outcome = {d: score(d) for d in distinct}
+    return [outcome[d] for d in decoded]
 
 
 def one_shot_ppi(

@@ -29,6 +29,7 @@ from annealdp.bqm import (
     qubo_energy,
     random_ising,
 )
+from annealdp.cli import RunConfig, _valuation_encodings
 from annealdp.engines import (
     IntegrationError,
     SamplerRequest,
@@ -43,7 +44,7 @@ from annealdp.engines import (
 from annealdp.merged import build_merged_problem, merged_schedule
 from annealdp.pbf import Poly, to_qubo
 from annealdp.quadratize import quadratize_full
-from annealdp.rbc import DEFAULT_PARAMS
+from annealdp.rbc import DEFAULT_INIT, DEFAULT_PARAMS, build_gv_pbo, collocation_grid
 from annealdp.schedules import (
     AnnealSchedule,
     forward_schedule,
@@ -221,22 +222,6 @@ class TestSchrodinger:
         a = schrodinger_anneal(SamplerRequest(HS, gs, reads=50, initial_state=(0, 0), seed=9))
         b = schrodinger_anneal(SamplerRequest(HS, gs, reads=50, initial_state=(0, 0), seed=9))
         assert a.records == b.records
-
-    def test_literal_convention_ising_only(self):
-        req = SamplerRequest(HS, forward_schedule(4.0), reads=1, seed=0)
-        with pytest.raises(ValueError, match="Ising"):
-            schrodinger_anneal(req, convention="literal")
-
-    def test_literal_convention_runs_on_ising(self):
-        req = SamplerRequest(TABLE1, forward_schedule(16.0), reads=40, seed=3)
-        ss = schrodinger_anneal(req, convention="literal")
-        assert ss.total_reads == 40
-        assert ss.norm_drift < 1e-9
-
-    def test_unknown_convention_rejected(self):
-        req = SamplerRequest(TABLE1, forward_schedule(4.0), reads=1)
-        with pytest.raises(ValueError, match="convention"):
-            schrodinger_anneal(req, convention="linear")
 
     # Shape freeze: 12-unit windows, near-instant drop. The fast drop is
     # diabatic at the avoided crossing while the long rise is adiabatic,
@@ -1000,7 +985,7 @@ class TestAssembledEnergies:
             assert np.float64(r.energy).tobytes() == np.float64(poly.evaluate(r.state)).tobytes()
 
 
-def scalar_pass(model, sched, psi, steps=None, convention="standard"):
+def scalar_pass(model, sched, psi, steps=None):
     """Reference integrator: the schedule read and the problem diagonal
     rebuilt from the term dicts at every step, and each qubit rotated by
     gathering and scattering its amplitude pairs. Returns (psi, worst
@@ -1019,9 +1004,8 @@ def scalar_pass(model, sched, psi, steps=None, convention="standard"):
 
     def diagonal(s):
         d = np.zeros(dim)
-        if convention == "standard":
-            for i, w in lin.items():
-                d += (w * s[i]) * vals[i]
+        for i, w in lin.items():
+            d += (w * s[i]) * vals[i]
         for (i, j), w in quad.items():
             d += (w * s[i] * s[j]) * (vals[i] * vals[j])
         return d
@@ -1034,10 +1018,7 @@ def scalar_pass(model, sched, psi, steps=None, convention="standard"):
         phase = np.exp(-0.5j * dt * diagonal(s))
         psi = phase * psi
         for i in range(n):
-            if convention == "standard":
-                theta = (1.0 - s[i]) * dt
-            else:
-                theta = -(1.0 - s[i]) * lin.get(i, 0.0) * dt
+            theta = (1.0 - s[i]) * dt
             if theta == 0.0:
                 continue
             lo = lows[i]
@@ -1054,22 +1035,22 @@ def scalar_pass(model, sched, psi, steps=None, convention="standard"):
     return psi, worst
 
 
-def scalar_probabilities(req, steps=None, convention="standard"):
-    psi = engines._start_vector(req, convention)
+def scalar_probabilities(req, steps=None):
+    psi = engines._start_vector(req)
     if req.schedule.total_time > 0.0:
-        psi, _ = scalar_pass(req.model, req.schedule, psi, steps, convention)
+        psi, _ = scalar_pass(req.model, req.schedule, psi, steps)
     return np.abs(psi) ** 2
 
 
-def scalar_chained(req, steps=None, convention="standard"):
+def scalar_chained(req, steps=None):
     """schrodinger_anneal's chained reads over the reference integrator:
     each read integrates from the last outcome, measures once, collapses."""
     model, n = req.model, req.model.n
     rng = np.random.default_rng(req.seed)
-    psi = engines._start_vector(req, convention)
+    psi = engines._start_vector(req)
     states, drift = [], 0.0
     for _ in range(req.reads):
-        psi, d = scalar_pass(model, req.schedule, psi, steps, convention)
+        psi, d = scalar_pass(model, req.schedule, psi, steps)
         drift = max(drift, d)
         k = int(measure(psi, 1, rng)[0])
         states.append(engines._from_bits(model, [(k >> i) & 1 for i in range(n)]))
@@ -1078,20 +1059,26 @@ def scalar_chained(req, steps=None, convention="standard"):
     return engines._assemble(model, states, drift)
 
 
+def own_paths(sched, n, rates):
+    """sched with every variable v on its own path: its distance from
+    s = 1 scaled by rates[v], so each qubit turns through its own angle,
+    and a rate of 0 holds it at s = 1, where it never rotates."""
+    base = sched.variable_paths or {}
+    return dataclasses.replace(sched, variable_paths={
+        v: tuple((t, 1.0 - rates[v] * (1.0 - f)) for t, f in base.get(v, sched.breakpoints))
+        for v in range(n)})
+
+
 @st.composite
 def integrator_requests(draw, sizes, reads=1):
-    """A small model, convention and schedule with an initial state where
-    the schedule needs one. Literal-convention models may carry zero
-    biases, whose qubits never rotate (theta == 0)."""
+    """A small model and schedule with an initial state where the schedule
+    needs one. Half the schedules put every qubit on its own path, and
+    some of those hold a qubit at s = 1, where it never rotates
+    (theta == 0)."""
     n = draw(st.sampled_from(sizes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    convention = draw(st.sampled_from(["standard", "literal"]))
-    if convention == "literal" or draw(st.booleans()):
+    if draw(st.booleans()):
         model = random_ising(n, rng, density=0.8)
-        if convention == "literal":
-            zeros = draw(st.sets(st.integers(0, n - 1)))
-            biases = {i: (0.0 if i in zeros else h) for i, h in model.biases.items()}
-            model = IsingModel(n, biases, model.couplings)
         domain = (-1, 1)
     else:
         q = {(i, j): float(rng.normal()) for i in range(n) for j in range(i, n)
@@ -1100,20 +1087,22 @@ def integrator_requests(draw, sizes, reads=1):
         domain = (0, 1)
     shape = draw(st.sampled_from(["forward", "reverse", "grouped"]))
     if shape == "forward":
-        sched, initial = forward_schedule(2.0), None
+        sched = forward_schedule(2.0)
+    elif shape == "reverse":
+        sched = reverse_with_hold(2.0, 0.2, 0.3)
     else:
-        if shape == "reverse":
-            sched = reverse_with_hold(2.0, 0.2, 0.3)
-        else:
-            groups = [tuple(range(0, n, 2)), tuple(range(1, n, 2))]
-            sched = grouped_cycle_schedule(
-                3.0, [g for g in groups if g], down_fraction=0.3)
+        groups = [tuple(range(0, n, 2)), tuple(range(1, n, 2))]
+        sched = grouped_cycle_schedule(3.0, [g for g in groups if g], down_fraction=0.3)
+    if draw(st.booleans()):
+        rates = draw(st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), min_size=n, max_size=n))
+        sched = own_paths(sched, n, rates)
+    initial = None
+    if sched.needs_initial_state(n):
         initial = tuple(domain[int(b)] for b in rng.integers(0, 2, n))
     if reads > 1:
         sched = dataclasses.replace(sched, reinitialize=False)
-    req = SamplerRequest(model, sched, reads=reads, initial_state=initial,
-                         seed=draw(st.integers(0, 2**32 - 1)))
-    return req, convention
+    return SamplerRequest(model, sched, reads=reads, initial_state=initial,
+                          seed=draw(st.integers(0, 2**32 - 1)))
 
 
 # The integrator reorders the scalar loop's arithmetic (Hadamard-basis
@@ -1122,12 +1111,11 @@ def integrator_requests(draw, sizes, reads=1):
 PROBABILITY_BOUND = 1e-12
 
 
-def scalar_sampled(req, steps=None, convention="standard"):
+def scalar_sampled(req, steps=None):
     """schrodinger_anneal's lockstep reads over the reference integrator:
     one pass, then all reads measured from the same seed."""
     model, n = req.model, req.model.n
-    psi, drift = scalar_pass(model, req.schedule, engines._start_vector(req, convention),
-                             steps, convention)
+    psi, drift = scalar_pass(model, req.schedule, engines._start_vector(req), steps)
     outcomes = measure(psi, req.reads, np.random.default_rng(req.seed))
     states = [engines._from_bits(model, [(int(k) >> i) & 1 for i in range(n)]) for k in outcomes]
     return engines._assemble(model, states, drift)
@@ -1135,13 +1123,12 @@ def scalar_sampled(req, steps=None, convention="standard"):
 
 def sampling_case(c):
     """Seeded request c with 2-10 qubits and 200 lockstep reads: an Ising
-    or QUBO model (Ising in the literal convention for every eighth case)
-    on a forward, reverse or grouped schedule."""
+    or QUBO model on a forward, reverse or grouped schedule; every eighth
+    case puts each qubit on its own path and holds the first at s = 1."""
     rng = np.random.default_rng(9000 + c)
     n = 2 + c % 9
     shape = ("forward", "reverse", "grouped")[c % 3]
-    convention = "literal" if c % 8 == 3 else "standard"
-    if c % 2 or convention == "literal":
+    if c % 2:
         model, domain = random_ising(n, rng, density=0.8), (-1, 1)
     else:
         q = {(i, j): float(rng.normal()) for i in range(n) for j in range(i, n)
@@ -1157,34 +1144,49 @@ def sampling_case(c):
             groups = [tuple(range(0, n, 2)), tuple(range(1, n, 2))]
             sched = grouped_cycle_schedule(3.0, groups, down_fraction=0.3)
         initial = tuple(domain[int(b)] for b in rng.integers(0, 2, n))
-    return SamplerRequest(model, sched, reads=200, initial_state=initial, seed=c), convention
+    if c % 8 == 3:
+        sched = own_paths(sched, n, [0.0, *rng.uniform(0.2, 1.0, n - 1)])
+        if initial is None:
+            initial = tuple(domain[int(b)] for b in rng.integers(0, 2, n))
+    return SamplerRequest(model, sched, reads=200, initial_state=initial, seed=c)
+
+
+def valuation_qubo(j):
+    """The hybrid's first valuation QUBO at --j2 j --j3 j, at native scale:
+    2 (j + 1) qubits whose diagonal spans about 1,100."""
+    enc2, enc3 = _valuation_encodings(RunConfig(algorithm="hybrid", j2=j, j3=j))
+    poly, _ = build_gv_pbo(DEFAULT_INIT[0], enc2, enc3, collocation_grid(DEFAULT_PARAMS))
+    return to_qubo(poly)[0]
 
 
 class TestIntegratorMatchesScalarLoop:
     @settings(max_examples=80, deadline=None)
     @given(integrator_requests(sizes=range(1, 10)), st.sampled_from([None, 7, 40]))
-    def test_same_probabilities(self, case, steps):
-        req, convention = case
-        want = scalar_probabilities(req, steps, convention)
-        got = final_probabilities(req, steps, convention)
+    def test_same_probabilities(self, req, steps):
+        want = scalar_probabilities(req, steps)
+        got = final_probabilities(req, steps)
         assert np.max(np.abs(got - want)) <= PROBABILITY_BOUND
 
     @settings(max_examples=30, deadline=None)
     @given(integrator_requests(sizes=range(1, 8), reads=3), st.sampled_from([None, 7]))
-    def test_chained_reads_share_one_plan(self, case, steps):
-        req, convention = case
-        want = scalar_chained(req, steps, convention)
-        got = schrodinger_anneal(req, steps, convention)
+    def test_chained_reads_share_one_plan(self, req, steps):
+        want = scalar_chained(req, steps)
+        got = schrodinger_anneal(req, steps)
         assert got.records == want.records
         assert abs(got.norm_drift - want.norm_drift) <= 1e-12
 
     def test_all_zero_angles(self):
-        # literal convention, no biases: no qubit ever rotates
-        model = IsingModel(3, {}, {(0, 1): -0.7, (1, 2): 0.4})
-        req = SamplerRequest(model, forward_schedule(2.0))
-        want = scalar_probabilities(req, 9, "literal")
-        got = final_probabilities(req, 9, "literal")
-        assert np.max(np.abs(got - want)) <= PROBABILITY_BOUND
+        # every path held at s = 1: no qubit ever rotates, so the pass is
+        # the diagonal phase alone and leaves every probability as it was
+        model = IsingModel(3, {0: 0.3}, {(0, 1): -0.7, (1, 2): 0.4})
+        sched = own_paths(forward_schedule(2.0), 3, [0.0] * 3)
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        psi /= np.linalg.norm(psi)
+        got, _ = engines._Integration(model, sched, 9).run(psi)
+        want, _ = scalar_pass(model, sched, psi, 9)
+        assert np.max(np.abs(np.abs(got) ** 2 - np.abs(want) ** 2)) <= PROBABILITY_BOUND
+        assert np.max(np.abs(np.abs(got) ** 2 - np.abs(psi) ** 2)) <= PROBABILITY_BOUND
 
     def test_column_blocks_past_4096_states(self):
         # 13 qubits: the Hadamard transform runs over three axes (4, 4 and 5 qubits)
@@ -1195,29 +1197,59 @@ class TestIntegratorMatchesScalarLoop:
 
     @pytest.mark.parametrize("case", range(48))
     def test_sample_sets_match_scalar_reference(self, case):
-        req, convention = sampling_case(case)
-        got = schrodinger_anneal(req, convention=convention)
-        assert got.records == scalar_sampled(req, convention=convention).records
+        req = sampling_case(case)
+        assert schrodinger_anneal(req).records == scalar_sampled(req).records
+
+    # Native scale: the valuation QUBO at the default step size of 1/32
+    # turns the half-step phase by up to 17 rad, which is where the
+    # diagonal phase recurrence rounds most. The counts put the end of a
+    # run of recurrence steps just before, at and after an anchor, and
+    # 1,283 steps, not a multiple of the anchor interval, carry it over a
+    # whole anneal. The grouped schedule's dips bottom out at 0.15 T and
+    # 0.65 T and end at 0.5 T: at 1,283 steps its segments start at steps
+    # 0, 192, 642 and 834, so two of its breakpoints fall inside an
+    # interval of the anchors counted from step 0.
+    @pytest.mark.parametrize("steps", [1, 2, engines._ANCHOR_EVERY - 1, engines._ANCHOR_EVERY,
+                                       engines._ANCHOR_EVERY + 1, 1283])
+    @pytest.mark.parametrize("shape", ["forward", "grouped"])
+    def test_native_scale_phase_recurrence(self, native_valuation_qubo, shape, steps):
+        model = native_valuation_qubo
+        total = steps / 32.0
+        if shape == "forward":
+            sched, initial = forward_schedule(total), None
+        else:
+            sched = grouped_cycle_schedule(total, [tuple(range(5)), tuple(range(5, 10))],
+                                           down_fraction=0.3)
+            initial = tuple(v % 2 for v in range(model.n))
+        req = SamplerRequest(model, sched, reads=100, initial_state=initial, seed=steps)
+        want = scalar_probabilities(req, steps)
+        assert np.max(np.abs(final_probabilities(req, steps) - want)) <= PROBABILITY_BOUND
+        assert schrodinger_anneal(req, steps).records == scalar_sampled(req, steps).records
 
     @pytest.mark.parametrize("n, axes", [(1, 1), (2, 1), (7, 2), (11, 2), (12, 2), (13, 3),
                                          (14, 3), (16, 3)])
-    @pytest.mark.parametrize("convention", ["standard", "literal"])
-    def test_transverse_stage_is_the_qubit_rotations(self, n, axes, convention):
+    @pytest.mark.parametrize("paths", ["shared", "own"])
+    def test_transverse_stage_is_the_qubit_rotations(self, n, axes, paths):
         # No diagonal terms, so one step is the transverse stage alone. The
-        # start paths differ by v % 3, which gives up to three angle groups;
-        # the literal biases give each qubit its own angle.
+        # shared start paths differ by v % 3, which gives up to three angle
+        # groups; own start paths give each qubit its own angle.
         rng = np.random.default_rng(n)
-        biases = {v: float(rng.normal()) for v in range(n)} if convention == "literal" else {}
-        model = IsingModel(n, biases, {})
+        starts = rng.uniform(size=n) if paths == "own" else [0.25 * (v % 3) for v in range(n)]
+        model = IsingModel(n, {}, {})
         sched = AnnealSchedule(2.0, ((0.0, 0.0), (2.0, 1.0)),
-                               {v: ((0.0, 0.25 * (v % 3)), (2.0, 1.0)) for v in range(n)})
+                               {v: ((0.0, float(starts[v])), (2.0, 1.0)) for v in range(n)})
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         psi /= np.linalg.norm(psi)
-        plan = engines._Integration(model, sched, 1, convention)
+        plan = engines._Integration(model, sched, 1)
         assert [op for op, *_ in plan.stages].count(np.matmul) == 2 * axes
         got, _ = plan.run(psi)
-        want, _ = scalar_pass(model, sched, psi, 1, convention)
+        want, _ = scalar_pass(model, sched, psi, 1)
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.fixture(scope="module")
+def native_valuation_qubo():
+    return valuation_qubo(4)
 
 
 class TestNormCheck:
