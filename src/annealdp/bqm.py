@@ -6,6 +6,12 @@ energy_terms lists them, and fold_values and fold_indices add any such
 term list over many states at once, bit-for-bit equal to the scalar
 sums. brute_force ranks states approximately with gemms, within a proven
 rounding bound, and reports only those exact folds.
+
+Only the public per-class functions (the energies, the conversions,
+energy_terms and value_domain) read a model's dicts or ask its class;
+the exhaustive search reads a model through energy_terms and
+value_domain alone, and its split ranking takes any term list, such as
+a greedy group's fold.
 """
 
 from __future__ import annotations
@@ -295,21 +301,16 @@ def block_energies(model: IsingModel | QuboModel, start: int, stop: int) -> np.n
     return _fold_energies(model, np.arange(start, stop, dtype=np.int64))
 
 
-def _restrict(model: IsingModel | QuboModel, lo: int, hi: int) -> IsingModel | QuboModel:
-    """The terms on variables lo..hi-1 only, renumbered from 0."""
-    if isinstance(model, IsingModel):
-        return IsingModel(
-            hi - lo,
-            {i - lo: h for i, h in model.biases.items() if lo <= i < hi},
-            {(i - lo, j - lo): w for (i, j), w in model.couplings.items() if lo <= i and j < hi},
-        )
-    return QuboModel(hi - lo, {(i - lo, j - lo): w for (i, j), w in model.q.items() if lo <= i and j < hi})
-
-
-def _value_table(bits: int, spin: bool) -> np.ndarray:
+def _value_table(bits: int, domain: tuple[int, int]) -> np.ndarray:
     """(2^bits x bits) values of every state over `bits` variables."""
-    b = (np.arange(1 << bits)[:, None] >> np.arange(bits)) & 1
-    return (2.0 * b - 1.0) if spin else b.astype(np.float64)
+    return np.array(domain, dtype=np.float64)[(np.arange(1 << bits)[:, None] >> np.arange(bits)) & 1]
+
+
+def _index_state(k: int, n: int, domain: tuple[int, int]) -> tuple[int, ...]:
+    """The state over n variables with index k: variable v takes
+    domain[(k >> v) & 1]."""
+    k = int(k)
+    return tuple(domain[(k >> v) & 1] for v in range(n))
 
 
 # Candidate set of the approximate pass. Every term of an energy is the
@@ -344,33 +345,41 @@ def _rank_bound(weights: Iterable[float]) -> float | None:
     return 4.0 * (mu / (1.0 - mu)) * s * (1.0 + 2.0**-50)
 
 
-def _split_ranking(model: IsingModel | QuboModel) -> Iterator[tuple[int, np.ndarray]]:
-    """Approximate energies of every state, in index order and in chunks
-    of about 2^_BLOCK_BITS states, as (first state index, flat energies).
-    The flat array is a buffer that the next chunk overwrites.
+def _split_ranking(
+    terms: Iterable[tuple[Sequence[int], float]], n: int, domain: tuple[int, int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Approximate energies of every state of a term list over n
+    variables, each of at most two variables, in index order and in
+    chunks of about 2^_BLOCK_BITS states, as (first state index, flat
+    energies). The flat array is a buffer that the next chunk overwrites.
 
-    The low n_lo = n // 2 bits a and the high n_hi bits b of state
-    m = b << n_lo | a split its energy as
-    E(a, b) = E_low[a] + E_high[b] + v(a)^T C v(b), where E_low and
-    E_high are the energies of the terms inside each half, C is the
-    (n_lo x n_hi) matrix of cross couplings and v is the value vector
-    (bits, or spins for an Ising model). The cross term is
-    (V_low @ C) @ V_high^T over chunks of high states, so no 2^n array is
-    ever held.
+    The low n_lo = n // 2 variables a and the high n_hi variables b of
+    state m = b << n_lo | a split its energy as
+    E(a, b) = E_low[a] + E_high[b] + v(a)^T C v(b). E_low and E_high fold
+    the terms inside each half, in the order given; C is the (n_lo x n_hi)
+    matrix of the terms across the halves, a pair given twice summed into
+    one entry; v is the vector of the variables' domain values. The cross
+    term is (V_low @ C) @ V_high^T over chunks of high states, so no 2^n
+    array is ever held.
     """
-    n = model.n
     n_lo = n // 2
     n_hi = n - n_lo
-    spin = isinstance(model, IsingModel)
-    e_low = block_energies(_restrict(model, 0, n_lo), 0, 1 << n_lo)
-    e_high = block_energies(_restrict(model, n_lo, n), 0, 1 << n_hi)[:, None]
+    low: list[tuple[Sequence[int], float]] = []
+    high: list[tuple[Sequence[int], float]] = []
     cross = np.zeros((n_lo, n_hi))
-    pairs = model.couplings.items() if spin else model.q.items()
-    for (i, j), w in pairs:
-        if i < n_lo <= j:
-            cross[i, j - n_lo] = w
-    low_cross = np.ascontiguousarray((_value_table(n_lo, spin) @ cross).T)
-    v_high = _value_table(n_hi, spin)
+    for vars_, c in terms:
+        if max(vars_) < n_lo:
+            low.append((vars_, c))
+        elif min(vars_) >= n_lo:
+            high.append((vars_, c))
+        else:
+            i, j = sorted(vars_)
+            cross[i, j - n_lo] += c
+    e_low = fold_indices(low, np.arange(1 << n_lo), n_lo, domain)
+    # the high states as indices over all n variables, the low ones off
+    e_high = fold_indices(high, np.arange(1 << n_hi) << n_lo, n, domain)[:, None]
+    low_cross = np.ascontiguousarray((_value_table(n_lo, domain) @ cross).T)
+    v_high = _value_table(n_hi, domain)
     rows = 1 << max(0, _BLOCK_BITS - n_lo)
     buf = np.empty((min(rows, 1 << n_hi), 1 << n_lo))
     for b0 in range(0, 1 << n_hi, rows):
@@ -393,7 +402,7 @@ def _near_minimum(model: IsingModel | QuboModel, weights: list[float]) -> np.nda
     thr = np.inf
     found_idx: list[np.ndarray] = []
     found_e: list[np.ndarray] = []
-    for m0, flat in _split_ranking(model):
+    for m0, flat in _split_ranking(energy_terms(model), model.n, value_domain(model)):
         cmin = flat.min()
         if cmin < emin:
             emin = cmin
@@ -425,11 +434,12 @@ def _near_minimum(model: IsingModel | QuboModel, weights: list[float]) -> np.nda
 # around the approximate minimum is not enough here: a record taken
 # before the scan reaches that band moves the running best, and with it
 # which entries inside the band beat it by the tolerance. The scan's
-# fold may hold two terms on the same pair of variables, which its model
-# merges into one coefficient: fl(c1 + c2) v = fl(c1 v + c2 v) for v in
-# {-1, 0, 1} is one rounding of a sum of the fold's terms, so e~ is still
-# a sum of the fold's m terms with at most m - 1 roundings, and delta is
-# taken over the fold's own coefficients.
+# fold may hold two terms on the same pair of variables. Across the
+# split, _split_ranking sums them into one entry of the cross matrix:
+# fl(c1 + c2) v = fl(c1 v + c2 v) for v in {-1, 0, 1} is one rounding of
+# a sum of the fold's terms. Inside a half, it folds them unmerged.
+# Either way e~ is still a sum of the fold's m terms with at most m - 1
+# roundings, and delta is taken over the fold's own coefficients.
 
 
 def _record_candidates(
@@ -514,19 +524,14 @@ def brute_force(
         if bmin == min_energy:
             argmin_idx.extend(idx[energies == min_energy].tolist())
 
-    def to_state(k: int) -> tuple[int, ...]:
-        bits = tuple((k >> i) & 1 for i in range(n))
-        if isinstance(model, IsingModel):
-            return tuple(2 * b - 1 for b in bits)
-        return bits
-
+    domain = value_domain(model)
     spectrum = None
     if keep_spectrum:
         flat = np.concatenate(spectrum_energies) if spectrum_energies else np.zeros(0)
-        spectrum = tuple((to_state(k), float(flat[k])) for k in range(total))
+        spectrum = tuple((_index_state(k, n, domain), float(flat[k])) for k in range(total))
     return SpectrumResult(
         min_energy=float(min_energy),
-        argmin_states=tuple(to_state(k) for k in argmin_idx),
+        argmin_states=tuple(_index_state(k, n, domain) for k in argmin_idx),
         spectrum=spectrum,
     )
 

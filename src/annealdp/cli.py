@@ -177,7 +177,8 @@ def read_config_file(path: str) -> dict:
     """key=value lines; # comments; unknown keys rejected."""
     values: dict = {}
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     for lineno, line in enumerate(lines, 1):

@@ -5,6 +5,11 @@ time-dependent transverse-field Hamiltonian (small n), a seeded
 heat-bath (Glauber) annealer that honors the same schedule semantics (any n),
 and a deterministic sequential-greedy idealization of grouped cyclic
 anneals. Plus the device timing model used for reporting.
+
+Every engine takes an Ising model or a QUBO alike and reads it only
+through bqm.energy_terms (its terms, in the order its energy adds them)
+and bqm.value_domain (a variable's (off, on) values, spins or bits);
+states are in that domain.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .bqm import (
     CapacityError,
     IsingModel,
     QuboModel,
+    _index_state,
     _rank_bound,
     _record_candidates,
     _split_ranking,
@@ -84,7 +90,7 @@ class SamplerRequest:
                 raise ValueError(
                     f"initial_state length {len(self.initial_state)} != n={self.model.n}"
                 )
-            allowed = (0, 1) if isinstance(self.model, QuboModel) else (-1, 1)
+            allowed = value_domain(self.model)
             for v in self.initial_state:
                 if v not in allowed:
                     raise ValueError(f"initial_state value {v!r} not in {allowed}")
@@ -141,18 +147,6 @@ def _assemble(
     return SampleSet(tuple(records), norm_drift)
 
 
-def _to_bits(model, state: Sequence[int]) -> list[int]:
-    if isinstance(model, QuboModel):
-        return list(state)
-    return [(v + 1) // 2 for v in state]
-
-
-def _from_bits(model, bits: Sequence[int]) -> tuple[int, ...]:
-    if isinstance(model, QuboModel):
-        return tuple(int(b) for b in bits)
-    return tuple(2 * int(b) - 1 for b in bits)
-
-
 def initial_hamiltonian_spectrum(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and ground vector of -sum_i sigma^x_i.
 
@@ -179,17 +173,6 @@ def measure(amplitudes: np.ndarray, reads: int, rng: np.random.Generator) -> np.
     probs = np.abs(amplitudes) ** 2
     probs = probs / probs.sum()
     return rng.choice(len(amplitudes), size=reads, p=probs)
-
-
-def _model_terms(model):
-    """(linear, quadratic) term dicts in the model's native domain."""
-    if isinstance(model, QuboModel):
-        lin = {i: w for (i, j), w in model.q.items() if i == j}
-        quad = {(i, j): w for (i, j), w in model.q.items() if i != j}
-    else:
-        lin = dict(model.biases)
-        quad = dict(model.couplings)
-    return lin, quad
 
 
 def _check_statevector(model) -> None:
@@ -317,24 +300,23 @@ class _Integration:
         self.steps = _step_count(sched, steps)
         n = model.n
         dim = 1 << n
-        lin, quad = _model_terms(model)
         dt = sched.total_time / self.steps
         times = (np.arange(self.steps) + 0.5) * dt
         table = fraction_table(sched, times, n)
         bits = [(np.arange(dim) >> i) & 1 for i in range(n)]
 
         paths, path = _equal_columns(table)
-        if isinstance(model, QuboModel):
-            vals = [b.astype(np.float64) for b in bits]
-        else:
-            vals = [2.0 * b - 1.0 for b in bits]
+        values = np.array(value_domain(model), dtype=np.float64)
+        vals = [values[b] for b in bits]
         rows: dict[tuple[int, ...], np.ndarray] = {}
-        for i, w in lin.items():
-            key = (path[i],)
-            rows[key] = rows.get(key, 0.0) + w * vals[i]
-        for (i, j), w in quad.items():
-            key = tuple(sorted((path[i], path[j])))
-            rows[key] = rows.get(key, 0.0) + w * (vals[i] * vals[j])
+        # the linear rows first, then the coupling rows, each in term
+        # order: the row order fixes the order the phase's dot sums them in
+        for vars_, w in sorted(energy_terms(model), key=lambda t: len(t[0])):
+            key = tuple(sorted(path[v] for v in vars_))
+            row = w
+            for v in vars_:
+                row = row * vals[v]
+            rows[key] = rows.get(key, 0.0) + row
         self.rows = np.zeros((len(rows), dim))
         coef = np.empty((self.steps, len(rows)))
         for r, (key, row) in enumerate(rows.items()):
@@ -469,8 +451,8 @@ def _start_vector(req: SamplerRequest) -> np.ndarray:
             raise ValueError("schedule starts above s=0: initial_state is required")
         dim = 1 << model.n
         return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
-    bits = _to_bits(model, req.initial_state)
-    k = sum(b << i for i, b in enumerate(bits))
+    on = value_domain(model)[1]
+    k = sum(1 << i for i, v in enumerate(req.initial_state) if v == on)
     psi = np.zeros(1 << model.n, dtype=np.complex128)
     psi[k] = 1.0
     return psi
@@ -498,18 +480,17 @@ def schrodinger_anneal(req: SamplerRequest, steps: int | None = None) -> SampleS
     sched = req.schedule
     rng = np.random.default_rng(req.seed)
 
+    domain = value_domain(model)
     psi = _start_vector(req)
     if sched.total_time == 0.0:
         outcomes = measure(psi, req.reads, rng)
-        states = [_from_bits(model, [(int(k) >> i) & 1 for i in range(n)]) for k in outcomes]
-        return _assemble(model, states)
+        return _assemble(model, [_index_state(k, n, domain) for k in outcomes])
 
     plan = _Integration(model, sched, steps)
     if sched.reinitialize:
         psi, drift = plan.run(psi)
         outcomes = measure(psi, req.reads, rng)
-        states = [_from_bits(model, [(int(k) >> i) & 1 for i in range(n)]) for k in outcomes]
-        return _assemble(model, states, drift)
+        return _assemble(model, [_index_state(k, n, domain) for k in outcomes], drift)
 
     # chained reads: each read collapses to its outcome and seeds the next
     states = []
@@ -518,7 +499,7 @@ def schrodinger_anneal(req: SamplerRequest, steps: int | None = None) -> SampleS
         psi, d = plan.run(psi)
         drift = max(drift, d)
         k = int(measure(psi, 1, rng)[0])
-        states.append(_from_bits(model, [(k >> i) & 1 for i in range(n)]))
+        states.append(_index_state(k, n, domain))
         psi = np.zeros(1 << n, dtype=np.complex128)
         psi[k] = 1.0
     return _assemble(model, states, drift)
@@ -539,23 +520,20 @@ def final_probabilities(req: SamplerRequest, steps: int | None = None) -> np.nda
 def _dense_form(model) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric off-diagonal matrix W and linear vector d, native domain."""
     n = model.n
-    lin, quad = _model_terms(model)
     d = np.zeros(n)
     w = np.zeros((n, n))
-    for i, c in lin.items():
-        d[i] = c
-    for (i, j), c in quad.items():
-        w[i, j] += c
-        w[j, i] += c
+    for vars_, c in energy_terms(model):
+        if len(vars_) == 1:
+            d[vars_[0]] = c
+        else:
+            i, j = vars_
+            w[i, j] += c
+            w[j, i] += c
     return w, d
 
 
 def default_hot_temperature(model) -> float:
-    lin, quad = _model_terms(model)
-    scale = max(
-        max((abs(c) for c in lin.values()), default=0.0),
-        max((abs(c) for c in quad.values()), default=0.0),
-    )
+    scale = max((abs(c) for _, c in energy_terms(model)), default=0.0)
     return scale if scale > 0 else 1.0
 
 
@@ -603,12 +581,14 @@ def heuristic_anneal(
     of w is zero, so its fields are a gemm over the rows before its slice
     plus one over the rows after it, plus the biases. Each sweep draws
     its (active, reads) block in index order, as the RNG contract says,
-    and one take puts the rows in layer order. Values are exactly 0/1 or
-    +-1, so the accepted flips need no mask: a bit becomes |x - accept|
-    and a spin x (1 - 2 accept). Summing a field over fewer, permuted
-    columns may round differently from a per-variable loop, so a field
-    can differ from the scalar loop's in the last bits; the sample sets
-    stay identical, and the tests hold them to that.
+    and one take puts the rows in layer order. A flip takes a value v to
+    (off + on) - v, for bits and spins alike, so it adds the step
+    (off + on) - 2v, and the accepted flips need no mask: x += step *
+    accept. Every value is exactly 0/1 or +-1, so every step is exact.
+    Summing a field over fewer, permuted columns may round differently
+    from a per-variable loop, so a field can differ from the scalar
+    loop's in the last bits; the sample sets stay identical, and the
+    tests hold them to that.
     """
     model = req.model
     n = model.n
@@ -617,24 +597,24 @@ def heuristic_anneal(
     rng = np.random.default_rng(req.seed)
     if t_hot is None:
         t_hot = default_hot_temperature(model)
-    is_qubo = isinstance(model, QuboModel)
+    off, on = value_domain(model)
     w, d = _dense_form(model)
 
+    flip_sum = float(off + on)
     # lockstep reads update one state column each; chained reads one column
     # in turn. The (n, count) buffers are updated in place, so views of
     # them are taken once.
     count = reads if sched.reinitialize else 1
     if req.initial_state is None:
         # drawn (count, n) as the RNG contract says, then made variable-major
-        bits = rng.integers(0, 2, size=(count, n)).T.astype(np.float64, order="C")
-        start = bits if is_qubo else 2.0 * bits - 1.0
+        start = np.array((off, on), dtype=np.float64)[rng.integers(0, 2, size=(count, n)).T]
     else:
         start = np.repeat(np.array(req.initial_state, dtype=np.float64)[:, None], count, axis=1)
     states = np.empty((n, count))
     draws = np.empty((n, count))
     uniforms = np.empty((n, count))
     f_buf = np.empty((n, count))
-    delta_buf = np.empty((n, count))
+    step_buf = np.empty((n, count))
     p_buf = np.empty((n, count))
     accept_buf = np.empty((n, count), dtype=bool)
 
@@ -661,7 +641,7 @@ def heuristic_anneal(
             head, *tail = outside or [(np.zeros((m, 0)), states[:0])]
             bias = np.repeat(d[perm[a:b]][:, None], count, axis=1)
             layers.append((head, tail[0] if tail else None, bias, states[a:b], uniforms[a:b],
-                           f_buf[:m], delta_buf[:m], p_buf[:m], accept_buf[:m]))
+                           f_buf[:m], step_buf[:m], p_buf[:m], accept_buf[:m]))
             a = b
         return perm, order, layers
 
@@ -705,34 +685,27 @@ def heuristic_anneal(
             rng.random(out=block)
             # the positions are in range, so the take can skip its bounds check
             np.take(block, order, axis=0, out=u_all, mode="wrap")
-            for (w_in, x_in), tail, bias, x, u, f, delta, p, accept in layers:
+            for (w_in, x_in), tail, bias, x, u, f, step, p, accept in layers:
                 np.matmul(w_in, x_in, out=f)
                 if tail is not None:
-                    np.matmul(tail[0], tail[1], out=delta)
-                    f += delta
+                    np.matmul(tail[0], tail[1], out=step)
+                    f += step
                 f += bias
-                if is_qubo:
-                    np.multiply(x, 2.0, out=delta)
-                    np.subtract(1.0, delta, out=delta)
-                else:
-                    np.multiply(x, -2.0, out=delta)
-                delta *= f
+                # a flip takes v to (off + on) - v
+                np.multiply(x, -2.0, out=step)
+                step += flip_sum
+                # f becomes delta, each flip's energy change
+                f *= step
                 # 1 / (1 + exp(min(delta / tau, 700))) > u; below -700,
                 # 1 + exp is already exactly 1, so no lower clip is needed
-                np.divide(delta, tau, out=p)
+                np.divide(f, tau, out=p)
                 np.minimum(p, 700.0, out=p)
                 np.exp(p, out=p)
                 p += 1.0
                 np.divide(1.0, p, out=p)
                 np.less(u, p, out=accept)
-                if is_qubo:
-                    np.subtract(x, accept, out=x)
-                    np.abs(x, out=x)
-                else:
-                    # not np.negative: numpy 2.4 mis-writes it on 64-byte strides
-                    np.multiply(accept, -2.0, out=p)
-                    p += 1.0
-                    x *= p
+                step *= accept
+                x += step
 
     if sched.reinitialize:
         run()
@@ -842,14 +815,7 @@ def _split_candidates(local, width: int, domain, e_start: float) -> Iterator[np.
     bound = _rank_bound(local.values())
     if bound is None:
         return None
-    # the fold as a model over the group's bit positions; the model
-    # merges terms on the same positions, which bqm's bound allows for
-    if domain[0] == -1:
-        model = IsingModel(width, {k[0]: c for k, c in local.items() if len(k) == 1},
-                           {k: c for k, c in local.items() if len(k) == 2})
-    else:
-        model = QuboModel(width, {(k[0], k[-1]): c for k, c in local.items()})
-    return _record_candidates(_split_ranking(model), e_start, bound)
+    return _record_candidates(_split_ranking(local.items(), width, domain), e_start, bound)
 
 
 def _best_assignment(terms, group: tuple[int, ...], domain, state: Sequence[int]) -> int:

@@ -86,13 +86,6 @@ class AnnealSchedule:
             return _interp(self.variable_paths[var], t)
         return _interp(self.breakpoints, t)
 
-    def min_fraction_at(self, t: float) -> float:
-        lo = _interp(self.breakpoints, t)
-        if self.variable_paths:
-            for path in self.variable_paths.values():
-                lo = min(lo, _interp(path, t))
-        return lo
-
     def needs_initial_state(self, n: int) -> bool:
         # A variable starting above s=0 has no transverse-dominated start:
         # its classical value at t=0 must come from somewhere.

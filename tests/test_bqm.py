@@ -237,7 +237,7 @@ def exhaustive_reference(
 
 def exact_folds(run) -> list[tuple[IsingModel | QuboModel, list[int]]]:
     """Run run() and return each (model, state indices) that brute_force
-    folded exactly, the approximate pass's own sub-models included."""
+    rescored with the exact fold."""
     folds = []
     fold = bqm_mod._fold_energies
 

@@ -8,7 +8,9 @@ so the whole module stays fast.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
+import warnings
 import xml.etree.ElementTree as ET
 from unittest import mock
 
@@ -51,7 +53,8 @@ def assert_svg_parses(path):
 
 
 def file_digest(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 class TestConfig:
@@ -63,6 +66,15 @@ class TestConfig:
         cfg.write_text("# comment\nalgorithm = classical\n\nseed=7 # trailing\nj2 = 6\n")
         values = read_config_file(str(cfg))
         assert values == {"algorithm": "classical", "seed": 7, "j2": 6}
+
+    def test_file_is_closed_after_reading(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 7\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            read_config_file(str(cfg))
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

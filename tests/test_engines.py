@@ -696,6 +696,67 @@ class TestSplitGreedyStep:
                 sequential_greedy(wide, [tuple(range(27))], (0,) * 27)
 
 
+# The references below read a model through its own coefficient dicts
+# (q for a QUBO, biases and couplings for an Ising model), not through
+# bqm.energy_terms and value_domain as the engines do, so no reference
+# shares the code it checks.
+
+
+def reference_domain(model):
+    """(off, on) values of a variable: bits for a QUBO, else spins."""
+    return (0, 1) if isinstance(model, QuboModel) else (-1, 1)
+
+
+def reference_terms(model):
+    """(linear, quadratic) term dicts in the model's native domain."""
+    if isinstance(model, QuboModel):
+        lin = {i: w for (i, j), w in model.q.items() if i == j}
+        quad = {(i, j): w for (i, j), w in model.q.items() if i != j}
+        return lin, quad
+    return dict(model.biases), dict(model.couplings)
+
+
+def reference_dense_form(model):
+    """Symmetric off-diagonal matrix W and linear vector d, native domain."""
+    lin, quad = reference_terms(model)
+    d = np.zeros(model.n)
+    w = np.zeros((model.n, model.n))
+    for i, c in lin.items():
+        d[i] = c
+    for (i, j), c in quad.items():
+        w[i, j] += c
+        w[j, i] += c
+    return w, d
+
+
+def reference_hot_temperature(model):
+    """The largest coefficient magnitude, or 1 for an all-zero model."""
+    lin, quad = reference_terms(model)
+    scale = max([abs(c) for c in (*lin.values(), *quad.values())], default=0.0)
+    return scale if scale > 0 else 1.0
+
+
+def native_state(model, bits):
+    """The native state whose variable i is on where bits[i] is 1."""
+    return tuple(reference_domain(model)[int(b)] for b in bits)
+
+
+def index_state(model, k):
+    """The native state with index k: variable i is bit i of k."""
+    return native_state(model, [(int(k) >> i) & 1 for i in range(model.n)])
+
+
+def reference_start(req):
+    """The uniform superposition, or the request's basis state."""
+    dim = 1 << req.model.n
+    if req.initial_state is None:
+        return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
+    on = reference_domain(req.model)[1]
+    psi = np.zeros(dim, dtype=np.complex128)
+    psi[sum(1 << i for i, v in enumerate(req.initial_state) if v == on)] = 1.0
+    return psi
+
+
 def scalar_heuristic(req, sweeps=256, t_hot=None):
     """Reference annealer: the kernel as a per-variable loop that reads
     the schedule and draws its uniforms one variable at a time."""
@@ -705,9 +766,9 @@ def scalar_heuristic(req, sweeps=256, t_hot=None):
     reads = req.reads
     rng = np.random.default_rng(req.seed)
     if t_hot is None:
-        t_hot = engines.default_hot_temperature(model)
+        t_hot = reference_hot_temperature(model)
     is_qubo = isinstance(model, QuboModel)
-    w, d = engines._dense_form(model)
+    w, d = reference_dense_form(model)
 
     def init_rows(count):
         if req.initial_state is None:
@@ -843,7 +904,7 @@ class TestHeuristicMatchesScalarLoop:
     @pytest.mark.parametrize("reinitialize", [True, False])
     def test_merged_problem(self, merged_default, reinitialize):
         problem = merged_default
-        w, _ = engines._dense_form(problem.qubo)
+        w, _ = reference_dense_form(problem.qubo)
         layers = engines._layers(w, np.arange(problem.n_vars))
         assert len(layers) < problem.n_vars // 10
         gs = merged_schedule(problem, cycles=2, reinitialize=reinitialize)
@@ -967,7 +1028,7 @@ class TestAssembledEnergies:
         n = model.n
         bits = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
                                   min_size=1, max_size=12))
-        states = [engines._from_bits(model, b) for b in bits]
+        states = [native_state(model, b) for b in bits]
         # a polynomial over the same bits, with a constant and a cubic
         # term, assembles to Poly.evaluate
         terms = {frozenset(k): c for k, c in bqm_mod.energy_terms(model)}
@@ -978,7 +1039,7 @@ class TestAssembledEnergies:
             poly_records = engines._assemble(poly, [tuple(b) for b in bits]).records
         assert sum(r.occurrences for r in records) == len(states)
         for r in records:
-            want = energy_of_bits(model, engines._to_bits(model, r.state))
+            want = energy_of_bits(model, [reference_domain(model).index(v) for v in r.state])
             assert type(r.energy) is float
             assert np.float64(r.energy).tobytes() == np.float64(want).tobytes()
         for r in poly_records:
@@ -992,7 +1053,7 @@ def scalar_pass(model, sched, psi, steps=None):
     norm drift)."""
     n = model.n
     dim = 1 << n
-    lin, quad = engines._model_terms(model)
+    lin, quad = reference_terms(model)
     idx = np.arange(dim)
     if isinstance(model, QuboModel):
         vals = [((idx >> i) & 1).astype(np.float64) for i in range(n)]
@@ -1036,7 +1097,7 @@ def scalar_pass(model, sched, psi, steps=None):
 
 
 def scalar_probabilities(req, steps=None):
-    psi = engines._start_vector(req)
+    psi = reference_start(req)
     if req.schedule.total_time > 0.0:
         psi, _ = scalar_pass(req.model, req.schedule, psi, steps)
     return np.abs(psi) ** 2
@@ -1047,13 +1108,13 @@ def scalar_chained(req, steps=None):
     each read integrates from the last outcome, measures once, collapses."""
     model, n = req.model, req.model.n
     rng = np.random.default_rng(req.seed)
-    psi = engines._start_vector(req)
+    psi = reference_start(req)
     states, drift = [], 0.0
     for _ in range(req.reads):
         psi, d = scalar_pass(model, req.schedule, psi, steps)
         drift = max(drift, d)
         k = int(measure(psi, 1, rng)[0])
-        states.append(engines._from_bits(model, [(k >> i) & 1 for i in range(n)]))
+        states.append(index_state(model, k))
         psi = np.zeros(1 << n, dtype=np.complex128)
         psi[k] = 1.0
     return engines._assemble(model, states, drift)
@@ -1114,10 +1175,10 @@ PROBABILITY_BOUND = 1e-12
 def scalar_sampled(req, steps=None):
     """schrodinger_anneal's lockstep reads over the reference integrator:
     one pass, then all reads measured from the same seed."""
-    model, n = req.model, req.model.n
-    psi, drift = scalar_pass(model, req.schedule, engines._start_vector(req), steps)
+    model = req.model
+    psi, drift = scalar_pass(model, req.schedule, reference_start(req), steps)
     outcomes = measure(psi, req.reads, np.random.default_rng(req.seed))
-    states = [engines._from_bits(model, [(int(k) >> i) & 1 for i in range(n)]) for k in outcomes]
+    states = [index_state(model, k) for k in outcomes]
     return engines._assemble(model, states, drift)
 
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,21 @@ class TestTextFormat:
         path = tmp_path / "poly.txt"
         write_poly(p, str(path))
         assert read_poly(str(path)) == p
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(
+        st.frozensets(st.integers(0, 40), max_size=6),
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+        max_size=8,
+    ))
+    def test_roundtrip_keeps_every_term_exactly(self, terms):
+        p = Poly(terms)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "poly.txt")
+            write_poly(p, path)
+            got = read_poly(path)
+        # stored coefficients are nonzero, so equal floats are equal bits
+        assert got.terms == p.terms
 
     def test_comments_and_accumulation(self, tmp_path):
         path = tmp_path / "poly.txt"

@@ -91,8 +91,6 @@ class TestShapes:
         assert sched.s_at(5.0) == 1.0
         assert sched.s_at(5.0, var=0) == 1.0
         assert sched.s_at(5.0, var=1) == 0.0
-        assert sched.min_fraction_at(5.0) == 0.0
-        assert sched.min_fraction_at(0.0) == 1.0
 
     def test_interp_clamps_outside_path(self):
         sched = AnnealSchedule(10.0, ((2.0, 0.4), (8.0, 0.8)))
