@@ -20,7 +20,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 from annealdp.merged import build_merged_problem, merged_schedule, multi_anneal_ppi, one_shot_ppi
-from annealdp.rbc import DEFAULT_PARAMS, true_parameters
+from annealdp.rbc import DEFAULT_PARAMS, pct_errors, true_parameters
 from annealdp.svgplot import Series, line_chart
 
 
@@ -58,7 +58,7 @@ def run(argv=None) -> int:
         errs = []
         for e in range(args.executions):
             state = driver(args.seed + e)
-            pct = [100.0 * abs(v / t - 1.0) for v, t in zip(state.as_tuple(), truth)]
+            pct = pct_errors(state, truth)
             errs.append(pct)
             rows.append([name, args.seed + e, *map(repr, state.as_tuple()), *map(repr, pct)])
         arr = np.array(errs)

@@ -288,19 +288,6 @@ def fold_indices(
     return out
 
 
-def _fold_energies(model: IsingModel | QuboModel, idx: np.ndarray) -> np.ndarray:
-    """Exact energies of the model's bit states with the given int64
-    indices, bit-for-bit equal to energy_of_bits. State index k encodes
-    bit i as (k >> i) & 1."""
-    return fold_indices(energy_terms(model), idx, model.n, value_domain(model))
-
-
-def block_energies(model: IsingModel | QuboModel, start: int, stop: int) -> np.ndarray:
-    """Energies of the bit states with indices [start, stop), bit-for-bit
-    equal to energy_of_bits. State index k encodes bit i as (k >> i) & 1."""
-    return _fold_energies(model, np.arange(start, stop, dtype=np.int64))
-
-
 def _value_table(bits: int, domain: tuple[int, int]) -> np.ndarray:
     """(2^bits x bits) values of every state over `bits` variables."""
     return np.array(domain, dtype=np.float64)[(np.arange(1 << bits)[:, None] >> np.arange(bits)) & 1]
@@ -497,7 +484,8 @@ def brute_force(
     n = model.n
     if n > max_vars:
         raise CapacityError(f"brute force over {n} variables exceeds the guard of {max_vars}")
-    weights = [c for _, c in energy_terms(model)]
+    terms = energy_terms(model)
+    weights = [c for _, c in terms]
     if not all(math.isfinite(w) for w in weights):
         raise ValueError("brute force needs finite coefficients")
     total = 1 << n
@@ -510,11 +498,12 @@ def brute_force(
         )
     else:
         chunks = (candidates,)
+    domain = value_domain(model)
     min_energy = np.inf
     argmin_idx: list[int] = []
     spectrum_energies: list[np.ndarray] = []
     for idx in chunks:
-        energies = _fold_energies(model, idx)
+        energies = fold_indices(terms, idx, n, domain)
         if keep_spectrum:
             spectrum_energies.append(energies)
         bmin = float(energies.min())
@@ -524,7 +513,6 @@ def brute_force(
         if bmin == min_energy:
             argmin_idx.extend(idx[energies == min_energy].tolist())
 
-    domain = value_domain(model)
     spectrum = None
     if keep_spectrum:
         flat = np.concatenate(spectrum_energies) if spectrum_energies else np.zeros(0)

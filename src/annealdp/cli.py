@@ -54,8 +54,10 @@ from .rbc import (
     classical_ppi,
     collocation_grid,
     combinatorial_ppi,
+    default_valuation_encodings,
     hybrid_ppi,
     oracle_sampler,
+    pct_errors,
     simulate_consumption,
     true_parameters,
     write_consumption_csv,
@@ -236,18 +238,10 @@ def _resolved_cycles(cfg: RunConfig) -> int:
     return 3 if cfg.algorithm == "one-shot" else 1
 
 def _valuation_encodings(cfg: RunConfig) -> tuple[BinaryEncoding, BinaryEncoding]:
-    """Wide-register pair for the classical and hybrid paths.
-
-    At the reference width of 9 bits the scales default to the fixed
-    pair (-0.035, 0.003); at any other width they default to spanning
-    [0, 2x*] like the merged problem does.
-    """
-    j2 = cfg.j2 if cfg.j2 is not None else 9
-    j3 = cfg.j3 if cfg.j3 is not None else 9
-    _, x2s, x3s = true_parameters(DEFAULT_PARAMS)
-    s2 = cfg.s2 if cfg.s2 is not None else (-0.035 if j2 == 9 else 2 * x2s / ((1 << (j2 + 1)) - 1))
-    s3 = cfg.s3 if cfg.s3 is not None else (0.003 if j3 == 9 else 2 * x3s / ((1 << (j3 + 1)) - 1))
-    return BinaryEncoding(0, j2 + 1, s2), BinaryEncoding(j2 + 1, j3 + 1, s3)
+    """Wide-register pair for the combinatorial and hybrid paths, 9 bits
+    wide by default."""
+    return default_valuation_encodings(cfg.j2 if cfg.j2 is not None else 9,
+                                       cfg.j3 if cfg.j3 is not None else 9, cfg.s2, cfg.s3)
 
 
 def _merged_encodings(cfg: RunConfig):
@@ -339,11 +333,6 @@ def _per_anneal_time(cfg: RunConfig) -> float | None:
     return CYCLE_BASE_US * (2 * _resolved_cycles(cfg) - 1)
 
 
-def _pct_errors(state: PpiState) -> tuple[float, float, float]:
-    truth = true_parameters(DEFAULT_PARAMS)
-    return tuple(100.0 * abs(v / t - 1.0) for v, t in zip(state.as_tuple(), truth))
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     tag = cfg.algorithm.replace("-", "_")
@@ -360,7 +349,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
     truth = true_parameters(DEFAULT_PARAMS)
     est = np.array([s.as_tuple() for s in terminals])
-    errs = np.array([_pct_errors(s) for s in terminals])
+    errs = np.array([pct_errors(s, truth) for s in terminals])
     import csv as _csv
 
     with open(os.path.join(cfg.out_dir, f"{tag}_summary.csv"), "w", newline="") as fh:
@@ -371,9 +360,10 @@ def cmd_solve(cfg: RunConfig) -> int:
                         repr(float(est[:, p].std())), repr(float(errs[:, p].mean()))])
 
     xs = tuple(range(1, len(trace) + 1)) if trace else (0,)
+    trace_errs = [pct_errors(s, truth) for s in trace]
     series = []
     for p, name in enumerate(("x1", "x2", "x3")):
-        ys = tuple(_pct_errors(s)[p] for s in trace) or (0.0,)
+        ys = tuple(e[p] for e in trace_errs) or (0.0,)
         series.append(Series(name, xs[: len(ys)], ys))
     x_title = "iteration" if (cfg.executions == 1 and histories[0]) else "execution"
     line_chart(os.path.join(cfg.out_dir, f"{tag}_errors.svg"), series,
@@ -399,7 +389,10 @@ def cmd_solve(cfg: RunConfig) -> int:
 # quadratize
 
 def cmd_quadratize(args: argparse.Namespace) -> int:
-    poly = read_poly(args.input)
+    try:
+        poly = read_poly(args.input)
+    except OSError as exc:
+        raise UsageError(f"cannot read polynomial file: {exc}") from None
     out_path = args.out if args.out else args.input + ".quad"
     result = quadratize_full(poly)
     write_poly(result.qubo_poly, out_path)
@@ -519,6 +512,8 @@ def _toy_run(model_name: str, engine: str, cycles: int, reads: int, seed: int):
 def cmd_appendix_b(args: argparse.Namespace) -> int:
     engines = [args.engine] if args.engine else list(ENGINES)
     reads = args.reads if args.reads is not None else 1000
+    if reads < 1:
+        raise UsageError("reads must be positive")
     seed = args.seed if args.seed is not None else 0
     rows = []
     for model_name, label in (("single", "single-activation"), ("two", "two-component")):
@@ -557,15 +552,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         x1 = _x1_from_summary(args.from_summary)
     else:
         raise UsageError("need a policy: pass --x1, --true, or --from-summary")
+    try:
+        sim = simulate_consumption(
+            x1,
+            periods=args.periods,
+            shock_index=args.shock_index,
+            shock_period=args.shock_period,
+            k0=args.k0,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     out_dir = args.out_dir if args.out_dir else "runs"
     os.makedirs(out_dir, exist_ok=True)
-    sim = simulate_consumption(
-        x1,
-        periods=args.periods,
-        shock_index=args.shock_index,
-        shock_period=args.shock_period,
-        k0=args.k0,
-    )
     csv_path = os.path.join(out_dir, "consumption.csv")
     write_consumption_csv(csv_path, sim)
     periods = tuple(range(len(sim.z_path)))

@@ -52,6 +52,7 @@ from .rbc import (
     collocation_grid,
     fit_log_coefficients,
     gamma_constants,
+    spanning_scale,
     true_parameters,
 )
 from .schedules import AnnealSchedule, grouped_cycle_schedule
@@ -69,17 +70,14 @@ def default_merged_encodings(
 ) -> tuple[BinaryEncoding, BinaryEncoding, BinaryEncoding]:
     """Consecutive encodings for (x1, x2, x3) at the merged-run widths.
 
-    x1 keeps the natural (0, 1) span. The others span [0, 2x*] like the
-    wider classical run, with the scale recomputed for the bit count:
-    s = 2x* / (2^(J+1) - 1).
+    x1 keeps the natural (0, 1) span. The others span [0, 2x*], as the
+    valuation registers do off their reference width, with the scale
+    recomputed for the bit count: s = 2x* / (2^(J+1) - 1).
     """
-    x1s, x2s, x3s = true_parameters(params)
-    del x1s
+    _, x2s, x3s = true_parameters(params)
     enc1 = BinaryEncoding(0, j1 + 1, 2.0 ** -(j1 + 1))
-    s2 = 2.0 * x2s / ((1 << (j2 + 1)) - 1)
-    s3 = 2.0 * x3s / ((1 << (j3 + 1)) - 1)
-    enc2 = BinaryEncoding(j1 + 1, j2 + 1, s2)
-    enc3 = BinaryEncoding(j1 + j2 + 2, j3 + 1, s3)
+    enc2 = BinaryEncoding(j1 + 1, j2 + 1, spanning_scale(x2s, j2 + 1))
+    enc3 = BinaryEncoding(j1 + j2 + 2, j3 + 1, spanning_scale(x3s, j3 + 1))
     return enc1, enc2, enc3
 
 

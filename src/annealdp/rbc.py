@@ -3,7 +3,9 @@
 Full-depreciation log-utility growth model with a five-state productivity
 chain: closed-form solution, collocation grid, the policy and valuation
 objectives as binary polynomials, and the iteration drivers (continuous
-least squares, exhaustive grid search, and sampler-in-the-loop).
+least squares, and the sampler in the loop). Exhaustive grid search is
+the sampler step with the exhaustive oracle at one read. Every driver
+runs a fixed number of iterations.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ from .bqm import brute_force
 from .engines import Sampler, SampleSet, SamplerRequest, _assemble
 from .pbf import BinaryEncoding, LogCoefficients, Poly, ln_1mx_poly, ln_x_poly, to_qubo
 from .schedules import AnnealSchedule, forward_schedule
-
-
-class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted before the parameter vector settled."""
 
 
 class DegenerateEstimateError(ValueError):
@@ -200,13 +198,29 @@ def fit_log_coefficients(x3_bar: float, params: RbcParams = DEFAULT_PARAMS) -> L
     return LogCoefficients(a0=a0, a1=a1, a2=a2, at0=at0, at1=at1)
 
 
+def spanning_scale(value: float, bits: int) -> float:
+    """Scale at which a register of `bits` bits spans [0, 2 value]."""
+    return 2.0 * value / ((1 << bits) - 1)
+
+
 def default_valuation_encodings(
     j2: int = 9,
     j3: int = 9,
-    s2: float = -0.035,
-    s3: float = 0.003,
+    s2: float | None = None,
+    s3: float | None = None,
 ) -> tuple[BinaryEncoding, BinaryEncoding]:
-    """Disjoint encodings for the intercept and slope, intercept first."""
+    """Disjoint encodings for the intercept and slope, intercept first,
+    each of J+1 bits.
+
+    A scale left as None is the reference pair (-0.035, 0.003) at the
+    reference width J = 9, and spans [0, 2x*] at any other width, like
+    the merged registers.
+    """
+    _, x2s, x3s = true_parameters()
+    if s2 is None:
+        s2 = -0.035 if j2 == 9 else spanning_scale(x2s, j2 + 1)
+    if s3 is None:
+        s3 = 0.003 if j3 == 9 else spanning_scale(x3s, j3 + 1)
     return BinaryEncoding(0, j2 + 1, s2), BinaryEncoding(j2 + 1, j3 + 1, s3)
 
 
@@ -343,54 +357,43 @@ class PpiState:
 DEFAULT_INIT = (0.5, -0.5, 0.5)
 
 
+def pct_errors(state: PpiState, truth: tuple[float, float, float]) -> tuple[float, float, float]:
+    """|error| % of each estimate against the true parameters."""
+    return tuple(100.0 * abs(v / t - 1.0) for v, t in zip(state.as_tuple(), truth))
+
+
 def _iterate_ppi(
     valuation: Callable[[float, int], tuple[float, float, float]],
     params: RbcParams,
     init: tuple[float, float, float],
-    fixed_iterations: int | None,
-    tol: float,
-    max_iter: int,
-    history: list[PpiState] | None = None,
+    iterations: int,
+    history: list[PpiState] | None,
 ) -> PpiState:
-    """Common alternation: analytic policy step, then a valuation step.
+    """Common alternation, a fixed number of times: analytic policy step,
+    then a valuation step.
 
     The valuation callback maps (x1_bar, iteration index) to
-    (x2, x3, loss). Convergence is declared when the relative change of
-    every parameter falls below tol; a fixed iteration count skips the
-    convergence rule entirely. Passing a list as history captures the
-    state after every iteration.
+    (x2, x3, loss). Passing a list as history captures the state after
+    every iteration.
     """
+    if iterations < 1:
+        raise ValueError("iteration limit must be >= 1")
     x1, x2, x3 = init
     losses: list[float] = []
-    limit = fixed_iterations if fixed_iterations is not None else max_iter
-    if limit < 1:
-        raise ValueError("iteration limit must be >= 1")
-    for it in range(limit):
-        prev = (x1, x2, x3)
+    for it in range(iterations):
         x1 = analytic_policy_update(x3, params)
         x2, x3, loss = valuation(x1, it)
         losses.append(loss)
         if history is not None:
             history.append(PpiState(x1, x2, x3, it + 1, tuple(losses)))
-        if fixed_iterations is None:
-            change = max(abs(a - b) / max(abs(b), 1e-12) for a, b in zip((x1, x2, x3), prev))
-            if change < tol:
-                return PpiState(x1, x2, x3, it + 1, tuple(losses))
-    if fixed_iterations is None:
-        raise ConvergenceError(
-            f"no convergence after {max_iter} iterations; last state "
-            f"({x1:.6g}, {x2:.6g}, {x3:.6g}), last loss {losses[-1]:.6g}"
-        )
-    return PpiState(x1, x2, x3, limit, tuple(losses))
+    return PpiState(x1, x2, x3, iterations, tuple(losses))
 
 
 def classical_ppi(
     params: RbcParams = DEFAULT_PARAMS,
     grid: CollocationGrid | None = None,
     init: tuple[float, float, float] = DEFAULT_INIT,
-    fixed_iterations: int | None = None,
-    tol: float = 1e-3,
-    max_iter: int = 10,
+    fixed_iterations: int = 2,
     history: list[PpiState] | None = None,
 ) -> PpiState:
     """Policy iteration with the valuation step solved continuously.
@@ -411,7 +414,7 @@ def classical_ppi(
         x2, x3 = np.linalg.solve(a, b)
         return float(x2), float(x3), gam.evaluate(float(x2), float(x3))
 
-    return _iterate_ppi(valuation, params, init, fixed_iterations, tol, max_iter, history)
+    return _iterate_ppi(valuation, params, init, fixed_iterations, history)
 
 
 def combinatorial_ppi(
@@ -419,33 +422,19 @@ def combinatorial_ppi(
     grid: CollocationGrid | None = None,
     encodings: tuple[BinaryEncoding, BinaryEncoding] | None = None,
     init: tuple[float, float, float] = DEFAULT_INIT,
-    fixed_iterations: int | None = None,
-    tol: float = 1e-3,
-    max_iter: int = 10,
+    fixed_iterations: int = 2,
     history: list[PpiState] | None = None,
 ) -> PpiState:
     """Policy iteration with the valuation argmin found exhaustively.
 
-    Every joint bit assignment of the two encodings is enumerated, so
-    the step is deterministic: ties resolve to the lowest state index.
+    This is hybrid_ppi's sampler step with the exhaustive oracle at one
+    read: every joint bit assignment of the two encodings is enumerated,
+    so the step is deterministic and ties resolve to the lowest state
+    index.
     """
-    if grid is None:
-        grid = collocation_grid(params)
-    enc2, enc3 = encodings if encodings is not None else default_valuation_encodings()
-
-    def valuation(x1_bar: float, _it: int) -> tuple[float, float, float]:
-        poly, _ = build_gv_pbo(x1_bar, enc2, enc3, grid)
-        qubo, offset = to_qubo(poly)
-        res = brute_force(qubo)
-        state = res.argmin_states[0]
-        assign = {v: state[v] for v in range(len(state))}
-        return (
-            enc2.decode_assignment(assign),
-            enc3.decode_assignment(assign),
-            res.min_energy + offset,
-        )
-
-    return _iterate_ppi(valuation, params, init, fixed_iterations, tol, max_iter, history)
+    return hybrid_ppi(params, oracle_sampler, grid=grid, encodings=encodings, init=init,
+                      iterations=fixed_iterations, reads=1, keep_fraction=1.0,
+                      history=history)
 
 
 def oracle_sampler(req: SamplerRequest) -> SampleSet:
@@ -476,13 +465,15 @@ def hybrid_ppi(
     seed: int = 0,
     history: list[PpiState] | None = None,
 ) -> PpiState:
-    """Policy iteration with the valuation step delegated to a sampler.
+    """Policy iteration with the valuation step delegated to a sampler,
+    for a fixed number of iterations.
 
     Each iteration draws `reads` samples of the valuation problem over
     `schedule` (default: a 20 us forward anneal) from fresh starts, keeps
     the lowest keep_fraction by energy, and averages their decoded
     parameters. With the exhaustive oracle as the sampler (the default)
-    this reproduces the grid-search iteration exactly.
+    every read is the argmin, and at one read this is the exhaustive
+    grid search, combinatorial_ppi.
     """
     if sampler is None:
         sampler = oracle_sampler
@@ -499,16 +490,12 @@ def hybrid_ppi(
         states = ss.expand_states()
         energies = [r.energy for r in ss.records for _ in range(r.occurrences)]
         kept = _keep_lowest(energies, keep_fraction)
-        assigns = [dict(enumerate(states[i])) for i in kept]
-        x2 = float(np.mean([enc2.decode_assignment(a) for a in assigns]))
-        x3 = float(np.mean([enc3.decode_assignment(a) for a in assigns]))
+        x2 = float(np.mean([enc2.decode_assignment(states[i]) for i in kept]))
+        x3 = float(np.mean([enc3.decode_assignment(states[i]) for i in kept]))
         loss = float(np.mean([energies[i] for i in kept])) + offset
         return x2, x3, loss
 
-    return _iterate_ppi(
-        valuation, params, init, fixed_iterations=iterations, tol=0.0,
-        max_iter=iterations, history=history,
-    )
+    return _iterate_ppi(valuation, params, init, iterations, history)
 
 
 @dataclass(frozen=True)
@@ -585,7 +572,7 @@ def write_consumption_csv(path: str, sim: ConsumptionPath) -> None:
 
 def write_iteration_csv(path: str, states: Sequence[PpiState], params: RbcParams = DEFAULT_PARAMS) -> None:
     """Per-iteration parameter and error trace for a sequence of states."""
-    x1s, x2s, x3s = true_parameters(params)
+    truth = true_parameters(params)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "x1", "x2", "x3", "err_x1_pct", "err_x2_pct", "err_x3_pct", "loss"])
@@ -593,8 +580,6 @@ def write_iteration_csv(path: str, states: Sequence[PpiState], params: RbcParams
             writer.writerow([
                 st.iteration,
                 repr(st.x1), repr(st.x2), repr(st.x3),
-                repr(100.0 * abs(st.x1 / x1s - 1.0)),
-                repr(100.0 * abs(st.x2 / x2s - 1.0)),
-                repr(100.0 * abs(st.x3 / x3s - 1.0)),
+                *map(repr, pct_errors(st, truth)),
                 repr(st.loss_history[-1]) if st.loss_history else "",
             ])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -16,14 +17,16 @@ from annealdp.bqm import (
     CapacityError,
     IsingModel,
     QuboModel,
-    block_energies,
     brute_force,
     energy_of_bits,
+    energy_terms,
+    fold_indices,
     ising_energy,
     ising_to_qubo,
     qubo_energy,
     qubo_to_ising,
     random_ising,
+    value_domain,
 )
 from annealdp.rbc import combinatorial_ppi
 
@@ -174,7 +177,8 @@ class TestBruteForce:
     def test_vector_scalar_agreement_exact(self):
         rng = np.random.default_rng(23)
         ising = random_ising(6, rng)
-        energies = block_energies(ising, 0, 64)
+        energies = fold_indices(energy_terms(ising), np.arange(0, 64, dtype=np.int64),
+                                ising.n, value_domain(ising))
         for k in range(64):
             bits = [(k >> i) & 1 for i in range(6)]
             assert energies[k] == energy_of_bits(ising, bits)
@@ -208,7 +212,8 @@ def exhaustive_reference(
     spectrum_energies: list[np.ndarray] = []
     for start in range(0, total, block):
         stop = min(start + block, total)
-        energies = block_energies(model, start, stop)
+        energies = fold_indices(energy_terms(model), np.arange(start, stop, dtype=np.int64),
+                                n, value_domain(model))
         if keep_spectrum:
             spectrum_energies.append(energies)
         bmin = float(energies.min())
@@ -239,13 +244,16 @@ def exact_folds(run) -> list[tuple[IsingModel | QuboModel, list[int]]]:
     """Run run() and return each (model, state indices) that brute_force
     rescored with the exact fold."""
     folds = []
-    fold = bqm_mod._fold_energies
+    fold = bqm_mod.fold_indices
 
-    def spy(m, idx):
-        folds.append((m, idx.tolist()))
-        return fold(m, idx)
+    def spy(terms, idx, n, domain=(0, 1)):
+        # brute_force's rescoring only, not the split ranking's half folds
+        caller = sys._getframe(1)
+        if caller.f_code is bqm_mod.brute_force.__code__:
+            folds.append((caller.f_locals["model"], idx.tolist()))
+        return fold(terms, idx, n, domain)
 
-    with mock.patch.object(bqm_mod, "_fold_energies", spy):
+    with mock.patch.object(bqm_mod, "fold_indices", spy):
         run()
     return folds
 
@@ -301,7 +309,8 @@ def _delta_window(model: IsingModel | QuboModel) -> tuple[set[int], set[int], se
     states within 2 delta of the minimum (the candidate set must hold
     them), those within 2 delta plus one unit (the threshold is rounded up
     by less than that), and those strictly between delta and 2 delta."""
-    energies = block_energies(model, 0, 1 << model.n)
+    energies = fold_indices(energy_terms(model), np.arange(0, 1 << model.n, dtype=np.int64),
+                            model.n, value_domain(model))
     weights = [c for _, c in bqm_mod.energy_terms(model)]
     m = Fraction(len(weights), 2**53)
     delta = 2 * m / (1 - m) * sum(Fraction(abs(w)) for w in weights)

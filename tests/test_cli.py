@@ -493,3 +493,23 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for name in ("solve", "quadratize", "appendix-b", "simulate", "bench"):
             assert name in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--x1", "1.5"],
+    ["simulate", "--x1", "nan"],
+    ["simulate", "--true", "--periods", "0"],
+    ["simulate", "--true", "--shock-index", "9"],
+    ["simulate", "--true", "--k0", "-1"],
+    ["appendix-b", "--reads", "0", "--engine", "heuristic"],
+    ["appendix-b", "--reads", "0", "--engine", "greedy"],
+    ["appendix-b", "--reads", "0"],
+    ["quadratize", "missing.poly"],
+])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from annealdp.bqm import brute_force
 from annealdp.engines import SampleRecord, SampleSet, heuristic_anneal
+from annealdp.merged import default_merged_encodings
 from annealdp.pbf import BinaryEncoding, LogCoefficients, ln_1mx_poly, ln_x_poly, to_qubo
 from annealdp.rbc import (
     DEFAULT_PARAMS,
     CollocationGrid,
-    ConvergenceError,
     GammaConstants,
     PpiState,
     RbcParams,
@@ -400,21 +400,12 @@ class TestClassicalPpi:
         assert len(st.loss_history) == 2
         assert st.loss_history[1] <= st.loss_history[0] + 1e-12
 
-    def test_convergence_rule(self):
-        st = classical_ppi()
-        assert st.iteration == 3
-        assert st.as_tuple() == pytest.approx(ALG1_FIXED2, rel=1e-6)
-
     def test_error_profile(self):
         st = classical_ppi(fixed_iterations=2)
         errs = tuple(100.0 * abs(v / t - 1.0) for v, t in zip(st.as_tuple(), TRUTH))
         assert errs == pytest.approx((0.72, 0.0651, 1.0453), abs=0.01)
         # slope worst, intercept best
         assert errs[2] > errs[0] > errs[1]
-
-    def test_non_convergence_diagnostic(self):
-        with pytest.raises(ConvergenceError, match="no convergence"):
-            classical_ppi(max_iter=1)
 
     def test_state_invariants(self):
         with pytest.raises(ValueError, match="x1"):
@@ -438,6 +429,19 @@ class TestCombinatorialPpi:
         assert enc2.bit_count == 10 and enc3.bit_count == 10
         assert enc2.scale == -0.035 and enc3.scale == 0.003
         assert set(enc2.vars) | set(enc3.vars) == set(range(20))
+
+    def test_default_scales_span_off_the_reference_width(self):
+        # the reference pair at J = 9; elsewhere the merged registers'
+        # spanning scale, so the top code decodes to 2 x*
+        for j in range(1, 21):
+            enc2, enc3 = default_valuation_encodings(j, j)
+            if j == 9:
+                assert (enc2.scale, enc3.scale) == (-0.035, 0.003)
+                continue
+            assert enc2.scale * enc2.max_int == pytest.approx(2 * TRUTH[1], rel=1e-15)
+            assert enc3.scale * enc3.max_int == pytest.approx(2 * TRUTH[2], rel=1e-15)
+            _, m2, m3 = default_merged_encodings(DEFAULT_PARAMS, 6, j, j)
+            assert (enc2.scale, enc3.scale) == (m2.scale, m3.scale)
 
     def test_error_profile(self, alg2_fixed2):
         errs = tuple(100.0 * abs(v / t - 1.0) for v, t in zip(alg2_fixed2.as_tuple(), TRUTH))
