@@ -16,11 +16,14 @@ reruns produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import dataclasses
 import functools
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +116,8 @@ class RunConfig:
     sweeps: int = 256
     anneal_time: float | None = None
     bias: float = 0.0
-    init_true: bool = False
+    init_true: bool = dataclasses.field(
+        default=False, metadata={"help": "start from the closed-form parameters"})
     out_dir: str = "runs"
 
     def validate(self) -> None:
@@ -148,41 +152,54 @@ class RunConfig:
             raise UsageError("anneal_time must be >= 5 microseconds")
         if self.bias < 0.0:
             raise UsageError("bias must be nonnegative")
+        if self.seed < 0:
+            raise UsageError("seed must be nonnegative")
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
-_INT_KEYS = {"j1", "j2", "j3", "reads", "cycles", "iterations", "executions", "seed",
-             "k_count", "sweeps"}
-_FLOAT_KEYS = {"s2", "s3", "reversal", "keep_fraction", "anneal_time", "bias"}
-_BOOL_KEYS = {"init_true"}
+# Each field's value type, the X of an `X | None` annotation: the one
+# declaration both the solve flags and the config-file values parse by.
+_FIELD_TYPES = {
+    name: next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
+_CONFIG_FIELDS = set(_FIELD_TYPES)
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _coerce(key: str, raw: str):
-    raw = raw.strip()
+    kind = _FIELD_TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-    except ValueError:
+        return _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
         raise UsageError(f"config value for '{key}' not parseable: {raw!r}") from None
-    return raw
+
+
+@contextlib.contextmanager
+def _reading(what: str):
+    """An input file that cannot be opened, decoded or read as numbers is
+    a usage error. A polynomial's ParseError passes through with its line
+    number."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from None
+
+
+def _make_out_dir(path: str) -> str:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory: {exc}") from None
+    return path
 
 
 def read_config_file(path: str) -> dict:
     """key=value lines; # comments; unknown keys rejected."""
     values: dict = {}
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
+    with _reading("config file"), open(path) as fh:
+        lines = fh.read().splitlines()
     for lineno, line in enumerate(lines, 1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -244,15 +261,10 @@ def _valuation_encodings(cfg: RunConfig) -> tuple[BinaryEncoding, BinaryEncoding
                                        cfg.j3 if cfg.j3 is not None else 9, cfg.s2, cfg.s3)
 
 
-def _merged_encodings(cfg: RunConfig):
-    j2 = cfg.j2 if cfg.j2 is not None else 6
-    j3 = cfg.j3 if cfg.j3 is not None else 6
-    enc1, enc2, enc3 = default_merged_encodings(DEFAULT_PARAMS, cfg.j1, j2, j3)
-    if cfg.s2 is not None:
-        enc2 = BinaryEncoding(enc2.var_base, enc2.bit_count, cfg.s2)
-    if cfg.s3 is not None:
-        enc3 = BinaryEncoding(enc3.var_base, enc3.bit_count, cfg.s3)
-    return enc1, enc2, enc3
+def _merged_encodings(cfg: RunConfig) -> tuple[BinaryEncoding, BinaryEncoding, BinaryEncoding]:
+    """Merged-run registers, 6 bits wide by default."""
+    return default_merged_encodings(DEFAULT_PARAMS, cfg.j1, cfg.j2 if cfg.j2 is not None else 6,
+                                    cfg.j3 if cfg.j3 is not None else 6, cfg.s2, cfg.s3)
 
 
 def _noop_state() -> PpiState:
@@ -334,7 +346,7 @@ def _per_anneal_time(cfg: RunConfig) -> float | None:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     tag = cfg.algorithm.replace("-", "_")
     terminals: list[PpiState] = []
     histories: list[list[PpiState]] = []
@@ -350,10 +362,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     truth = true_parameters(DEFAULT_PARAMS)
     est = np.array([s.as_tuple() for s in terminals])
     errs = np.array([pct_errors(s, truth) for s in terminals])
-    import csv as _csv
-
     with open(os.path.join(cfg.out_dir, f"{tag}_summary.csv"), "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["parameter", "true_value", "mean_estimate", "sd_estimate", "mean_pct_error"])
         for p, name in enumerate(("x1", "x2", "x3")):
             w.writerow([name, repr(truth[p]), repr(float(est[:, p].mean())),
@@ -389,10 +399,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 # quadratize
 
 def cmd_quadratize(args: argparse.Namespace) -> int:
-    try:
+    with _reading("polynomial file"):
         poly = read_poly(args.input)
-    except OSError as exc:
-        raise UsageError(f"cannot read polynomial file: {exc}") from None
     out_path = args.out if args.out else args.input + ".quad"
     result = quadratize_full(poly)
     write_poly(result.qubo_poly, out_path)
@@ -511,15 +519,16 @@ def _toy_run(model_name: str, engine: str, cycles: int, reads: int, seed: int):
 
 def cmd_appendix_b(args: argparse.Namespace) -> int:
     engines = [args.engine] if args.engine else list(ENGINES)
-    reads = args.reads if args.reads is not None else 1000
-    if reads < 1:
+    if args.reads < 1:
         raise UsageError("reads must be positive")
-    seed = args.seed if args.seed is not None else 0
+    if args.seed < 0:
+        raise UsageError("seed must be nonnegative")
     rows = []
     for model_name, label in (("single", "single-activation"), ("two", "two-component")):
         for engine in engines:
             for cycles in (1, 2):
-                modal, energy, share, verdict = _toy_run(model_name, engine, cycles, reads, seed)
+                modal, energy, share, verdict = _toy_run(model_name, engine, cycles,
+                                                         args.reads, args.seed)
                 rows.append((label, engine, cycles,
                              "".join(str(b) for b in modal), energy, share, verdict))
     print(f"{'model':<18}{'engine':<13}{'cycles':<8}{'modal state':<13}"
@@ -527,11 +536,9 @@ def cmd_appendix_b(args: argparse.Namespace) -> int:
     for label, engine, cycles, modal, energy, share, verdict in rows:
         print(f"{label:<18}{engine:<13}{cycles:<8}{modal:<13}{energy:>8.2f}{share:>14.3f}  {verdict}")
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        import csv as _csv
-
+        _make_out_dir(args.out_dir)
         with open(os.path.join(args.out_dir, "appendix_b.csv"), "w", newline="") as fh:
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             w.writerow(["model", "engine", "cycles", "modal_state", "energy",
                         "ground_share", "verdict"])
             for row in rows:
@@ -562,8 +569,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    out_dir = args.out_dir if args.out_dir else "runs"
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_out_dir(args.out_dir)
     csv_path = os.path.join(out_dir, "consumption.csv")
     write_consumption_csv(csv_path, sim)
     periods = tuple(range(len(sim.z_path)))
@@ -582,15 +588,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _x1_from_summary(path: str) -> float:
-    import csv as _csv
-
-    try:
-        with open(path, newline="") as fh:
-            for row in _csv.DictReader(fh):
-                if row.get("parameter") == "x1":
-                    return float(row["mean_estimate"])
-    except OSError as exc:
-        raise UsageError(f"cannot read summary: {exc}") from None
+    with _reading("summary"), open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            if row.get("parameter") == "x1":
+                # a missing cell fails the conversion like any non-number
+                return float(row.get("mean_estimate") or "")
     raise UsageError(f"no x1 row found in {path}")
 
 
@@ -598,14 +600,11 @@ def _x1_from_summary(path: str) -> float:
 # bench
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    out_dir = args.out_dir if args.out_dir else "runs"
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_out_dir(args.out_dir)
     grid_reads = (1, 10, 100, 1000)
     grid_times = (5.0, 20.0, 23.0, 115.0)
-    import csv as _csv
-
     with open(os.path.join(out_dir, "bench.csv"), "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["reads", "t_anneal_us", "total_us"])
         for r in grid_reads:
             for t in grid_times:
@@ -623,14 +622,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--engine", choices=ENGINES, default=None)
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call of main; callers must not add to it."""
     parser = argparse.ArgumentParser(
         prog="annealdp",
         description="Dynamic programming by simulated annealing of merged QUBOs.",
@@ -638,25 +633,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="run a policy-iteration algorithm")
-    _add_config_flags(ps)
-    ps.add_argument("--algorithm", choices=ALGORITHMS, default=None)
-    ps.add_argument("--j1", type=int, default=None)
-    ps.add_argument("--j2", type=int, default=None)
-    ps.add_argument("--j3", type=int, default=None)
-    ps.add_argument("--s2", type=float, default=None)
-    ps.add_argument("--s3", type=float, default=None)
-    ps.add_argument("--reads", type=int, default=None)
-    ps.add_argument("--cycles", type=int, default=None)
-    ps.add_argument("--iterations", type=int, default=None)
-    ps.add_argument("--executions", type=int, default=None)
-    ps.add_argument("--reversal", type=float, default=None)
-    ps.add_argument("--keep-fraction", dest="keep_fraction", type=float, default=None)
-    ps.add_argument("--k-count", dest="k_count", type=int, default=None)
-    ps.add_argument("--sweeps", type=int, default=None)
-    ps.add_argument("--anneal-time", dest="anneal_time", type=float, default=None)
-    ps.add_argument("--bias", type=float, default=None)
-    ps.add_argument("--init-true", dest="init_true", action="store_const", const=True,
-                    default=None, help="start from the closed-form parameters")
+    ps.add_argument("--config", help="key=value config file; flags override it")
+    for f in dataclasses.fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if _FIELD_TYPES[f.name] is bool:
+            ps.add_argument(flag, action="store_const", const=True, help=f.metadata.get("help"))
+        else:
+            ps.add_argument(flag, type=_FIELD_TYPES[f.name])
+    # cmd_solve is looked up per call, so a wrapper patched onto the module sees every run
     ps.set_defaults(func=lambda a: cmd_solve(resolve_config(a)))
 
     pq = sub.add_parser("quadratize", help="reduce a polynomial file to quadratic")
@@ -669,8 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("appendix-b", help="didactic activation models under cyclic schedules")
     pb.add_argument("--engine", choices=ENGINES, default=None,
                     help="default: run all three")
-    pb.add_argument("--reads", type=int, default=None)
-    pb.add_argument("--seed", type=int, default=None)
+    pb.add_argument("--reads", type=int, default=1000)
+    pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--out-dir", dest="out_dir", default=None)
     pb.set_defaults(func=cmd_appendix_b)
 
@@ -683,33 +667,33 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--shock-index", dest="shock_index", type=int, default=0)
     pm.add_argument("--shock-period", dest="shock_period", type=int, default=1)
     pm.add_argument("--k0", type=float, default=None)
-    pm.add_argument("--out-dir", dest="out_dir", default=None)
+    pm.add_argument("--out-dir", dest="out_dir", default="runs")
     pm.set_defaults(func=cmd_simulate)
 
     pn = sub.add_parser("bench", help="device timing accounting table")
-    pn.add_argument("--out-dir", dest="out_dir", default=None)
+    pn.add_argument("--out-dir", dest="out_dir", default="runs")
     pn.set_defaults(func=cmd_bench)
 
     return parser
 
 
+# exception type -> (exit code, message prefix after "error: ")
+_ERROR_EXITS = {
+    UsageError: (EXIT_USAGE, ""),
+    ParseError: (EXIT_USAGE, ""),
+    CapacityError: (EXIT_CAPACITY, ""),
+    DegenerateEstimateError: (EXIT_VERIFY, "degenerate estimate: "),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except DegenerateEstimateError as exc:
-        print(f"error: degenerate estimate: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    except tuple(_ERROR_EXITS) as exc:
+        code, prefix = next(_ERROR_EXITS[t] for t in type(exc).__mro__ if t in _ERROR_EXITS)
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -67,18 +67,22 @@ def default_merged_encodings(
     j1: int = 6,
     j2: int = 6,
     j3: int = 6,
+    s2: float | None = None,
+    s3: float | None = None,
 ) -> tuple[BinaryEncoding, BinaryEncoding, BinaryEncoding]:
     """Consecutive encodings for (x1, x2, x3) at the merged-run widths.
 
-    x1 keeps the natural (0, 1) span. The others span [0, 2x*], as the
-    valuation registers do off their reference width, with the scale
-    recomputed for the bit count: s = 2x* / (2^(J+1) - 1).
+    x1 keeps the natural (0, 1) span. A scale left as None spans
+    [0, 2x*], as the valuation registers do off their reference width,
+    with the scale recomputed for the bit count: s = 2x* / (2^(J+1) - 1).
     """
     _, x2s, x3s = true_parameters(params)
+    if s2 is None:
+        s2 = spanning_scale(x2s, j2 + 1)
+    if s3 is None:
+        s3 = spanning_scale(x3s, j3 + 1)
     enc1 = BinaryEncoding(0, j1 + 1, 2.0 ** -(j1 + 1))
-    enc2 = BinaryEncoding(j1 + 1, j2 + 1, spanning_scale(x2s, j2 + 1))
-    enc3 = BinaryEncoding(j1 + j2 + 2, j3 + 1, spanning_scale(x3s, j3 + 1))
-    return enc1, enc2, enc3
+    return enc1, BinaryEncoding(j1 + 1, j2 + 1, s2), BinaryEncoding(j1 + j2 + 2, j3 + 1, s3)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ so the whole module stays fast.
 
 from __future__ import annotations
 
+import argparse
 import csv
+import dataclasses
 import gc
 import hashlib
 import warnings
@@ -23,8 +25,10 @@ from annealdp.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     RunConfig,
+    build_parser,
     main,
     read_config_file,
+    resolve_config,
 )
 from annealdp.pbf import Poly, read_poly, write_poly
 
@@ -126,6 +130,7 @@ class TestConfig:
             RunConfig(bias=-0.1),
             RunConfig(anneal_time=1.0),
             RunConfig(k_count=1),
+            RunConfig(seed=-1),
         ):
             with pytest.raises(Exception):
                 bad.validate()
@@ -177,6 +182,48 @@ class TestConfig:
                      "--out-dir", str(out2)]) == EXIT_OK
         assert (out1 / "one_shot_summary.csv").read_bytes() == \
             (out2 / "one_shot_summary.csv").read_bytes()
+
+
+def solve_options():
+    """The solve subparser's option strings, keyed by destination."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.option_strings for a in sub.choices["solve"]._actions}
+
+
+# one accepted, non-default raw value per RunConfig field; None marks the
+# bare flag of the one bool field
+FIELD_SAMPLES = {
+    "algorithm": "one-shot", "engine": "greedy", "j1": "5", "j2": "7", "j3": "4",
+    "s2": "-0.02", "s3": "0.004", "reads": "3", "cycles": "2", "iterations": "1",
+    "executions": "2", "reversal": "0.25", "seed": "5", "keep_fraction": "0.5",
+    "k_count": "20", "sweeps": "8", "anneal_time": "30.5", "bias": "0.5",
+    "init_true": None, "out_dir": "elsewhere",
+}
+
+
+class TestSchema:
+    """RunConfig's fields are the one declaration of the solve settings."""
+
+    def test_options_are_the_fields(self):
+        fields = [f.name for f in dataclasses.fields(RunConfig)]
+        assert sorted(FIELD_SAMPLES) == sorted(fields)
+        assert sorted(solve_options()) == sorted([*fields, "config", "help"])
+
+    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+    def test_flag_and_config_key_agree(self, tmp_path, field):
+        raw = FIELD_SAMPLES[field.name]
+        flag = "--" + field.name.replace("_", "-")
+        assert solve_options()[field.name] == [flag]
+        by_flag = resolve_config(
+            build_parser().parse_args(["solve", flag, *([] if raw is None else [raw])]))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{field.name} = {'true' if raw is None else raw}\n")
+        by_file = resolve_config(build_parser().parse_args(["solve", "--config", str(cfg)]))
+        assert by_flag == by_file
+        value = getattr(by_flag, field.name)
+        assert value != field.default
+        assert type(value).__name__ in field.type  # "int | None" holds an int
+        assert dataclasses.replace(by_flag, **{field.name: field.default}) == RunConfig()
 
 
 class TestSolve:
@@ -505,9 +552,21 @@ class TestEntryPoint:
     ["appendix-b", "--reads", "0", "--engine", "greedy"],
     ["appendix-b", "--reads", "0"],
     ["quadratize", "missing.poly"],
+    ["solve", "--seed", "-1"],
+    ["solve", "--algorithm", "annealer"],
+    ["solve", "--engine", "quantum"],
+    ["solve", "--config", "latin1.cfg"],
+    ["quadratize", "latin1.poly"],
+    ["simulate", "--from-summary", "words.csv"],
+    ["appendix-b", "--seed", "-1", "--engine", "heuristic"],
+    ["solve", "--algorithm", "classical", "--out-dir", "words.csv/out"],
+    ["bench", "--out-dir", ""],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.cfg").write_bytes("seed = 1 # r\xe9sum\xe9\n".encode("latin-1"))
+    (tmp_path / "latin1.poly").write_bytes("1.0 0 1 # r\xe9sum\xe9\n".encode("latin-1"))
+    (tmp_path / "words.csv").write_text("parameter,mean_estimate\nx1,about a third\n")
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

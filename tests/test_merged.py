@@ -148,6 +148,9 @@ class TestDefaultEncodings:
         assert enc3.bit_count == 5
         assert enc2.scale == pytest.approx(2 * TRUTH[1] / 15)
         assert enc3.scale == pytest.approx(2 * TRUTH[2] / 31)
+        # an explicit scale replaces only its own register's scale
+        assert default_merged_encodings(DEFAULT_PARAMS, 2, 3, 4, s2=-0.5) == \
+            (enc1, BinaryEncoding(enc2.var_base, enc2.bit_count, -0.5), enc3)
 
 
 class TestBuild:
