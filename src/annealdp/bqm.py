@@ -109,6 +109,16 @@ class QuboModel:
             q[key] = q.get(key, 0.0) + float(w)
         self.q = q
 
+    @classmethod
+    def _canonical(cls, n: int, q: dict[tuple[int, int], float]) -> "QuboModel":
+        """A model that takes over q as the constructor would store it:
+        n >= 0, every key (i, j) once with 0 <= i <= j < n, float values
+        that are not -0.0. Skips the constructor's pass over q."""
+        model = cls.__new__(cls)
+        model.n = n
+        model.q = q
+        return model
+
 
 @dataclass(frozen=True)
 class SpectrumResult:

@@ -271,11 +271,13 @@ def _noop_state() -> PpiState:
     return PpiState(*true_parameters(DEFAULT_PARAMS), iteration=0)
 
 
-def _run_one(cfg: RunConfig, seed: int) -> tuple[PpiState, list[PpiState]]:
-    """One execution of the configured algorithm."""
+def _executions(cfg: RunConfig) -> typing.Callable[[int], tuple[PpiState, list[PpiState]]]:
+    """The configured algorithm as one execution per seed, returning its
+    terminal state and iteration history. Executions differ only in their
+    seed, so the grid, the problem, its sampler and its schedule are built
+    here, once per solve."""
     grid = collocation_grid(DEFAULT_PARAMS, cfg.k_count)
     init = true_parameters(DEFAULT_PARAMS) if cfg.init_true else DEFAULT_INIT
-    history: list[PpiState] = []
     alg = cfg.algorithm
 
     if alg in ("classical", "combinatorial", "hybrid"):
@@ -283,22 +285,30 @@ def _run_one(cfg: RunConfig, seed: int) -> tuple[PpiState, list[PpiState]]:
         if iters == 0:
             if not cfg.init_true:
                 raise UsageError("iterations = 0 is only meaningful with init_true")
-            return _noop_state(), []
+            return lambda seed: (_noop_state(), [])
         if alg == "classical":
-            state = classical_ppi(DEFAULT_PARAMS, grid=grid, init=init,
-                                  fixed_iterations=iters, history=history)
+            driver = functools.partial(classical_ppi, DEFAULT_PARAMS, grid=grid, init=init,
+                                       fixed_iterations=iters)
         elif alg == "combinatorial":
-            state = combinatorial_ppi(DEFAULT_PARAMS, grid=grid, init=init,
-                                      encodings=_valuation_encodings(cfg),
-                                      fixed_iterations=iters, history=history)
+            driver = functools.partial(combinatorial_ppi, DEFAULT_PARAMS, grid=grid, init=init,
+                                       encodings=_valuation_encodings(cfg),
+                                       fixed_iterations=iters)
         else:
-            state = hybrid_ppi(DEFAULT_PARAMS, sampler=_sampler(cfg),
-                               schedule=forward_schedule(_per_anneal_time(cfg)), grid=grid,
-                               encodings=_valuation_encodings(cfg), init=init,
-                               iterations=iters, reads=_resolved_reads(cfg),
-                               keep_fraction=cfg.keep_fraction, seed=seed,
-                               history=history)
-        return state, history
+            driver = functools.partial(hybrid_ppi, DEFAULT_PARAMS, sampler=_sampler(cfg),
+                                       schedule=forward_schedule(_per_anneal_time(cfg)),
+                                       grid=grid, encodings=_valuation_encodings(cfg),
+                                       init=init, iterations=iters, reads=_resolved_reads(cfg),
+                                       keep_fraction=cfg.keep_fraction)
+
+        def execute(seed: int) -> tuple[PpiState, list[PpiState]]:
+            history: list[PpiState] = []
+            if alg == "hybrid":
+                state = driver(seed=seed, history=history)
+            else:
+                state = driver(history=history)
+            return state, history
+
+        return execute
 
     if cfg.engine == "statevector":
         raise UsageError("statevector engine cannot hold the merged problem; "
@@ -307,18 +317,22 @@ def _run_one(cfg: RunConfig, seed: int) -> tuple[PpiState, list[PpiState]]:
                                    grid=grid, bias=cfg.bias)
     sampler = _sampler(cfg, problem)
     cycles = _resolved_cycles(cfg)
+    schedule = merged_schedule(problem, cycles=cycles, total_time=_per_anneal_time(cfg),
+                               reinitialize=alg != "multi-anneal", reversal_target=cfg.reversal)
     if alg == "multi-anneal":
-        schedule = merged_schedule(problem, cycles=cycles, total_time=_per_anneal_time(cfg),
-                                   reinitialize=False, reversal_target=cfg.reversal)
-        state = multi_anneal_ppi(problem, sampler=sampler, schedule=schedule,
-                                 reads=_resolved_reads(cfg), init=init, seed=seed)
+        merged_driver = functools.partial(multi_anneal_ppi, problem, sampler=sampler,
+                                          schedule=schedule, reads=_resolved_reads(cfg),
+                                          init=init)
     else:
-        schedule = merged_schedule(problem, cycles=cycles, total_time=_per_anneal_time(cfg),
-                                   reinitialize=True, reversal_target=cfg.reversal)
-        state = one_shot_ppi(problem, sampler=sampler, schedule=schedule,
-                             reads=_resolved_reads(cfg), cycles=cycles,
-                             keep_fraction=cfg.keep_fraction, seed=seed)
-    return state, [state]
+        merged_driver = functools.partial(one_shot_ppi, problem, sampler=sampler,
+                                          schedule=schedule, reads=_resolved_reads(cfg),
+                                          cycles=cycles, keep_fraction=cfg.keep_fraction)
+
+    def execute_merged(seed: int) -> tuple[PpiState, list[PpiState]]:
+        state = merged_driver(seed=seed)
+        return state, [state]
+
+    return execute_merged
 
 
 def _sampler(cfg: RunConfig, problem: MergedProblem | None = None) -> Sampler:
@@ -350,8 +364,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     tag = cfg.algorithm.replace("-", "_")
     terminals: list[PpiState] = []
     histories: list[list[PpiState]] = []
+    execute = _executions(cfg)
     for e in range(cfg.executions):
-        state, history = _run_one(cfg, cfg.seed + e)
+        state, history = execute(cfg.seed + e)
         terminals.append(state)
         histories.append(history)
 

@@ -754,14 +754,18 @@ def _fold(terms, pos: dict[int, int], state: Sequence[int]) -> dict[tuple[int, .
     state value: a polynomial over the group's bit positions. Terms that
     miss the group add the same constant to every candidate and drop out."""
     local: dict[tuple[int, ...], float] = {}
+    at = pos.get
+    # one pass over each term's variables: a fixed one multiplies into c
+    # in the term's variable order, a group one adds its bit position
     for vars_, c in terms:
-        inside = tuple(pos[v] for v in vars_ if v in pos)
-        if not inside:
-            continue
+        inside: tuple[int, ...] = ()
         for v in vars_:
-            if v not in pos:
+            b = at(v)
+            if b is None:
                 c *= state[v]
-        if c != 0.0:
+            else:
+                inside += (b,)
+        if inside and c != 0.0:
             local[inside] = local.get(inside, 0.0) + c
     return local
 
@@ -910,20 +914,30 @@ def sequential_greedy(
             f"greedy group of {wide} variables exceeds the guard of {BRUTE_FORCE_MAX_VARS}"
         )
 
-    terms = _native_terms(model)
     domain = value_domain(model)
     state = [int(v) for v in initial]
+    # each stage folds only the terms that touch its group or activation,
+    # in model order; the others drop out of its fold anyway
+    terms = list(_native_terms(model))
+
+    def touching(vars_: Iterable[int]) -> list:
+        vs = frozenset(vars_)
+        return [t for t in terms if not vs.isdisjoint(t[0])]
+
+    group_terms = [touching(g) for g in groups]
+    acts = activations or [None] * len(groups)
+    act_terms = [None if a is None else touching((a,)) for a in acts]
 
     for _ in range(cycles):
         for gi, group in enumerate(groups):
-            act = activations[gi] if activations else None
+            act = acts[gi]
             if act is not None:
                 state[act] = domain[1]
-            m = _best_assignment(terms, group, domain, state)
+            m = _best_assignment(group_terms[gi], group, domain, state)
             for b, v in enumerate(group):
                 state[v] = domain[(m >> b) & 1]
             if act is not None:
-                local = _fold(terms, {act: 0}, state)
+                local = _fold(act_terms[gi], {act: 0}, state)
                 e_off, e_on = fold_indices(local.items(), np.arange(2), 1, domain)
                 state[act] = domain[1] if e_on < e_off - _TIE_TOL else domain[0]
     return tuple(state)

@@ -241,9 +241,13 @@ def build_merged_problem(
 
     red_p = quadratize_full(prod_p, aux_start=x_v + 1)
     red_v = quadratize_full(prod_v, aux_start=x_v + 1 + len(red_p.alloc.records))
-    q_poly = red_p.qubo_poly + red_v.qubo_poly + bias_poly
-    if q_poly.degree > 2:
-        raise RuntimeError(f"merged reduction left degree {q_poly.degree} terms")
+    # The two reductions share no key, so their sum is their union in
+    # order. Every term of prod_p holds x_p, and every term of prod_v
+    # x_v; x_p and x_v exceed every bit, so each PTR closing pair holds
+    # its block's activation, and every other reduction key holds one of
+    # its block's auxiliaries. Neither block's keys hold the other's
+    # activation or auxiliaries.
+    q_poly = Poly._of({**red_p.qubo_poly.terms, **red_v.qubo_poly.terms}) + bias_poly
     records = red_p.alloc.records + red_v.alloc.records
     n_total = x_v + 1 + len(records)
     qubo, offset = to_qubo(q_poly, n=n_total)

@@ -67,8 +67,14 @@ class Poly:
     @classmethod
     def _pruned(cls, terms: dict[frozenset[int], float]) -> "Poly":
         """Poly over terms whose keys are already canonical frozensets."""
+        return cls._of({k: c for k, c in terms.items() if abs(c) > PRUNE_TOL})
+
+    @classmethod
+    def _of(cls, terms: dict[frozenset[int], float]) -> "Poly":
+        """Poly that takes over a dict already in stored form: canonical
+        keys, float coefficients, none with magnitude <= PRUNE_TOL."""
         p = cls.__new__(cls)
-        p.terms = {k: c for k, c in terms.items() if abs(c) > PRUNE_TOL}
+        p.terms = terms
         return p
 
     @classmethod
@@ -103,21 +109,27 @@ class Poly:
         return self.terms.get(frozenset(vars_), 0.0)
 
     def __add__(self, other: "Poly | float") -> "Poly":
-        terms = dict(self.terms)
         if isinstance(other, Poly):
-            for k, c in other.terms.items():
-                terms[k] = terms.get(k, 0.0) + c
+            items = other.terms.items()
         else:
             c = float(other)
             # the prune rule applies to the scalar as to a constant Poly
+            items = ((frozenset(), c),) if abs(c) > PRUNE_TOL else ()
+        # both sides are in stored form, so only a term that other
+        # touches can fall to the prune rule; it is pruned as it lands
+        terms = dict(self.terms)
+        for k, c in items:
+            c = terms.get(k, 0.0) + c
             if abs(c) > PRUNE_TOL:
-                terms[frozenset()] = terms.get(frozenset(), 0.0) + c
-        return Poly._pruned(terms)
+                terms[k] = c
+            else:
+                terms.pop(k, None)
+        return Poly._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._pruned({k: -c for k, c in self.terms.items()})
+        return Poly._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | float") -> "Poly":
         return self + (-other if isinstance(other, Poly) else -float(other))
@@ -186,24 +198,42 @@ def _covers(x: Assignment, v: int) -> bool:
 
 
 def to_qubo(poly: Poly, n: int | None = None) -> tuple[QuboModel, float]:
-    """Degree <= 2 polynomial to a QUBO plus constant offset."""
-    if poly.degree > 2:
-        raise ValueError(f"polynomial has degree {poly.degree}, expected <= 2")
-    vars_ = poly.variables()
-    if n is None:
-        n = (max(vars_) + 1) if vars_ else 0
+    """Degree <= 2 polynomial to a QUBO plus constant offset.
+
+    One pass over the terms: the QUBO's entries follow the polynomial's
+    term order, and n defaults to one past the largest variable id.
+    """
     q: dict[tuple[int, int], float] = {}
     offset = 0.0
+    lo, hi = 0, -math.inf
     for k, c in poly.terms.items():
-        if not k:
-            offset += c
-        elif len(k) == 1:
+        d = len(k)
+        if d == 2:
+            i, j = k
+            if j < i:
+                i, j = j, i
+        elif d == 1:
             (i,) = k
-            q[(i, i)] = q.get((i, i), 0.0) + c
+            j = i
+        elif d == 0:
+            offset += c
+            continue
         else:
-            i, j = sorted(k)
-            q[(i, j)] = q.get((i, j), 0.0) + c
-    return QuboModel(n, q), offset
+            raise ValueError(f"polynomial has degree {poly.degree}, expected <= 2")
+        # distinct terms give distinct pairs, so nothing accumulates
+        q[(i, j)] = c
+        if i < lo:
+            lo = i
+        if j > hi:
+            hi = j
+    if n is None:
+        n = hi + 1 if q else 0
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if lo < 0 or hi >= n:
+        i, j = next(key for key in q if key[0] < 0 or key[1] >= n)
+        raise ValueError(f"variable index ({i},{j}) out of range for n={n}")
+    return QuboModel._canonical(n, q), offset
 
 
 def from_qubo(model: QuboModel, offset: float = 0.0) -> Poly:

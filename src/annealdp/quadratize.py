@@ -57,15 +57,17 @@ def ntr_reduce(vars_: Iterable[int], coeff: float, aux: int) -> Poly:
         raise ValueError(f"degree {d} term needs no reduction")
     if aux in vs:
         raise ValueError(f"auxiliary x{aux} is a variable of the term")
-    return Poly._pruned(_ntr_terms(vs, float(coeff), aux))
+    terms: dict[frozenset[int], float] = {}
+    _ntr_terms(terms, vs, float(coeff), aux)
+    return Poly._pruned(terms)
 
 
-def _ntr_terms(vs: Sequence[int], coeff: float, aux: int) -> dict[frozenset[int], float]:
+def _ntr_terms(out: dict[frozenset[int], float], vs: Sequence[int], coeff: float, aux: int) -> None:
+    """Writes NTR's terms into out; each holds the auxiliary."""
     mag = -coeff
-    terms = {frozenset((aux,)): mag * (len(vs) - 1)}
+    out[frozenset((aux,))] = mag * (len(vs) - 1)
     for v in vs:
-        terms[frozenset((v, aux))] = -mag
-    return terms
+        out[frozenset((v, aux))] = -mag
 
 
 def ptr_reduce(vars_: Iterable[int], coeff: float, aux_ids: Sequence[int]) -> Poly:
@@ -87,22 +89,28 @@ def ptr_reduce(vars_: Iterable[int], coeff: float, aux_ids: Sequence[int]) -> Po
     clash = sorted(set(aux_ids) & set(vs))
     if clash:
         raise ValueError(f"auxiliaries {clash} are variables of the term")
-    return Poly._pruned(_ptr_terms(vs, float(coeff), aux_ids))
+    coeff = float(coeff)
+    terms: dict[frozenset[int], float] = {}
+    closing = _ptr_terms(terms, vs, coeff, aux_ids)
+    terms[closing] = coeff
+    return Poly._pruned(terms)
 
 
-def _ptr_terms(vs: Sequence[int], coeff: float, aux_ids: Sequence[int]) -> dict[frozenset[int], float]:
+def _ptr_terms(out: dict[frozenset[int], float], vs: Sequence[int], coeff: float,
+               aux_ids: Sequence[int]) -> frozenset[int]:
+    """Writes PTR's terms that hold an auxiliary into out and returns the
+    closing pair x_{d-1} x_d, whose coefficient is coeff; the caller adds
+    it last."""
     # key order is part of the result (the greedy walk and bqm's exact
     # folds add terms in dict order): per auxiliary {a}, {a, v_idx}, then
     # {a, v_j} for j > idx; the closing pair last
     d = len(vs)
-    terms: dict[frozenset[int], float] = {}
     for idx, a in enumerate(aux_ids):
-        terms[frozenset((a,))] = coeff * float(d - idx - 2)
-        terms[frozenset((a, vs[idx]))] = coeff
+        out[frozenset((a,))] = coeff * float(d - idx - 2)
+        out[frozenset((a, vs[idx]))] = coeff
         for v in vs[idx + 1:]:
-            terms[frozenset((a, v))] = -coeff
-    terms[frozenset(vs[-2:])] = coeff
-    return terms
+            out[frozenset((a, v))] = -coeff
+    return frozenset(vs[-2:])
 
 
 def deduction_reduce(p: Poly, pair: tuple[int, int], value: int) -> Poly:
@@ -179,33 +187,40 @@ def quadratize_full(p: Poly, aux_start: int | None = None) -> ReductionResult:
     later contribution re-inserts it at the end: the result, key order
     included, is that of adding the reductions one Poly at a time.
     """
-    vars_ = p.variables()
-    original_n = (max(vars_) + 1) if vars_ else 0
+    original_n = max((max(k) for k in p.terms if k), default=-1) + 1
     if aux_start is not None and aux_start < original_n:
         raise ValueError(f"aux_start {aux_start} is below the variable count {original_n}")
     next_aux = original_n if aux_start is None else aux_start
-    out = {k: c for k, c in p.terms.items() if len(k) <= 2}
+    out: dict[frozenset[int], float] = {}
+    high: list[tuple[tuple[int, ...], float]] = []
+    for k, c in p.terms.items():
+        if len(k) <= 2:
+            out[k] = c
+        else:
+            high.append((tuple(sorted(k)), c))
+    # distinct terms sort apart on their variables alone
+    high.sort()
     records: list[AuxRecord] = []
-    for k in sorted((k for k in p.terms if len(k) >= 3), key=lambda k: tuple(sorted(k))):
-        c = p.terms[k]
-        term = tuple(sorted(k))
+    # Every reduction term holds one of the reduction's fresh auxiliaries,
+    # except PTR's closing pair, so only that one can meet a coefficient
+    # already summed. The others are written straight into out, and each
+    # is at least |c| > PRUNE_TOL in magnitude.
+    for term, c in high:
         if c < 0:
-            piece = _ntr_terms(term, c, next_aux)
+            _ntr_terms(out, term, c, next_aux)
             records.append(AuxRecord(next_aux, "ntr", term))
             next_aux += 1
+            continue
+        aux_ids = range(next_aux, next_aux + len(term) - 2)
+        key = _ptr_terms(out, term, c, aux_ids)
+        records.extend(AuxRecord(a, "ptr", term) for a in aux_ids)
+        next_aux += len(aux_ids)
+        total = out.get(key, 0.0) + c
+        if abs(total) > PRUNE_TOL:
+            out[key] = total
         else:
-            aux_ids = tuple(range(next_aux, next_aux + len(term) - 2))
-            piece = _ptr_terms(term, c, aux_ids)
-            records.extend(AuxRecord(a, "ptr", term) for a in aux_ids)
-            next_aux += len(term) - 2
-        # a piece's keys are distinct, so each can be pruned as it lands
-        for key, v in piece.items():
-            total = out.get(key, 0.0) + v
-            if abs(total) > PRUNE_TOL:
-                out[key] = total
-            else:
-                out.pop(key, None)
-    return ReductionResult(Poly._pruned(out), AuxAllocation(original_n, tuple(records)))
+            out.pop(key, None)
+    return ReductionResult(Poly._of(out), AuxAllocation(original_n, tuple(records)))
 
 
 def min_over_aux(reduced: Poly, aux_vars: Iterable[int], x: Mapping[int, int]) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,12 +90,26 @@ class RbcParams:
         return pi / pi.sum()
 
     def expected_log_z(self) -> float:
-        """E[ln z] under the stationary distribution."""
-        return float(self.stationary() @ np.log(self.z_grid))
+        """E[ln z] under the stationary distribution, computed once per
+        instance."""
+        return self._expected_log_z
 
     def conditional_expected_log_z(self) -> np.ndarray:
-        """E[ln z' | z] for each current state, exact from the chain."""
-        return np.asarray(self.transition) @ np.log(self.z_grid)
+        """E[ln z' | z] for each current state, exact from the chain;
+        computed once per instance and returned read-only."""
+        return self._conditional_log_z
+
+    # cached on the instance (the dataclass is frozen, so the fields
+    # cannot change under the cache); the fields need not be hashable
+    @cached_property
+    def _expected_log_z(self) -> float:
+        return float(self.stationary() @ np.log(self.z_grid))
+
+    @cached_property
+    def _conditional_log_z(self) -> np.ndarray:
+        e = np.asarray(self.transition) @ np.log(self.z_grid)
+        e.flags.writeable = False
+        return e
 
 
 DEFAULT_PARAMS = RbcParams()
@@ -126,6 +141,15 @@ class CollocationGrid:
     def z_index(self) -> np.ndarray:
         nz = len(self.params.z_grid)
         return np.tile(np.arange(nz), len(self.k_nodes))
+
+    @cached_property
+    def _residual_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ln y, zeta) at every node: the parts of gamma_constants'
+        residual that do not depend on the policy, computed once per grid."""
+        p = self.params
+        u = self.log_y()
+        e_cond = p.conditional_expected_log_z()[self.z_index()]
+        return u, p.beta * e_cond + (p.alpha * p.beta - 1.0) * u
 
 
 def collocation_grid(params: RbcParams = DEFAULT_PARAMS, k_count: int = 133) -> CollocationGrid:
@@ -292,9 +316,7 @@ def gamma_constants(x1_bar: float, grid: CollocationGrid) -> GammaConstants:
         raise DegenerateEstimateError("x1_bar must lie in (0, 1)")
     p = grid.params
     ab = p.alpha * p.beta
-    u = grid.log_y()
-    e_cond = p.conditional_expected_log_z()[grid.z_index()]
-    zeta = p.beta * e_cond + (ab - 1.0) * u
+    u, zeta = grid._residual_nodes
     w = -zeta - ab * math.log(x1_bar)
     t = math.log(1.0 - x1_bar) + u
     n = grid.node_count

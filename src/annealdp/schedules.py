@@ -74,11 +74,17 @@ class AnnealSchedule:
         _validate_path(tuple(self.breakpoints), self.total_time, "global path")
         object.__setattr__(self, "breakpoints", _frozen(self.breakpoints))
         if self.variable_paths is not None:
+            # variables that share one path object share its frozen copy,
+            # which is validated once, under the first variable that has it;
+            # done holds each path object, so no id is reused while it runs
+            done: dict[int, tuple[object, Path]] = {}
             frozen = {}
             for v, path in self.variable_paths.items():
-                path = _frozen(path)
-                _validate_path(path, self.total_time, f"path of variable {v}")
-                frozen[int(v)] = path
+                if id(path) not in done:
+                    out = _frozen(path)
+                    _validate_path(out, self.total_time, f"path of variable {v}")
+                    done[id(path)] = (path, out)
+                frozen[int(v)] = done[id(path)][1]
             object.__setattr__(self, "variable_paths", frozen)
 
     def s_at(self, t: float, var: int | None = None) -> float:
@@ -177,21 +183,26 @@ def grouped_cycle_schedule(
 
     n_windows = cycles * len(groups)
     width = total_time / n_windows
-    paths: dict[int, list[tuple[float, float]]] = {v: [(0.0, 1.0)] for v in seen | set(always)}
+    # one path per group and one for the always-active variables, each
+    # shared by all of its variables
+    group_paths: list[list[tuple[float, float]]] = [[(0.0, 1.0)] for _ in groups]
+    always_path: list[tuple[float, float]] = [(0.0, 1.0)]
     for w in range(n_windows):
         start = w * width
         low = start + width * down_fraction
         # boundary shared with the next window's start, computed the
         # same way so accumulated rounding cannot reorder breakpoints
         end = (w + 1) * width
-        active = set(groups[w % len(groups)]) | set(always)
-        for v in active:
-            pts = [(start, 1.0), (low, reversal_target)]
-            if hold_fraction > 0.0:
-                pts.append((low + width * hold_fraction, reversal_target))
-            pts.append((end, 1.0))
-            paths[v].extend(pts)
-    variable_paths = {v: tuple(pts) for v, pts in paths.items()}
+        pts = [(start, 1.0), (low, reversal_target)]
+        if hold_fraction > 0.0:
+            pts.append((low + width * hold_fraction, reversal_target))
+        pts.append((end, 1.0))
+        group_paths[w % len(groups)].extend(pts)
+        always_path.extend(pts)
+    shared = [tuple(path) for path in group_paths]
+    path_of = {v: path for g, path in zip(groups, shared) for v in g}
+    path_of.update(dict.fromkeys(always, tuple(always_path)))
+    variable_paths = {v: path_of[v] for v in seen | set(always)}
     return AnnealSchedule(
         total_time,
         ((0.0, 1.0), (total_time, 1.0)),

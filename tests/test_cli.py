@@ -8,18 +8,25 @@ so the whole module stays fast.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import gc
 import hashlib
+import io
+import tempfile
 import warnings
 import xml.etree.ElementTree as ET
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from annealdp import engines
+from annealdp import cli, engines
 from annealdp.cli import (
+    ALGORITHMS,
+    ENGINES,
     EXIT_CAPACITY,
     EXIT_OK,
     EXIT_USAGE,
@@ -376,6 +383,20 @@ class TestSolve:
         summary = read_summary(out / "one_shot_summary.csv")
         assert float(summary["x1"]["sd_estimate"]) >= 0.0
 
+    def test_executions_build_the_problem_once(self, tmp_path):
+        # executions differ only in their seed: one problem, one schedule
+        with mock.patch.object(cli, "build_merged_problem",
+                               side_effect=cli.build_merged_problem) as build, \
+                mock.patch.object(cli, "merged_schedule",
+                                  side_effect=cli.merged_schedule) as schedule:
+            rc = main(["solve", "--algorithm", "one-shot", "--engine", "greedy", "--reads", "2",
+                       "--cycles", "1", "--executions", "3", "--seed", "4",
+                       "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert build.call_count == 1 and schedule.call_count == 1
+        with open(tmp_path / "one_shot_iterations.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 3
+
     def test_same_seed_identical_artifacts(self, tmp_path):
         out = tmp_path / "out"
         argv = ["solve", "--algorithm", "one-shot", "--j1", "3", "--j2", "3",
@@ -572,3 +593,23 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, ar
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "runs").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ALGORITHMS), st.sampled_from(ENGINES), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 16),
+       st.integers(1, 2), st.integers(0, 3))
+def test_solve_config_space_exits_with_a_documented_code(algorithm, engine, j1, j2, j3, reads,
+                                                         sweeps, executions, seed):
+    # every solve in a small corner of the config space writes its
+    # artifacts or exits 2, 3 or 4 with one error line, never a traceback
+    argv = ["solve", "--algorithm", algorithm, "--engine", engine, "--j1", str(j1),
+            "--j2", str(j2), "--j3", str(j3), "--reads", str(reads), "--sweeps", str(sweeps),
+            "--executions", str(executions), "--seed", str(seed)]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        rc = main([*argv, "--out-dir", tmp])
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_CAPACITY), argv
+    assert err.getvalue().count("error:") == (rc != EXIT_OK)
+    assert "Traceback" not in err.getvalue()

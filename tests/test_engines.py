@@ -696,6 +696,61 @@ class TestSplitGreedyStep:
                 sequential_greedy(wide, [tuple(range(27))], (0,) * 27)
 
 
+def reference_fold(terms, pos, state):
+    """The group fold term by term: the term's group positions first,
+    then its fixed variables multiplied into the coefficient in the
+    term's variable order; a product of 0.0 or -0.0 is not added."""
+    local = {}
+    for vars_, c in terms:
+        inside = tuple(pos[v] for v in vars_ if v in pos)
+        if not inside:
+            continue
+        for v in vars_:
+            if v not in pos:
+                c *= state[v]
+        if c != 0.0:
+            local[inside] = local.get(inside, 0.0) + c
+    return local
+
+
+class TestFold:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 7), st.booleans())
+    def test_equals_reference_fold(self, data, n, spin):
+        # halves and their negatives, so terms that fold onto one key can
+        # cancel to 0.0, and fixed zero bits give products of +-0.0
+        coeff = st.sampled_from([-1.0, -0.5, 0.5, 1.0, 0.1, -0.1, 3.0])
+        keys = st.lists(st.integers(0, n - 1), max_size=4).map(frozenset)
+        poly = Poly(data.draw(st.dictionaries(keys, coeff, max_size=25)))
+        domain = (-1, 1) if spin else (0, 1)
+        state = data.draw(st.lists(st.sampled_from(domain), min_size=n, max_size=n))
+        group = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        pos = {v: b for b, v in enumerate(group)}
+        got = engines._fold(poly.terms.items(), pos, state)
+        want = reference_fold(poly.terms.items(), pos, state)
+        assert [(k, c.hex()) for k, c in got.items()] == [(k, c.hex()) for k, c in want.items()]
+
+    def test_cancelling_and_zero_products(self):
+        # x0 x1 - x0 x2 folds to 0.0 on x0 with x1 = x2 = 1; -x0 x3 with
+        # x3 = 0 is a -0.0 product and adds nothing
+        poly = Poly({frozenset((0, 1)): 1.0, frozenset((0, 2)): -1.0,
+                     frozenset((0, 3)): -1.0, frozenset((1, 2)): 2.0})
+        got = engines._fold(poly.terms.items(), {0: 0}, [0, 1, 1, 0])
+        assert list(got.items()) == [((0,), 0.0)]
+        assert math.copysign(1.0, got[(0,)]) == 1.0
+
+    def test_merged_walk_folds_equal_reference(self):
+        prob = build_merged_problem()
+        terms = engines._native_terms(prob.poly)
+        state = list(prob.encode_initial())[:prob.primary_count]
+        state[prob.x_p] = state[prob.x_v] = 1
+        for group in (*prob.groups, (prob.x_p,), (prob.x_v,)):
+            pos = {v: b for b, v in enumerate(group)}
+            got = engines._fold(terms, pos, state)
+            want = reference_fold(terms, pos, state)
+            assert [(k, c.hex()) for k, c in got.items()] == [(k, c.hex()) for k, c in want.items()]
+
+
 # The references below read a model through its own coefficient dicts
 # (q for a QUBO, biases and couplings for an Ising model), not through
 # bqm.energy_terms and value_domain as the engines do, so no reference

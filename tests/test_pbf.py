@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annealdp.bqm import qubo_energy
+from annealdp.bqm import QuboModel, qubo_energy
 from annealdp.pbf import (
     PRUNE_TOL,
     BinaryEncoding,
@@ -215,6 +215,46 @@ class TestQuboBridge:
     def test_explicit_n(self):
         model, _ = to_qubo(x(1), n=5)
         assert model.n == 5
+
+
+def _old_to_qubo(poly, n=None):
+    """to_qubo as it was written before its one pass: a degree pass, a
+    variable pass, then the terms into the QuboModel constructor."""
+    if poly.degree > 2:
+        raise ValueError(f"polynomial has degree {poly.degree}, expected <= 2")
+    vars_ = poly.variables()
+    if n is None:
+        n = (max(vars_) + 1) if vars_ else 0
+    q = {}
+    offset = 0.0
+    for k, c in poly.terms.items():
+        if not k:
+            offset += c
+        elif len(k) == 1:
+            (i,) = k
+            q[(i, i)] = q.get((i, i), 0.0) + c
+        else:
+            i, j = sorted(k)
+            q[(i, j)] = q.get((i, j), 0.0) + c
+    return QuboModel(n, q), offset
+
+
+def _outcome(fn, *args):
+    try:
+        model, offset = fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return model.n, [(k, c.hex()) for k, c in model.q.items()], offset.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.frozensets(st.integers(-2, 6), max_size=3),
+                       st.floats(-5, 5, allow_nan=False), max_size=10),
+       st.one_of(st.none(), st.integers(-1, 8)))
+def test_to_qubo_matches_multi_pass_reference(terms, n):
+    # negative ids, too small an n and cubic terms reach the same errors
+    poly = Poly(terms)
+    assert _outcome(to_qubo, poly, n) == _outcome(_old_to_qubo, poly, n)
 
 
 class TestTextFormat:

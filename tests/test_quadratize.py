@@ -456,3 +456,20 @@ def test_merged_problem_matches_chained_reference(widths, bias):
     assert prob.offset == offset
     assert prob.alloc == AuxAllocation(x_v + 1, records)
     assert list(prob.poly.terms.items()) == list((prod_p + prod_v + bias_poly).terms.items())
+
+
+@pytest.mark.parametrize("widths", [(6, 6, 6), (0, 0, 0), (1, 4, 0), (7, 2, 9)])
+def test_merged_reductions_share_no_key(widths):
+    # build_merged_problem takes the union of the two reductions for their
+    # sum: every policy key holds x_p or a policy auxiliary, every
+    # valuation key x_v or a valuation auxiliary, and no key holds both
+    prob = build_merged_problem(encodings=default_merged_encodings(j1=widths[0], j2=widths[1], j3=widths[2]))
+    x_p, x_v = prob.x_p, prob.x_v
+    red_p = quadratize_full(Poly.variable(x_p) * prob.gp_poly, aux_start=x_v + 1)
+    red_v = quadratize_full(Poly.variable(x_v) * prob.gv_poly,
+                            aux_start=x_v + 1 + len(red_p.alloc.records))
+    own_p = {x_p, *red_p.alloc.aux_vars}
+    own_v = {x_v, *red_v.alloc.aux_vars}
+    assert all(k & own_p and not k & own_v for k in red_p.qubo_poly.terms)
+    assert all(k & own_v and not k & own_p for k in red_v.qubo_poly.terms)
+    assert red_p.qubo_poly.terms.keys().isdisjoint(red_v.qubo_poly.terms)

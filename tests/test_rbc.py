@@ -1,6 +1,7 @@
 """Growth-model benchmark, objective construction, and iteration drivers."""
 
 import csv
+import dataclasses
 import functools
 import math
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from annealdp.bqm import brute_force
 from annealdp.engines import SampleRecord, SampleSet, heuristic_anneal
-from annealdp.merged import default_merged_encodings
+from annealdp.merged import build_merged_problem, default_merged_encodings
 from annealdp.pbf import BinaryEncoding, LogCoefficients, ln_1mx_poly, ln_x_poly, to_qubo
 from annealdp.rbc import (
     DEFAULT_PARAMS,
@@ -193,6 +194,70 @@ class TestTrueParameters:
         x3 = 1.0 / (1.0 - AB)
         x2 = (math.log(1.0 - AB) + 0.95 * x3 * e + AB * x3 * math.log(AB)) / 0.05
         assert true_parameters()[1] == pytest.approx(x2, rel=1e-12)
+
+
+class TestComputedOnce:
+    """The closed form and the policy-free part of the gamma constants are
+    computed once per params instance and once per grid; repeated calls
+    return the same floats."""
+
+    def test_repeated_calls_give_identical_tuples(self):
+        params = RbcParams()
+        grid = collocation_grid(params)
+        first = true_parameters(params)
+        assert true_parameters(params) == first
+        assert true_parameters(params) == true_parameters(RbcParams()) == true_parameters()
+        gam = dataclasses.astuple(gamma_constants(0.3135, grid))
+        assert dataclasses.astuple(gamma_constants(0.3135, grid)) == gam
+        assert dataclasses.astuple(gamma_constants(0.3135, collocation_grid(RbcParams()))) == gam
+
+    def test_closed_form_eigen_solve_runs_once(self, monkeypatch):
+        params = RbcParams()
+        calls = []
+        stationary = RbcParams.stationary
+        monkeypatch.setattr(RbcParams, "stationary",
+                            lambda self: calls.append(self) or stationary(self))
+        for _ in range(3):
+            true_parameters(params)
+            params.expected_log_z()
+        assert len(calls) == 1
+
+    def test_cached_gamma_inputs_equal_a_fresh_computation(self, grid):
+        # the uncached expression of the policy-free node arrays
+        p = grid.params
+        u = grid.log_y()
+        e_cond = (np.asarray(p.transition) @ np.log(p.z_grid))[grid.z_index()]
+        zeta = p.beta * e_cond + (p.alpha * p.beta - 1.0) * u
+        x1 = 0.27
+        w = -zeta - p.alpha * p.beta * math.log(x1)
+        t = math.log(1.0 - x1) + u
+        gam = gamma_constants(x1, grid)
+        assert gam.gamma0 == float(u @ u)
+        assert gam.gamma3 == float(-2.0 * w @ t)
+        assert gam.gamma33 == float(w @ w)
+        assert gam.zeta == float(zeta.sum())
+
+    def test_conditional_expectation_is_read_only(self):
+        e = RbcParams().conditional_expected_log_z()
+        with pytest.raises(ValueError):
+            e[0] = 1.0
+
+    def test_params_from_lists(self):
+        # lists make the params unhashable; the per-instance cache needs
+        # no hash
+        listed = RbcParams(z_grid=list(DEFAULT_PARAMS.z_grid),
+                           transition=[list(row) for row in DEFAULT_PARAMS.transition])
+        with pytest.raises(TypeError):
+            hash(listed)
+        assert true_parameters(listed) == true_parameters(DEFAULT_PARAMS)
+        assert listed.expected_log_z() == DEFAULT_PARAMS.expected_log_z()
+        grid = collocation_grid(listed)
+        assert (dataclasses.astuple(gamma_constants(0.3, grid))
+                == dataclasses.astuple(gamma_constants(0.3, collocation_grid())))
+        prob = build_merged_problem(listed)
+        ref = build_merged_problem()
+        assert list(prob.qubo.q.items()) == list(ref.qubo.q.items())
+        assert prob.offset == ref.offset
 
 
 class TestPolicyUpdate:

@@ -156,6 +156,50 @@ class TestGroupedWindows:
             grouped_cycle_schedule(16.0, [])
 
 
+class TestSharedPaths:
+    """A grouped schedule builds one path per group and one for the
+    always-active variables, each shared by its variables, and freezes and
+    validates each distinct path once."""
+
+    def grouped(self, cycles):
+        return grouped_cycle_schedule(
+            30.0, [(0, 3), (1,), (2, 5)], cycles=cycles, reversal_target=0.2,
+            always_active=(6, 4), down_fraction=0.3, hold_fraction=0.1)
+
+    @pytest.mark.parametrize("cycles", [1, 3])
+    def test_one_path_object_per_group(self, cycles):
+        paths = self.grouped(cycles).variable_paths
+        assert paths[0] is paths[3] and paths[2] is paths[5] and paths[6] is paths[4]
+        assert len({id(p) for p in paths.values()}) == 4
+
+    @pytest.mark.parametrize("cycles", [1, 3])
+    def test_same_table_as_per_variable_copies(self, cycles):
+        sched = self.grouped(cycles)
+        copies = AnnealSchedule(
+            sched.total_time, sched.breakpoints,
+            {v: [list(pt) for pt in p] for v, p in sched.variable_paths.items()},
+            reversal_target=sched.reversal_target, cycles=sched.cycles)
+        assert copies.variable_paths == sched.variable_paths
+        assert copies.variable_paths[0] is not copies.variable_paths[3]
+        times = np.linspace(-1.0, 31.0, 203).tolist() + [t for p in sched.variable_paths.values()
+                                                           for t, _ in p]
+        want = fraction_table(copies, times, 8)
+        assert fraction_table(sched, times, 8).tobytes() == want.tobytes()
+
+    def test_each_distinct_path_validated_once(self):
+        with mock.patch.object(schedules, "_validate_path",
+                               side_effect=schedules._validate_path) as check:
+            self.grouped(3)
+        # the global path, three groups and the always-active path
+        assert check.call_count == 5
+
+    def test_shared_invalid_path_names_its_first_variable(self):
+        bad = ((0.0, 1.0), (5.0, 1.5))
+        with pytest.raises(ValueError, match="path of variable 7: fraction 1.5"):
+            AnnealSchedule(10.0, ((0.0, 0.0), (10.0, 1.0)),
+                           variable_paths={7: bad, 2: bad, 4: ((0.0, 2.0),)})
+
+
 class TestFractionTable:
     def cases(self):
         sched = grouped_cycle_schedule(
