@@ -7,11 +7,12 @@ term list over many states at once, bit-for-bit equal to the scalar
 sums. brute_force ranks states approximately with gemms, within a proven
 rounding bound, and reports only those exact folds.
 
-Only the public per-class functions (the energies, the conversions,
-energy_terms and value_domain) read a model's dicts or ask its class;
-the exhaustive search reads a model through energy_terms and
-value_domain alone, and its split ranking takes any term list, such as
-a greedy group's fold.
+Only the public per-class functions (the energies, energy_terms and
+value_domain) read a model's dicts or ask its class; a model that is
+not an IsingModel is read as a QUBO, through its n and q. The
+exhaustive search reads a model through energy_terms and value_domain
+alone, and its split ranking takes any term list, such as a greedy
+group's fold.
 """
 
 from __future__ import annotations
@@ -165,59 +166,11 @@ def qubo_energy(model: QuboModel, x: BinaryState) -> float:
     return e
 
 
-def ising_to_qubo(model: IsingModel) -> tuple[QuboModel, float]:
-    """Map spins to bits via s = 2x - 1.
-
-    h_i s_i       -> 2 h_i x_i - h_i
-    J_ij s_i s_j  -> 4 J_ij x_i x_j - 2 J_ij x_i - 2 J_ij x_j + J_ij
-    Returns the QUBO and the constant offset so that
-    ising_energy(s) == qubo_energy(x) + offset for s = 2x - 1.
-    """
-    q: dict[tuple[int, int], float] = {}
-    offset = 0.0
-
-    def add(i: int, j: int, w: float) -> None:
-        key = _canonical_pair(i, j)
-        q[key] = q.get(key, 0.0) + w
-
-    for i, h in model.biases.items():
-        add(i, i, 2.0 * h)
-        offset -= h
-    for (i, j), w in model.couplings.items():
-        add(i, j, 4.0 * w)
-        add(i, i, -2.0 * w)
-        add(j, j, -2.0 * w)
-        offset += w
-    return QuboModel(model.n, q), offset
-
-
-def qubo_to_ising(model: QuboModel) -> tuple[IsingModel, float]:
-    """Map bits to spins via x = (s + 1) / 2; inverse of ising_to_qubo."""
-    biases: dict[int, float] = {}
-    couplings: dict[tuple[int, int], float] = {}
-    offset = 0.0
-
-    def add_bias(i: int, h: float) -> None:
-        biases[i] = biases.get(i, 0.0) + h
-
-    for (i, j), w in model.q.items():
-        if i == j:
-            add_bias(i, w / 2.0)
-            offset += w / 2.0
-        else:
-            key = _canonical_pair(i, j)
-            couplings[key] = couplings.get(key, 0.0) + w / 4.0
-            add_bias(i, w / 4.0)
-            add_bias(j, w / 4.0)
-            offset += w / 4.0
-    return IsingModel(model.n, biases, couplings), offset
-
-
 def energy_of_bits(model: IsingModel | QuboModel, bits: BinaryState) -> float:
     """Model energy of a bit assignment (spins s = 2b - 1 for Ising models)."""
-    if isinstance(model, QuboModel):
-        return qubo_energy(model, bits)
-    return ising_energy(model, [2 * b - 1 for b in bits])
+    if isinstance(model, IsingModel):
+        return ising_energy(model, [2 * b - 1 for b in bits])
+    return qubo_energy(model, bits)
 
 
 def energy_terms(model: IsingModel | QuboModel) -> list[tuple[tuple[int, ...], float]]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ from .engines import (
     sequential_greedy,
 )
 from .pbf import BinaryEncoding, LogCoefficients, Poly, to_qubo
-from .quadratize import AuxAllocation, quadratize_full
+from .quadratize import AuxAllocation, aux_allocation, quadratize_full
 from .rbc import (
     DEFAULT_INIT,
     DEFAULT_PARAMS,
@@ -90,11 +91,15 @@ class MergedProblem:
     """The merged QUBO plus everything needed to decode and re-score it.
 
     poly is the exact cubic pseudo-Boolean form over primary variables
-    only (bits and activations, no auxiliaries); qubo is its reduction.
-    Anchors are the fixed cross-parameters each block was built with:
-    the valuation block cannot see the live x1 bits, nor the policy
-    block the live x3 bits, so the coupling the bars denote is frozen
-    at build time.
+    only (bits and activations, no auxiliaries); qubo (with its constant
+    offset) is its reduction over n variables, the auxiliaries of alloc
+    included. The problem is itself a QUBO model, its q that of qubo, so
+    a SamplerRequest carries the problem. alloc and n are set at build;
+    the reduction is built the first time qubo, offset or q is read, so
+    a sampler that walks poly never builds it. Anchors are the fixed
+    cross-parameters each block was built with: the valuation block
+    cannot see the live x1 bits, nor the policy block the live x3 bits,
+    so the coupling the bars denote is frozen at build time.
     """
 
     params: RbcParams
@@ -105,8 +110,6 @@ class MergedProblem:
     x_p: int
     x_v: int
     poly: Poly
-    qubo: QuboModel
-    offset: float
     alloc: AuxAllocation
     gp_poly: Poly
     gv_poly: Poly
@@ -121,8 +124,36 @@ class MergedProblem:
         return self.alloc.aux_vars
 
     @property
-    def n_vars(self) -> int:
-        return self.qubo.n
+    def n(self) -> int:
+        return self.alloc.original_n + len(self.alloc.records)
+
+    @cached_property
+    def _reduction(self) -> tuple[QuboModel, float]:
+        x_p, x_v = self.x_p, self.x_v
+        red_p = quadratize_full(Poly.variable(x_p) * self.gp_poly, aux_start=x_v + 1)
+        red_v = quadratize_full(Poly.variable(x_v) * self.gv_poly,
+                                aux_start=x_v + 1 + len(red_p.alloc.records))
+        # The two reductions share no key, so their sum is their union in
+        # order. Every term of x_p*g_p holds x_p, and every term of x_v*g_v
+        # x_v; x_p and x_v exceed every bit, so each PTR closing pair holds
+        # its block's activation, and every other reduction key holds one of
+        # its block's auxiliaries. Neither block's keys hold the other's
+        # activation or auxiliaries.
+        bias_poly = self.bias * (Poly.variable(x_p) + Poly.variable(x_v))
+        q_poly = Poly._of({**red_p.qubo_poly.terms, **red_v.qubo_poly.terms}) + bias_poly
+        return to_qubo(q_poly, n=self.n)
+
+    @property
+    def qubo(self) -> QuboModel:
+        return self._reduction[0]
+
+    @property
+    def offset(self) -> float:
+        return self._reduction[1]
+
+    @property
+    def q(self) -> dict[tuple[int, int], float]:
+        return self.qubo.q
 
     @property
     def primary_count(self) -> int:
@@ -167,7 +198,7 @@ class MergedProblem:
     def encode_initial(self, init: tuple[float, float, float] = DEFAULT_INIT) -> tuple[int, ...]:
         """Full classical start state: nearest bits for the parameters,
         activations and auxiliaries at zero."""
-        state = [0] * self.n_vars
+        state = [0] * self.n
         for enc, value in zip((self.enc1, self.enc2, self.enc3), init):
             for var, bit in zip(enc.vars, enc.nearest_bits(value)):
                 state[var] = bit
@@ -195,7 +226,10 @@ def build_merged_problem(
     anchors: tuple[float, float] | None = None,
     bias: float = 0.0,
 ) -> MergedProblem:
-    """Quadratize x_p*g_p and x_v*g_v separately and merge them.
+    """x_p*g_p + x_v*g_v + bias*(x_p + x_v), with the auxiliaries that
+    quadratizing x_p*g_p and x_v*g_v separately gives them: the policy
+    block's from x_v + 1, then the valuation block's. The reductions and
+    their merged QUBO are built when first read (see MergedProblem).
 
     anchors is (x1_bar, x3_bar): the valuation block is built at x1_bar
     and the policy block at x3_bar. The default is the closed-form
@@ -239,18 +273,8 @@ def build_merged_problem(
     bias_poly = bias * (Poly.variable(x_p) + Poly.variable(x_v))
     merged = prod_p + prod_v + bias_poly
 
-    red_p = quadratize_full(prod_p, aux_start=x_v + 1)
-    red_v = quadratize_full(prod_v, aux_start=x_v + 1 + len(red_p.alloc.records))
-    # The two reductions share no key, so their sum is their union in
-    # order. Every term of prod_p holds x_p, and every term of prod_v
-    # x_v; x_p and x_v exceed every bit, so each PTR closing pair holds
-    # its block's activation, and every other reduction key holds one of
-    # its block's auxiliaries. Neither block's keys hold the other's
-    # activation or auxiliaries.
-    q_poly = Poly._of({**red_p.qubo_poly.terms, **red_v.qubo_poly.terms}) + bias_poly
-    records = red_p.alloc.records + red_v.alloc.records
-    n_total = x_v + 1 + len(records)
-    qubo, offset = to_qubo(q_poly, n=n_total)
+    alloc_p = aux_allocation(prod_p, aux_start=x_v + 1)
+    alloc_v = aux_allocation(prod_v, aux_start=x_v + 1 + len(alloc_p.records))
     return MergedProblem(
         params=params,
         grid=grid,
@@ -260,9 +284,7 @@ def build_merged_problem(
         x_p=x_p,
         x_v=x_v,
         poly=merged,
-        qubo=qubo,
-        offset=offset,
-        alloc=AuxAllocation(x_v + 1, records),
+        alloc=AuxAllocation(x_v + 1, alloc_p.records + alloc_v.records),
         gp_poly=gp_poly,
         gv_poly=gv_poly,
         gammas=gammas,
@@ -380,7 +402,7 @@ def multi_anneal_ppi(
         sampler = heuristic_anneal
     if schedule is None:
         schedule = merged_schedule(problem, cycles=1, reinitialize=False)
-    req = SamplerRequest(problem.qubo, schedule, reads=reads,
+    req = SamplerRequest(problem, schedule, reads=reads,
                          initial_state=problem.encode_initial(init), seed=seed)
     if req.schedule.reinitialize:
         raise ValueError("multi-anneal reads continue from terminal states; "
@@ -540,7 +562,7 @@ def one_shot_ensemble(
         sampler = heuristic_anneal
     if schedule is None:
         schedule = merged_schedule(problem, cycles=cycles, reinitialize=True)
-    records = sampler(SamplerRequest(problem.qubo, schedule, reads=reads, seed=seed)).records
+    records = sampler(SamplerRequest(problem, schedule, reads=reads, seed=seed)).records
     decoded, g_p, g_v = _decoded_reads(problem, records)
     distinct = dict.fromkeys(decoded)
     for d in distinct:

@@ -11,6 +11,7 @@ ground state under their stated preconditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from .pbf import PRUNE_TOL, Poly
@@ -175,11 +176,28 @@ def elc_reduce(p: Poly, elc: Mapping[int, int]) -> Poly:
     return p + psi
 
 
+def aux_allocation(p: Poly, aux_start: int | None = None) -> AuxAllocation:
+    """The auxiliaries quadratize_full gives p, without its terms: each
+    degree >= 3 term in sorted order gets one (NTR, negative coefficient)
+    or d - 2 (PTR, positive) consecutive ids, starting at aux_start. It
+    defaults to one past the largest variable id and may not lie below
+    it (an auxiliary would alias a variable)."""
+    original_n = max((max(k) for k in p.terms if k), default=-1) + 1
+    if aux_start is not None and aux_start < original_n:
+        raise ValueError(f"aux_start {aux_start} is below the variable count {original_n}")
+    next_aux = original_n if aux_start is None else aux_start
+    records: list[AuxRecord] = []
+    # distinct terms sort apart on their variables alone
+    for term, c in sorted((tuple(sorted(k)), c) for k, c in p.terms.items() if len(k) > 2):
+        method, count = ("ntr", 1) if c < 0 else ("ptr", len(term) - 2)
+        records.extend(AuxRecord(a, method, term) for a in range(next_aux, next_aux + count))
+        next_aux += count
+    return AuxAllocation(original_n, tuple(records))
+
+
 def quadratize_full(p: Poly, aux_start: int | None = None) -> ReductionResult:
     """Reduce every degree >= 3 term by sign: NTR when negative, PTR when
-    positive. Auxiliaries are allocated in sorted term order starting at
-    aux_start, which defaults to one past the largest variable id and
-    may not lie below it (an auxiliary would alias a variable).
+    positive, on the auxiliaries aux_allocation(p, aux_start) gives it.
 
     The reductions are summed into one term dict in place, so the cost
     is linear in the number of terms. After each reduction, a term whose
@@ -187,40 +205,25 @@ def quadratize_full(p: Poly, aux_start: int | None = None) -> ReductionResult:
     later contribution re-inserts it at the end: the result, key order
     included, is that of adding the reductions one Poly at a time.
     """
-    original_n = max((max(k) for k in p.terms if k), default=-1) + 1
-    if aux_start is not None and aux_start < original_n:
-        raise ValueError(f"aux_start {aux_start} is below the variable count {original_n}")
-    next_aux = original_n if aux_start is None else aux_start
-    out: dict[frozenset[int], float] = {}
-    high: list[tuple[tuple[int, ...], float]] = []
-    for k, c in p.terms.items():
-        if len(k) <= 2:
-            out[k] = c
-        else:
-            high.append((tuple(sorted(k)), c))
-    # distinct terms sort apart on their variables alone
-    high.sort()
-    records: list[AuxRecord] = []
+    alloc = aux_allocation(p, aux_start)
+    out = {k: c for k, c in p.terms.items() if len(k) <= 2}
     # Every reduction term holds one of the reduction's fresh auxiliaries,
     # except PTR's closing pair, so only that one can meet a coefficient
     # already summed. The others are written straight into out, and each
     # is at least |c| > PRUNE_TOL in magnitude.
-    for term, c in high:
+    for term, group in groupby(alloc.records, key=lambda r: r.term):
+        aux_ids = [r.var for r in group]
+        c = p.terms[frozenset(term)]
         if c < 0:
-            _ntr_terms(out, term, c, next_aux)
-            records.append(AuxRecord(next_aux, "ntr", term))
-            next_aux += 1
+            _ntr_terms(out, term, c, aux_ids[0])
             continue
-        aux_ids = range(next_aux, next_aux + len(term) - 2)
         key = _ptr_terms(out, term, c, aux_ids)
-        records.extend(AuxRecord(a, "ptr", term) for a in aux_ids)
-        next_aux += len(aux_ids)
         total = out.get(key, 0.0) + c
         if abs(total) > PRUNE_TOL:
             out[key] = total
         else:
             out.pop(key, None)
-    return ReductionResult(Poly._of(out), AuxAllocation(original_n, tuple(records)))
+    return ReductionResult(Poly._of(out), alloc)
 
 
 def min_over_aux(reduced: Poly, aux_vars: Iterable[int], x: Mapping[int, int]) -> float:

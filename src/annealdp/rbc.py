@@ -20,7 +20,7 @@ import numpy as np
 
 from .bqm import brute_force
 from .engines import Sampler, SampleSet, SamplerRequest, _assemble
-from .pbf import BinaryEncoding, LogCoefficients, Poly, ln_1mx_poly, ln_x_poly, to_qubo
+from .pbf import PRUNE_TOL, BinaryEncoding, LogCoefficients, Poly, ln_1mx_poly, ln_x_poly, to_qubo
 from .schedules import AnnealSchedule, forward_schedule
 
 
@@ -348,12 +348,34 @@ def build_gv_pbo(
     if set(enc2.vars) & set(enc3.vars):
         raise ValueError("x2 and x3 encodings overlap")
     gam = gamma_constants(x1_bar, grid)
-    x2p = enc2.value_poly()
-    x3p = enc3.value_poly()
-    poly = (Poly.constant(gam.gamma0 + gam.gamma1)
-            + gam.gamma2 * x2p + gam.gamma3 * x3p + gam.gamma23 * (x2p * x3p)
-            + (gam.node_count * gam.gamma22) * (x2p * x2p) + gam.gamma33 * (x3p * x3p))
-    return poly, gam
+    x2 = list(enc2.value_poly().terms.items())
+    x3 = list(enc3.value_poly().terms.items())
+    # The terms of gamma0 + gamma1 + gamma2 x2 + gamma3 x3 + gamma23 x2 x3
+    # + n gamma22 x2^2 + gamma33 x3^2 as Poly arithmetic sums them, bit
+    # for bit and in its key order: each product's and each scaled
+    # product's coefficient pruned as it is formed, each sum pruned as it
+    # lands. A square's cross pair b_i b_j is c_i c_j + c_j c_i.
+    def square(x):
+        for i, (ki, ci) in enumerate(x):
+            yield ki, ci * ci
+            for kj, cj in x[i + 1:]:
+                p = ci * cj
+                yield ki | kj, p + p
+
+    cross = ((ki | kj, ci * cj) for ki, ci in x2 for kj, cj in x3)
+    terms = Poly.constant(gam.gamma0 + gam.gamma1).terms
+    for g, product in ((gam.gamma2, x2), (gam.gamma3, x3), (gam.gamma23, cross),
+                       (gam.node_count * gam.gamma22, square(x2)), (gam.gamma33, square(x3))):
+        for key, c in product:
+            # written so that a NaN is pruned, as Poly prunes it
+            c = c * g if abs(c) > PRUNE_TOL else 0.0
+            if abs(c) > PRUNE_TOL:
+                c = terms.get(key, 0.0) + c
+                if abs(c) > PRUNE_TOL:
+                    terms[key] = c
+                else:
+                    terms.pop(key, None)
+    return Poly._of(terms), gam
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,7 @@ from annealdp.bqm import (
     energy_terms,
     fold_indices,
     ising_energy,
-    ising_to_qubo,
     qubo_energy,
-    qubo_to_ising,
     random_ising,
     value_domain,
 )
@@ -80,34 +78,6 @@ class TestEnergies:
             IsingModel(2, {}, {(0, 0): 1.0})
         with pytest.raises(ValueError):
             QuboModel(1, {(0, 1): 1.0})
-
-
-class TestConversions:
-    def test_two_spin_roundtrip_energies(self):
-        qubo, offset = ising_to_qubo(TWO_SPIN)
-        for s, expected in TWO_SPIN_ENERGIES.items():
-            x = [(v + 1) // 2 for v in s]
-            assert qubo_energy(qubo, x) + offset == pytest.approx(expected, abs=1e-12)
-
-    def test_qubo_to_ising_exhaustive(self):
-        m = QuboModel(3, {(0, 0): 1.5, (1, 1): -2.0, (0, 1): 3.0, (1, 2): -0.5})
-        ising, offset = qubo_to_ising(m)
-        for x in itertools.product((0, 1), repeat=3):
-            s = [2 * v - 1 for v in x]
-            assert ising_energy(ising, s) + offset == pytest.approx(qubo_energy(m, x), abs=1e-12)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
-    def test_roundtrip_property(self, n, seed):
-        rng = np.random.default_rng(seed)
-        ising = random_ising(n, rng)
-        qubo, off1 = ising_to_qubo(ising)
-        back, off2 = qubo_to_ising(qubo)
-        for s in itertools.product((-1, 1), repeat=n):
-            e = ising_energy(ising, s)
-            x = [(v + 1) // 2 for v in s]
-            assert qubo_energy(qubo, x) + off1 == pytest.approx(e, abs=1e-9)
-            assert ising_energy(back, s) + off2 + off1 == pytest.approx(e, abs=1e-9)
 
 
 class TestBruteForce:

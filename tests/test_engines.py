@@ -960,8 +960,8 @@ class TestHeuristicMatchesScalarLoop:
     def test_merged_problem(self, merged_default, reinitialize):
         problem = merged_default
         w, _ = reference_dense_form(problem.qubo)
-        layers = engines._layers(w, np.arange(problem.n_vars))
-        assert len(layers) < problem.n_vars // 10
+        layers = engines._layers(w, np.arange(problem.n))
+        assert len(layers) < problem.n // 10
         gs = merged_schedule(problem, cycles=2, reinitialize=reinitialize)
         req = SamplerRequest(problem.qubo, gs, reads=3, seed=7)
         got = heuristic_anneal(req, sweeps=8)

@@ -9,7 +9,9 @@ thresholds only.
 
 import functools
 import itertools
+import json
 import math
+import os
 import struct
 import types
 from unittest import mock
@@ -19,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annealdp import merged
+from annealdp import merged, quadratize
 from annealdp.bqm import brute_force
+from annealdp.cli import EXIT_OK, main
 from annealdp.merged import (
     AnnealOutcome,
     CYCLE_BASE_US,
@@ -167,7 +170,7 @@ class TestBuild:
         # 21 + 21 + 49 = 91 pairs across its two registers
         assert prob6.policy_aux_count == 21
         assert prob6.valuation_aux_count == 91
-        assert prob6.n_vars == 23 + 21 + 91
+        assert prob6.n == 23 + 21 + 91
 
     def test_aux_methods_all_positive_terms(self, prob6):
         # the log-curvature coefficient is negative and the residual
@@ -180,7 +183,7 @@ class TestBuild:
         assert prob_small.x_v == 10
         assert prob_small.policy_aux_count == 3
         assert prob_small.valuation_aux_count == 15
-        assert prob_small.n_vars == 29
+        assert prob_small.n == 29
 
     def test_default_anchors_are_closed_form(self, prob6):
         x1s, _, x3s = true_parameters(DEFAULT_PARAMS)
@@ -229,7 +232,7 @@ class TestBuild:
 
     def test_encode_initial(self, prob6):
         state = prob6.encode_initial(TRUTH)
-        assert len(state) == prob6.n_vars
+        assert len(state) == prob6.n
         assert state[prob6.x_p] == 0
         assert state[prob6.x_v] == 0
         assert all(state[a] == 0 for a in prob6.aux_vars)
@@ -298,7 +301,7 @@ class TestSchedule:
         sched = merged_schedule(prob6)
         width = sched.total_time / 2
         # variables below 0.5 at the bottom of each window's dip
-        dipped = [{v for v in range(prob6.n_vars) if sched.s_at((w + 0.2) * width, v) < 0.5}
+        dipped = [{v for v in range(prob6.n) if sched.s_at((w + 0.2) * width, v) < 0.5}
                   for w in range(2)]
         aux = set(prob6.aux_vars)
         assert dipped[0] == set(prob6.enc1.vars + (prob6.x_p,)) | aux
@@ -440,6 +443,41 @@ class TestGreedyOracle:
         assert (a.x1, a.x2, a.x3) == (b.x1, b.x2, b.x3)
 
 
+class TestGreedySkipsReduction:
+    """The greedy engine walks the cubic form, so a greedy merged solve
+    never quadratizes and never builds the QUBO."""
+
+    GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+    @pytest.fixture
+    def forbid_reduction(self):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the merged reduction was built")
+
+        with mock.patch.object(merged, "to_qubo", forbidden), \
+                mock.patch.object(merged, "quadratize_full", forbidden), \
+                mock.patch.object(quadratize, "_ntr_terms", forbidden), \
+                mock.patch.object(quadratize, "_ptr_terms", forbidden):
+            yield
+
+    def test_reading_the_qubo_hits_the_patches(self, forbid_reduction):
+        prob = build_merged_problem(DEFAULT_PARAMS, encodings=default_merged_encodings(DEFAULT_PARAMS, 2, 2, 2))
+        with pytest.raises(AssertionError, match="reduction was built"):
+            prob.qubo
+
+    @pytest.mark.parametrize("case", ["oneshot_greedy", "multi_anneal_greedy_narrow"])
+    def test_greedy_solve_matches_pins(self, case, forbid_reduction, tmp_path, capsys):
+        with open(os.path.join(self.GOLDEN, "cases.json")) as fh:
+            flags = json.load(fh)[case]
+        assert main(["solve", *flags, "--out-dir", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        pinned = sorted(os.listdir(os.path.join(self.GOLDEN, case)))
+        assert pinned
+        for fname in pinned:
+            with open(os.path.join(self.GOLDEN, case, fname), "rb") as fh:
+                assert (tmp_path / fname).read_bytes() == fh.read(), fname
+
+
 class TestLosses:
     def test_values_at_truth(self, prob6):
         out = losses(TRUTH, prob6, reference=TRUTH, anchor=TRUTH)
@@ -468,7 +506,7 @@ class TestLosses:
     @given(st.data())
     def test_batched_losses_match_poly_evaluate(self, any_problem, data):
         # a few distinct states repeated, with the all-zero state among them
-        n = any_problem.n_vars
+        n = any_problem.n
         zero = (0,) * n
         pool = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple),
                                   min_size=1, max_size=8))

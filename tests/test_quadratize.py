@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from annealdp.quadratize import (
     AuxAllocation,
     AuxRecord,
     ReductionResult,
+    aux_allocation,
     deduction_reduce,
     elc_reduce,
     min_over_aux,
@@ -438,24 +440,97 @@ def test_quadratize_full_matches_chained_reference(case, gap):
         assert got.alloc == want.alloc
 
 
+def chained_merged_reference(prob):
+    """The merged problem's QUBO, offset and allocation, each block
+    reduced by the chained reference and the reductions summed through
+    Poly arithmetic: the eager build, rebuilt from the problem's blocks."""
+    x_p, x_v = prob.x_p, prob.x_v
+    prod_p = Poly.variable(x_p) * prob.gp_poly
+    prod_v = Poly.variable(x_v) * prob.gv_poly
+    bias_poly = prob.bias * (Poly.variable(x_p) + Poly.variable(x_v))
+    red_p = chained_quadratize_reference(prod_p, aux_start=x_v + 1)
+    red_v = chained_quadratize_reference(prod_v, aux_start=x_v + 1 + len(red_p.alloc.records))
+    records = red_p.alloc.records + red_v.alloc.records
+    qubo, offset = to_qubo(red_p.qubo_poly + red_v.qubo_poly + bias_poly, n=x_v + 1 + len(records))
+    return qubo, offset, AuxAllocation(x_v + 1, records)
+
+
 @pytest.mark.parametrize("widths", [(6, 6, 6), (3, 3, 3), (4, 5, 6), (2, 2, 2), (7, 7, 7)])
 @pytest.mark.parametrize("bias", [0.0, 0.5])
 def test_merged_problem_matches_chained_reference(widths, bias):
     prob = build_merged_problem(encodings=default_merged_encodings(j1=widths[0], j2=widths[1], j3=widths[2]),
                                 bias=bias)
+    qubo, offset, alloc = chained_merged_reference(prob)
+    assert list(prob.qubo.q.items()) == list(qubo.q.items())
+    assert prob.qubo.n == qubo.n
+    assert prob.offset == offset
+    assert prob.alloc == alloc
     x_p, x_v = prob.x_p, prob.x_v
     prod_p = Poly.variable(x_p) * prob.gp_poly
     prod_v = Poly.variable(x_v) * prob.gv_poly
     bias_poly = bias * (Poly.variable(x_p) + Poly.variable(x_v))
-    red_p = chained_quadratize_reference(prod_p, aux_start=x_v + 1)
-    red_v = chained_quadratize_reference(prod_v, aux_start=x_v + 1 + len(red_p.alloc.records))
-    records = red_p.alloc.records + red_v.alloc.records
-    qubo, offset = to_qubo(red_p.qubo_poly + red_v.qubo_poly + bias_poly, n=x_v + 1 + len(records))
-    assert list(prob.qubo.q.items()) == list(qubo.q.items())
-    assert prob.qubo.n == qubo.n
-    assert prob.offset == offset
-    assert prob.alloc == AuxAllocation(x_v + 1, records)
     assert list(prob.poly.terms.items()) == list((prod_p + prod_v + bias_poly).terms.items())
+
+
+def _float_bits(items):
+    return [(k, float(c).hex()) for k, c in items]
+
+
+class TestDeferredReduction:
+    """build_merged_problem sets the allocation and the variable count;
+    the QUBO and its offset are built on first read, and equal the eager
+    build bit for bit, key order included."""
+
+    # (x1_bar, x3_bar) anchors; None is the closed-form pair
+    ANCHORS = (None, (0.05, 0.4), (0.25, 1.2), (0.5, 2.0), (0.95, 3.5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8),
+           st.sampled_from((0.0, 0.5)), st.sampled_from(ANCHORS), st.booleans())
+    def test_lazy_build_matches_eager_reference(self, j1, j2, j3, bias, anchors, alloc_first):
+        prob = build_merged_problem(encodings=default_merged_encodings(j1=j1, j2=j2, j3=j3),
+                                    anchors=anchors, bias=bias)
+        qubo, offset, alloc = chained_merged_reference(prob)
+        if alloc_first:
+            assert prob.alloc == alloc
+            assert prob.n == qubo.n
+        assert _float_bits(prob.q.items()) == _float_bits(qubo.q.items())
+        assert prob.qubo.q is prob.q
+        assert prob.qubo.n == prob.n == qubo.n
+        assert float(prob.offset).hex() == float(offset).hex()
+        assert prob.alloc == alloc
+
+    def test_reduction_is_built_once(self):
+        prob = build_merged_problem(encodings=default_merged_encodings(j1=2, j2=2, j3=2))
+        with mock.patch("annealdp.merged.quadratize_full", wraps=quadratize_full) as spy:
+            assert prob.aux_vars and prob.n == prob.x_v + 1 + len(prob.aux_vars)
+            assert spy.call_count == 0
+            first = prob.qubo
+            assert prob.qubo is first and prob.q is first.q
+            prob.offset
+        assert spy.call_count == 2
+
+
+@st.composite
+def random_cubics(draw):
+    """Degree <= 3 over <= 9 variables, signed coefficients."""
+    n = draw(st.integers(1, 9))
+    terms = {}
+    for _ in range(draw(st.integers(0, 12))):
+        size = draw(st.integers(0, min(3, n)))
+        key = draw(st.frozensets(st.integers(0, n - 1), min_size=size, max_size=size))
+        terms[key] = draw(st.floats(-4, 4, allow_nan=False).filter(lambda c: abs(c) > 1e-6))
+    return n, Poly(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_cubics(), st.integers(0, 3), st.booleans())
+def test_aux_allocation_is_quadratize_full_allocation(case, gap, default_start):
+    n, p = case
+    aux_start = None if default_start else n + gap
+    alloc = aux_allocation(p, aux_start)
+    assert alloc == quadratize_full(p, aux_start).alloc
+    assert alloc == chained_quadratize_reference(p, aux_start).alloc
 
 
 @pytest.mark.parametrize("widths", [(6, 6, 6), (0, 0, 0), (1, 4, 0), (7, 2, 9)])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from annealdp.bqm import brute_force
 from annealdp.engines import SampleRecord, SampleSet, heuristic_anneal
 from annealdp.merged import build_merged_problem, default_merged_encodings
-from annealdp.pbf import BinaryEncoding, LogCoefficients, ln_1mx_poly, ln_x_poly, to_qubo
+from annealdp.pbf import BinaryEncoding, LogCoefficients, Poly, ln_1mx_poly, ln_x_poly, to_qubo
 from annealdp.rbc import (
     DEFAULT_PARAMS,
     CollocationGrid,
@@ -34,6 +34,7 @@ from annealdp.rbc import (
     hybrid_ppi,
     oracle_sampler,
     simulate_consumption,
+    spanning_scale,
     true_parameters,
     write_consumption_csv,
     write_iteration_csv,
@@ -388,6 +389,40 @@ class TestGamma:
     def test_finiteness_guard(self):
         with pytest.raises(ValueError, match="finite"):
             GammaConstants(math.nan, 0, 0, 0, 0, 0.0025, 0, 0, 5)
+
+
+def gv_poly_by_products(x1_bar, enc2, enc3, grid):
+    """The valuation quadratic through six Poly products and sums: the
+    reference build_gv_pbo's direct coefficients must equal bit for bit,
+    key order included."""
+    gam = gamma_constants(x1_bar, grid)
+    x2p = enc2.value_poly()
+    x3p = enc3.value_poly()
+    return (Poly.constant(gam.gamma0 + gam.gamma1)
+            + gam.gamma2 * x2p + gam.gamma3 * x3p + gam.gamma23 * (x2p * x3p)
+            + (gam.node_count * gam.gamma22) * (x2p * x2p) + gam.gamma33 * (x3p * x3p))
+
+
+# a register scale: None spans [0, 2x*], "fixed" is the 10-bit reference
+# pair (-0.035, 0.003), a number is --s2/--s3 at its validated extremes
+SCALES = st.sampled_from((None, "fixed", 1e-6, -1e-6, 1e3, -1e3))
+
+
+class TestDirectValuationTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 10), SCALES, SCALES,
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_matches_product_build(self, j2, j3, s2, s3, x1_bar):
+        _, x2s, x3s = true_parameters()
+        s2 = {None: spanning_scale(x2s, j2 + 1), "fixed": -0.035}.get(s2, s2)
+        s3 = {None: spanning_scale(x3s, j3 + 1), "fixed": 0.003}.get(s3, s3)
+        enc2 = BinaryEncoding(j2 + 2, j2 + 1, s2)
+        enc3 = BinaryEncoding(2 * j2 + 3, j3 + 1, s3)
+        grid = collocation_grid()
+        got, _ = build_gv_pbo(x1_bar, enc2, enc3, grid)
+        want = gv_poly_by_products(x1_bar, enc2, enc3, grid)
+        assert ([(k, c.hex()) for k, c in got.terms.items()]
+                == [(k, c.hex()) for k, c in want.terms.items()])
 
 
 class TestGvPbo:
