@@ -192,10 +192,14 @@ _AXIS_BITS = 6
 def _sylvester(size: int) -> np.ndarray:
     """Unnormalised Sylvester-Hadamard matrix of `size` (a power of two)
     basis states: entry (r, c) is (-1)^popcount(r & c)."""
-    h = np.ones((1, 1))
-    while len(h) < size:
-        h = np.vstack((np.hstack((h, h)), np.hstack((h, -h))))
-    return h
+    idx = np.arange(size)
+    parity = idx[:, None] & idx
+    # fold the bits of r & c onto bit 0 by xor, so bit 0 is its popcount's parity
+    shift = 1
+    while shift < size.bit_length() - 1:
+        parity ^= parity >> shift
+        shift *= 2
+    return 1.0 - 2.0 * (parity & 1)
 
 
 def _equal_columns(table: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -204,6 +208,15 @@ def _equal_columns(table: np.ndarray) -> tuple[np.ndarray, list[int]]:
     seen: dict[bytes, int] = {}
     group = [seen.setdefault(col.tobytes(), len(seen)) for col in table.T]
     return table.T[[group.index(g) for g in range(len(seen))]], group
+
+
+def _phases(coef: np.ndarray, table: np.ndarray, arg: np.ndarray, out: np.ndarray) -> None:
+    """exp(i coef @ table) into the complex array out, through the real
+    buffer arg of the same shape."""
+    np.matmul(coef, table, out=arg)
+    parts = out.view(np.float64)
+    np.cos(arg, out=parts[..., 0::2])
+    np.sin(arg, out=parts[..., 1::2])
 
 
 def _step_count(sched: AnnealSchedule, steps: int | None) -> int:
@@ -220,53 +233,68 @@ def _step_count(sched: AnnealSchedule, steps: int | None) -> int:
     return steps
 
 
-# Steps from one exact evaluation of the diagonal phase to the next within
-# a schedule segment (see _Integration). Worst |p - p_scalar| against the
-# tests' per-qubit loop after a 1,280-step forward or grouped pass on the
-# hybrid's native 10- and 14-qubit valuation QUBOs (half-step phase up to
-# 17.1 rad): 5.5e-14 at 8, 1.9e-13 at 16, 8.6e-13 at 32 (the bound is
-# 1e-12). At 8 a step costs x0.6-0.9 of exact phases every step at
-# 10-16 qubits, and 16 saves a few per cent more (one BLAS thread,
+# Multiplies from one exact evaluation of the diagonal phase to the next
+# within a run (see _Integration). Worst |p - p_scalar| against the tests'
+# per-qubit loop after a 1,280-step forward or grouped pass on the
+# hybrid's native 10- and 14-qubit valuation QUBOs (merged phase up to
+# 34.2 rad per multiply): 1.9e-14 at 8, 1.2e-13 at 16, 6.0e-13 at 32 (the
+# bound is 1e-12). At 8 a step cost x0.6-0.9 of exact phases every step
+# at 10-16 qubits, and 16 saved a few per cent more (one BLAS thread,
 # BENCH_16.json).
 _ANCHOR_EVERY = 8
+# Level phases are computed for a block of steps at once, at most this
+# many (step, level) entries. A step has up to 2^n levels (every qubit on
+# its own path), so one step's levels always fit; a forward schedule has
+# n + 1, so a block holds thousands of its steps.
+_LEVEL_BLOCK = 1 << STATE_VECTOR_MAX_VARS
 
 
 class _Integration:
     """Strang-split evolution of one schedule pass, planned once per request.
 
-    Every step multiplies psi by the half-step diagonal phase, applies the
-    transverse stage (every qubit's rotation at once), multiplies by the
-    phase again and takes the norm; a norm drift beyond 1e-6 in one step
-    raises IntegrationError. The step does not divide psi by its norm:
-    1 / norm rides on the next step's level phase (a few dozen entries at
-    most), so each step starts from a unit state as if it had, and the
-    last psi is divided once. The plan holds what does not change between
-    steps or reads.
+    A Strang step multiplies psi by the half-step diagonal phase p_k,
+    applies the transverse stage (every qubit's rotation at once) and
+    multiplies by p_k again. Neighbouring steps meet in p_k p_{k+1}, so
+    the pass multiplies psi by p_0 before the first step, by
+    P_k = p_k p_{k+1} after step k and by p_{K-1} alone after the last:
+    one diagonal multiply between steps. Each step takes the norm after
+    its transverse stage, where it equals the norm after the multiply
+    (|P| = 1); a norm drift beyond 1e-6 in one step raises
+    IntegrationError. The step does not divide psi by its norm: 1 / norm
+    rides on the next step's level phase (a few dozen entries on most
+    schedules), so each step starts from a unit state as if it had, and
+    the last psi is divided once. The plan holds what does not change
+    between steps or reads, p_0 included, so chained reads compute it once.
 
     Diagonal, folded by schedule path. Variables with equal fraction
     columns share a path g, so the diagonal at a step is
     ``sum_g s_g D_g + sum_{g<=h} s_g s_h D_gh``: ``D_g`` sums the weighted
     linear rows of path g's variables and ``D_gh`` the weighted coupling
     rows between paths g and h. The plan keeps one row per path and per
-    coupled path pair, and a (steps x rows) table of their coefficients
-    with -dt/2 folded in; a forward schedule has one path, so at most two
-    rows.
+    coupled path pair; a forward schedule has one path, so at most two
+    rows. Multiply j of the K + 1 has the phase argument ``c_j . rows``:
+    c_0 is step 0's coefficients of the rows, with -dt/2 folded in, c_j the
+    sum of steps j - 1 and j, and c_K step K - 1's.
 
     Diagonal phase, by an anchored recurrence. A segment is a run of steps
     whose midpoints lie between the same two breakpoints of the schedule
     (the global path's and every variable's together). Inside one, every
-    fraction is linear in the step index k, so every coefficient, and the
-    phase argument ``a_k = coef[k] . rows``, is quadratic in k. The phase
-    ``p_k = exp(i a_k)`` therefore advances by two complex multiplies per
-    step, ``p <- p r`` and ``r <- r q``, with ``r = exp(i (a_{k+1} - a_k))``
-    and ``q = exp(i (a_{k+2} - 2 a_{k+1} + a_k))`` fixed per segment. An
-    anchor step evaluates p and r exactly from the coefficient table (one
-    dot and a cos and a sin each), and q once per segment from the second
-    difference of its first three coefficient rows. Every segment's first
-    step is an anchor, and so is every _ANCHOR_EVERY-th step after it; a
-    segment shorter than three steps is all anchors. Rounding accumulates
-    only between anchors; _ANCHOR_EVERY = 8 keeps the worst probability
-    difference at native scale near 5e-14.
+    fraction is linear in the step index, so every step's coefficient is
+    quadratic in it, and so is c_j between two steps of one segment. The
+    multiply before a segment's first step spans two segments (or is the
+    first), and it stands alone, as does the last. Along a run of
+    multiplies with quadratic c_j, the phase ``m_j = exp(i c_j . rows)``
+    advances by two complex multiplies, ``m <- m r`` and ``r <- r q``,
+    with ``r = exp(i (c_{j+1} - c_j) . rows)`` and
+    ``q = exp(i (c_{j+2} - 2 c_{j+1} + c_j) . rows)`` fixed per run. An
+    anchor evaluates m and r exactly, and a run's first anchor also q,
+    from the second difference of the run's first three coefficient rows;
+    one gemm, a cos and a sin serve all of an anchor's rows. Every run's
+    first multiply is an anchor, and so is every _ANCHOR_EVERY-th after
+    it; a run shorter than three is all anchors. The plan holds only the
+    anchors, with their coefficient rows. Rounding accumulates only
+    between anchors; _ANCHOR_EVERY = 8 keeps the worst probability
+    difference at native scale near 2e-14.
 
     Transverse stage, in the Hadamard basis. The rotations commute, so
     ``prod_i exp(i theta_i X_i) = H diag(exp(i sum_i theta_i z_i)) H / 2^n``
@@ -285,9 +313,11 @@ class _Integration:
     ``sum_i theta_i z_i`` takes few distinct values (n + 1 on a forward
     schedule): qubits with equal angle columns form a group, a group of m
     qubits with c set bits has z sum m - 2c, and a state's level is its
-    c per group in mixed radix. A step computes the phase of each level,
-    with the exact factor 2^-n folded in, and spreads it with one take.
-    No (steps x 2^n) table is held.
+    c per group in mixed radix. The phases of every level, with the exact
+    factor 2^-n folded in, are computed for a block of steps at once (one
+    gemm, a cos and a sin over at most _LEVEL_BLOCK entries); a step
+    scales its row by 1 / norm and spreads it with one take. No
+    (steps x 2^n) or (steps x levels) table is held.
 
     Contract: the arithmetic is reordered against the per-qubit scalar
     loop kept in the tests, and the diagonal phase between anchors carries
@@ -323,33 +353,36 @@ class _Integration:
             self.rows[r] = row
             coef[:, r] = np.prod(paths[list(key)], axis=0)
         coef *= -0.5 * dt
+        # c_j per multiply: step 0's, the sums of neighbours, step K-1's
+        c = np.concatenate((coef[:1], coef[:-1] + coef[1:], coef[-1:]))
 
-        # the diagonal phase p, its step ratio r and the ratio's step ratio q
-        self.phase, self.ratio, self.curve = (np.empty(dim, dtype=np.complex128) for _ in range(3))
-        p_parts, r_parts, q_parts = (tuple(buf.view(np.float64).reshape(-1, 2).T)
-                                     for buf in (self.phase, self.ratio, self.curve))
+        # the multiply phase m, its ratio r and the ratio's ratio q, the
+        # rows an anchor's exact evaluations fill in that order
+        self.recurrence = np.empty((3, dim), dtype=np.complex128)
+        self.arg = np.empty((3, dim))
+        first = np.empty((1, dim), dtype=np.complex128)
+        _phases(c[:1], self.rows, self.arg[:1], first)
+        self.first = first[0]
         # a segment's steps have their midpoints between the same two
         # breakpoints of any path
         knots = np.unique([t for pts in (sched.breakpoints, *(sched.variable_paths or {}).values())
                            for t, _ in pts])
-        segment = np.searchsorted(knots, times)
-        bounds = [0, *(np.flatnonzero(np.diff(segment)) + 1).tolist(), self.steps]
-        # per step, the exact evaluations of an anchor as (coefficient row,
-        # real part, imaginary part of the buffer it fills); none for a
-        # recurrence step
-        self.phase_plan = []
+        starts = np.flatnonzero(np.diff(np.searchsorted(knots, times))) + 1
+        # the runs of multiplies with quadratic c_j, between the ones that
+        # stand alone: the first, the one before each segment and the last
+        bounds = np.unique([1, *starts, *(starts + 1), self.steps, self.steps + 1]).tolist()
+        # per anchor multiply, the coefficient rows of its exact evaluations
+        self.anchors: dict[int, np.ndarray] = {}
         for a, b in zip(bounds, bounds[1:]):
-            every = _ANCHOR_EVERY if b - a >= 3 else 1
-            for k in range(a, b):
-                exact = []
-                if (k - a) % every == 0:
-                    exact.append((coef[k], *p_parts))
-                    # the next step continues the recurrence, so it needs r
-                    if every > 1 and k + 1 < b:
-                        exact.append((coef[k + 1] - coef[k], *r_parts))
-                    if k == a and every > 1:
-                        exact.append((coef[a] - 2.0 * coef[a + 1] + coef[a + 2], *q_parts))
-                self.phase_plan.append(exact)
+            if b - a < 3:
+                self.anchors.update((j, c[j:j + 1].copy()) for j in range(a, b))
+                continue
+            # m, and r for the next multiply to continue from (after the
+            # run's last multiply, an unused r: the next one is an anchor)
+            js = np.arange(a, b, _ANCHOR_EVERY)
+            self.anchors.update(zip(js.tolist(), np.stack((c[js], c[js + 1] - c[js]), axis=1)))
+            # and q once per run
+            self.anchors[a] = np.vstack((self.anchors[a], c[a] - 2.0 * c[a + 1] + c[a + 2]))
 
         theta = (1.0 - table) * dt
         # a group of m qubits with equal angle columns has z sum m - 2c,
@@ -362,6 +395,11 @@ class _Integration:
         self.zsums = (width - 2 * counts).astype(np.float64)
         self.angles = np.ascontiguousarray(angles.T)
         self.scale = 0.5 ** n
+        # a block of level phases: its rows are steps
+        self.block_steps = max(1, _LEVEL_BLOCK // len(self.zsums))
+        shape = (min(self.block_steps, self.steps), len(self.zsums))
+        self.level_angle = np.empty(shape)
+        self.level_phase = np.empty(shape, dtype=np.complex128)
 
         count = -(-n // _AXIS_BITS)
         sizes = [1 << (n // count + (a >= count - n % count)) for a in range(count)]
@@ -382,7 +420,8 @@ class _Integration:
         # a pass is the gemms of the axes above the lowest, highest first,
         # a transpose, and the lowest axis's gemm; the second pass mirrors it
         upper = [gemm(sizes[a], math.prod(sizes[:a])) for a in range(count - 1, 0, -1)]
-        passes = [*upper, turn(rest), gemm(low, rest)], [gemm(low, rest), turn(low), *upper]
+        lowest = gemm(low, rest)
+        passes = [*upper, turn(rest), lowest], [lowest, turn(low), *upper]
         self.basis = (np.empty(dim, dtype=np.complex128), np.empty(dim, dtype=np.complex128))
         # (op, x, y, z) stages, run as op(x, y, z); each writes the other
         # buffer, and the two passes are equally long, so the second ends in
@@ -391,52 +430,53 @@ class _Integration:
         for make in passes[0] + passes[1]:
             cur = len(self.stages) % 2
             self.stages.append(make(self.basis[cur], self.basis[1 - cur]))
-        self.arg = np.empty(dim)
-        self.level_angle = np.empty(len(self.zsums))
-        self.level_phase = np.empty(len(self.zsums), dtype=np.complex128)
         self.spread = np.empty(dim, dtype=np.complex128)
 
     def run(self, psi: np.ndarray) -> tuple[np.ndarray, float]:
         """Evolve psi over the pass; returns (new psi, worst norm drift)."""
-        arg, phase, ratio, curve, spread = self.arg, self.phase, self.ratio, self.curve, self.spread
-        angle, level_phase = self.level_angle, self.level_phase
-        level_re, level_im = level_phase.view(np.float64).reshape(-1, 2).T
+        rec, arg, anchors, spread = self.recurrence, self.arg, self.anchors, self.spread
+        phase, ratio, curve = rec
+        per, level_angle, level_phase = self.block_steps, self.level_angle, self.level_phase
         half = len(self.stages) // 2
         first, second = self.stages[:half], self.stages[half:]
         mid, out = self.basis[half % 2], self.basis[0]
         flat = out.view(np.float64)
+        np.multiply(self.first, psi, out=out)
         nrm = 1.0
         worst_drift = 0.0
-        for k, exact in enumerate(self.phase_plan):
-            for row, re, im in exact:
-                np.dot(row, self.rows, out=arg)
-                np.cos(arg, out=re)
-                np.sin(arg, out=im)
-            if not exact:
-                # r advances past what the next anchor overwrites; one
-                # multiply per anchor interval, not worth a flag
-                phase *= ratio
-                ratio *= curve
-            np.multiply(phase, psi, out=out)
+        for k in range(self.steps):
             for op, x, y, z in first:
                 op(x, y, z)
-            np.dot(self.zsums, self.angles[k], out=angle)
-            np.cos(angle, out=level_re)
-            np.sin(angle, out=level_im)
+            i = k % per
+            if not i:
+                # the level phases of the next block of steps, one row each
+                stop = min(k + per, self.steps)
+                block = level_phase[:stop - k]
+                _phases(self.angles[k:stop], self.zsums.T, level_angle[:stop - k], block)
+                block *= self.scale
+            row = level_phase[i]
             # the previous step's renormalisation rides on the level phase
-            level_phase *= self.scale / nrm
+            row *= 1.0 / nrm
             # levels are in range, so the take can skip its bounds check
-            level_phase.take(self.level, out=spread, mode="wrap")
+            row.take(self.level, out=spread, mode="wrap")
             mid *= spread
             for op, x, y, z in second:
                 op(x, y, z)
-            psi = out
-            np.multiply(phase, psi, out=psi)
             nrm = math.sqrt(np.dot(flat, flat))
             drift = abs(nrm - 1.0)
             if drift > 1e-6:
                 raise IntegrationError(f"norm drifted by {drift:.2e} in one step")
             worst_drift = max(worst_drift, drift)
+            coef = anchors.get(k + 1)
+            if coef is None:
+                # r advances past what the next anchor overwrites; one
+                # multiply per anchor interval, not worth a flag
+                phase *= ratio
+                ratio *= curve
+            else:
+                e = len(coef)
+                _phases(coef, self.rows, arg[:e], rec[:e])
+            out *= phase
         return (flat / nrm).view(np.complex128), worst_drift
 
 
@@ -464,13 +504,16 @@ def schrodinger_anneal(req: SamplerRequest, steps: int | None = None) -> SampleS
     H(t) = sum_i (1 - s_i(t)) (-sigma^x_i) + [problem diagonal with bias
     terms scaled by s_i and coupling terms by s_i s_j]. Integration is
     second-order operator splitting with the schedule evaluated at step
-    midpoints; the norm is taken each step and a drift beyond 1e-6 in any
-    single step raises IntegrationError, and each step's renormalisation
-    is folded into the next step's phase. All qubit rotations of a step
-    are one phase in the Hadamard basis, applied by real gemms. The
-    diagonal is folded by schedule path, and its phase advances by a
-    recurrence that is evaluated exactly at every schedule breakpoint and
-    every _ANCHOR_EVERY steps (see _Integration). So probabilities match a
+    midpoints, and the half-step diagonal phases of neighbouring steps
+    merged into one multiply between them. The norm is taken each step
+    and a drift beyond 1e-6 in any single step raises IntegrationError,
+    and each step's renormalisation is folded into the next step's
+    phase. All qubit rotations of a step are one phase in the Hadamard
+    basis, applied by real gemms, with the phases of its few distinct
+    levels computed for blocks of steps at once. The diagonal is folded
+    by schedule path, and its phase advances by a recurrence that is
+    evaluated exactly at every schedule breakpoint and every
+    _ANCHOR_EVERY multiplies (see _Integration). So probabilities match a
     per-qubit rotation loop within 1e-12; the samples drawn for a seed
     are the same.
     """

@@ -1368,6 +1368,141 @@ def native_valuation_qubo():
     return valuation_qubo(4)
 
 
+def knotted_schedule(knots, total=12.0):
+    """A forward anneal over `total` with a breakpoint at each knot time
+    and s = (t / total)^2 at every breakpoint, so each segment has its own
+    slope. At 12 steps over 12 time units the step midpoints are k + 0.5,
+    so knots 5, 6 and 8 leave a 1-step and a 2-step segment mid-pass, and
+    a knot at 11 or 10 leaves a 1-step or 2-step segment at the end."""
+    times = (0.0, *knots, total)
+    return AnnealSchedule(total, tuple((t, (t / total) ** 2) for t in times))
+
+
+def merged_phase_request(model, sched, reads=200, seed=3):
+    """A lockstep request on sched, with a start state where it needs one."""
+    initial = None
+    if sched.needs_initial_state(model.n):
+        domain = reference_domain(model)
+        initial = tuple(domain[v % 2] for v in range(model.n))
+    return SamplerRequest(model, sched, reads=reads, initial_state=initial, seed=seed)
+
+
+def assert_pass_matches_scalar(req, steps):
+    """The pass's amplitudes within PROBABILITY_BOUND of scalar_pass's (the
+    last diagonal multiply shows in amplitudes only), and the same sample
+    set."""
+    start = reference_start(req)
+    got, _ = engines._Integration(req.model, req.schedule, steps).run(start)
+    want, _ = scalar_pass(req.model, req.schedule, start, steps)
+    assert np.max(np.abs(got - want)) <= PROBABILITY_BOUND
+    assert schrodinger_anneal(req, steps).records == scalar_sampled(req, steps).records
+
+
+def edge_models():
+    rng = np.random.default_rng(17)
+    q = {(i, j): float(rng.normal()) for i in range(6) for j in range(i, 6)}
+    return [random_ising(5, rng, density=0.8), QuboModel(6, q)]
+
+
+class TestIntegratorMergedPhase:
+    """The merged diagonal phase at its edges: p_0 before the first step,
+    p_k p_{k+1} between steps, p_{K-1} alone after the last, and the
+    multiplies that stand alone around short segments."""
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    @pytest.mark.parametrize("shape", ["forward", "grouped", "own"])
+    @pytest.mark.parametrize("m", range(2))
+    def test_one_and_two_step_passes(self, steps, shape, m):
+        # one step has no multiply between steps; two have one
+        model = edge_models()[m]
+        n = model.n
+        if shape == "grouped":
+            sched = grouped_cycle_schedule(3.0, [tuple(range(0, n, 2)), tuple(range(1, n, 2))],
+                                           down_fraction=0.3)
+        else:
+            sched = forward_schedule(2.0)
+            if shape == "own":
+                sched = own_paths(sched, n, np.linspace(0.2, 1.0, n))
+        assert_pass_matches_scalar(merged_phase_request(model, sched), steps)
+
+    @pytest.mark.parametrize("knots", [(5.0, 6.0, 8.0), (11.0,), (10.0,), (9.0, 11.0)])
+    @pytest.mark.parametrize("paths", ["global", "own"])
+    @pytest.mark.parametrize("m", range(2))
+    def test_short_segments(self, knots, paths, m):
+        model = edge_models()[m]
+        sched = knotted_schedule(knots)
+        if paths == "own":
+            sched = own_paths(sched, model.n, np.linspace(0.3, 1.0, model.n))
+        assert_pass_matches_scalar(merged_phase_request(model, sched), 12)
+
+    def test_level_blocks_across_a_pass(self):
+        # 10 qubits on their own paths have 1,024 levels, so a block holds
+        # 64 steps and a 150-step pass has blocks of 64, 64 and 22
+        model = random_ising(10, np.random.default_rng(4), density=0.3)
+        sched = own_paths(knotted_schedule((5.0, 6.0, 8.0)), 10, np.linspace(0.2, 1.0, 10))
+        assert engines._Integration(model, sched, 150).level_phase.shape == (64, 1024)
+        assert_pass_matches_scalar(merged_phase_request(model, sched), 150)
+
+    @pytest.mark.parametrize("knots, steps", [((), 1), ((), 2), ((5.0, 6.0, 8.0), 12),
+                                              ((9.0, 11.0), 12)])
+    @pytest.mark.parametrize("m", range(2))
+    def test_chained_reads_reuse_the_first_phase(self, knots, steps, m):
+        model = edge_models()[m]
+        sched = dataclasses.replace(knotted_schedule(knots), reinitialize=False)
+        req = merged_phase_request(model, sched, reads=4, seed=11)
+        want = scalar_chained(req, steps)
+        got = schrodinger_anneal(req, steps)
+        assert got.records == want.records
+        assert abs(got.norm_drift - want.norm_drift) <= 1e-12
+        # a pass leaves the plan's p_0 as it was, so a second pass from the
+        # same state repeats the first
+        plan = engines._Integration(model, sched, steps)
+        first = plan.first.copy()
+        psi = engines._start_vector(req)
+        once, _ = plan.run(psi)
+        again, _ = plan.run(psi)
+        assert np.array_equal(plan.first, first)
+        assert np.array_equal(once, again)
+
+    # Every qubit on its own path: 2^16 levels, so a step's level phases
+    # are a whole block. The plan alone, no pass.
+    def test_level_blocks_stay_bounded(self):
+        n = 16
+        model = IsingModel(n, {0: 0.5}, {(0, n - 1): -0.3})
+        sched = own_paths(forward_schedule(2.0), n, np.linspace(0.1, 1.0, n))
+        plan = engines._Integration(model, sched, 40)
+        assert len(plan.zsums) == 1 << n
+        assert plan.level_phase.size <= engines._LEVEL_BLOCK
+        assert plan.level_angle.size <= engines._LEVEL_BLOCK
+        # a forward schedule's n + 1 levels put many steps in one block
+        plan = engines._Integration(model, forward_schedule(2.0), 40)
+        assert plan.level_phase.shape == (40, n + 1)
+
+    # The 14-qubit valuation QUBO (three Hadamard axes) at native scale and
+    # 1,283 steps: the merged phase turns up to 34 rad per multiply, twice
+    # the half-step phase, which is where the recurrence rounds most. The
+    # reference is the same pass with every multiply evaluated exactly
+    # (the scalar loop takes several seconds a pass at this size), so the
+    # bound holds the recurrence's own rounding.
+    @pytest.mark.parametrize("shape", ["forward", "grouped"])
+    def test_native_scale_recurrence_at_14_qubits(self, shape):
+        model = valuation_qubo(6)
+        n, steps = model.n, 1283
+        if shape == "forward":
+            sched = forward_schedule(steps / 32.0)
+        else:
+            sched = grouped_cycle_schedule(steps / 32.0, [tuple(range(7)), tuple(range(7, n))],
+                                           down_fraction=0.3)
+        req = merged_phase_request(model, sched, reads=100, seed=steps)
+        start = engines._start_vector(req)
+        got, _ = engines._Integration(model, sched, steps).run(start)
+        with mock.patch.object(engines, "_ANCHOR_EVERY", 1):
+            want, _ = engines._Integration(model, sched, steps).run(start)
+        assert np.max(np.abs(np.abs(got) ** 2 - np.abs(want) ** 2)) <= PROBABILITY_BOUND
+        rng = functools.partial(np.random.default_rng, req.seed)
+        assert np.array_equal(measure(got, req.reads, rng()), measure(want, req.reads, rng()))
+
+
 class TestNormCheck:
     def test_drift_beyond_tolerance_raises(self):
         # every Hadamard gemm scaled by 1.001: each step grows the norm by
