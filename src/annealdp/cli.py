@@ -47,7 +47,16 @@ from .merged import (
     multi_anneal_ppi,
     one_shot_ppi,
 )
-from .pbf import BinaryEncoding, ParseError, Poly, read_poly, to_qubo, write_poly
+from .pbf import (
+    BinaryEncoding,
+    ParseError,
+    Poly,
+    read_poly,
+    to_qubo,
+    write_csv,
+    write_poly,
+    write_text,
+)
 from .quadratize import min_over_aux, quadratize_full
 from .rbc import (
     DEFAULT_INIT,
@@ -187,6 +196,15 @@ def _reading(what: str):
         raise UsageError(f"cannot read {what}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """An output file that cannot be written is a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _make_out_dir(path: str) -> str:
     try:
         os.makedirs(path, exist_ok=True)
@@ -227,11 +245,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def write_config_artifact(path: str, cfg: RunConfig) -> None:
-    with open(path, "w") as fh:
-        for f in sorted(_CONFIG_FIELDS):
-            v = getattr(cfg, f)
-            if v is not None:
-                fh.write(f"{f} = {v}\n")
+    values = ((f, getattr(cfg, f)) for f in sorted(_CONFIG_FIELDS))
+    write_text(path, "".join(f"{f} = {v}\n" for f, v in values if v is not None))
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +386,24 @@ def cmd_solve(cfg: RunConfig) -> int:
         histories.append(history)
 
     trace = histories[0] if cfg.executions == 1 and histories[0] else terminals
-    write_iteration_csv(os.path.join(cfg.out_dir, f"{tag}_iterations.csv"), trace)
-    write_config_artifact(os.path.join(cfg.out_dir, f"{tag}_config.txt"), cfg)
+    path = os.path.join(cfg.out_dir, f"{tag}_iterations.csv")
+    with _writing(path):
+        write_iteration_csv(path, trace)
+    path = os.path.join(cfg.out_dir, f"{tag}_config.txt")
+    with _writing(path):
+        write_config_artifact(path, cfg)
 
     truth = true_parameters(DEFAULT_PARAMS)
     est = np.array([s.as_tuple() for s in terminals])
     errs = np.array([pct_errors(s, truth) for s in terminals])
-    with open(os.path.join(cfg.out_dir, f"{tag}_summary.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["parameter", "true_value", "mean_estimate", "sd_estimate", "mean_pct_error"])
-        for p, name in enumerate(("x1", "x2", "x3")):
-            w.writerow([name, repr(truth[p]), repr(float(est[:, p].mean())),
-                        repr(float(est[:, p].std())), repr(float(errs[:, p].mean()))])
+    # parameter -> (true, mean, sd, mean |error| %), for the CSV and stdout
+    stats = {name: (truth[p], float(est[:, p].mean()), float(est[:, p].std()),
+                    float(errs[:, p].mean())) for p, name in enumerate(("x1", "x2", "x3"))}
+    path = os.path.join(cfg.out_dir, f"{tag}_summary.csv")
+    with _writing(path):
+        write_csv(path, [["parameter", "true_value", "mean_estimate", "sd_estimate",
+                          "mean_pct_error"],
+                         *([name, *map(repr, row)] for name, row in stats.items())])
 
     xs = tuple(range(1, len(trace) + 1)) if trace else (0,)
     trace_errs = [pct_errors(s, truth) for s in trace]
@@ -391,16 +412,16 @@ def cmd_solve(cfg: RunConfig) -> int:
         ys = tuple(e[p] for e in trace_errs) or (0.0,)
         series.append(Series(name, xs[: len(ys)], ys))
     x_title = "iteration" if (cfg.executions == 1 and histories[0]) else "execution"
-    line_chart(os.path.join(cfg.out_dir, f"{tag}_errors.svg"), series,
-               title=f"{cfg.algorithm}: error by {x_title}",
-               x_label=x_title, y_label="absolute error (%)")
+    path = os.path.join(cfg.out_dir, f"{tag}_errors.svg")
+    with _writing(path):
+        line_chart(path, series, title=f"{cfg.algorithm}: error by {x_title}",
+                   x_label=x_title, y_label="absolute error (%)")
 
     print(f"algorithm: {cfg.algorithm}   engine: {cfg.engine}   seed: {cfg.seed}   "
           f"executions: {cfg.executions}")
     print(f"{'parameter':<10}{'true':>14}{'mean':>14}{'sd':>12}{'|error| %':>12}")
-    for p, name in enumerate(("x1", "x2", "x3")):
-        print(f"{name:<10}{truth[p]:>14.6f}{est[:, p].mean():>14.6f}"
-              f"{est[:, p].std():>12.2e}{errs[:, p].mean():>12.4f}")
+    for name, (true, mean, sd, err) in stats.items():
+        print(f"{name:<10}{true:>14.6f}{mean:>14.6f}{sd:>12.2e}{err:>12.4f}")
     t_anneal = _per_anneal_time(cfg)
     if t_anneal is not None:
         rep = timing_report(_resolved_reads(cfg), t_anneal)
@@ -418,7 +439,8 @@ def cmd_quadratize(args: argparse.Namespace) -> int:
         poly = read_poly(args.input)
     out_path = args.out if args.out else args.input + ".quad"
     result = quadratize_full(poly)
-    write_poly(result.qubo_poly, out_path)
+    with _writing(out_path):
+        write_poly(result.qubo_poly, out_path)
     n_aux = len(result.alloc.records)
     print(f"reduced degree {poly.degree} -> {result.qubo_poly.degree}; "
           f"{n_aux} auxiliary variable{'s' if n_aux != 1 else ''}")
@@ -552,12 +574,10 @@ def cmd_appendix_b(args: argparse.Namespace) -> int:
         print(f"{label:<18}{engine:<13}{cycles:<8}{modal:<13}{energy:>8.2f}{share:>14.3f}  {verdict}")
     if args.out_dir:
         _make_out_dir(args.out_dir)
-        with open(os.path.join(args.out_dir, "appendix_b.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["model", "engine", "cycles", "modal_state", "energy",
-                        "ground_share", "verdict"])
-            for row in rows:
-                w.writerow(row)
+        path = os.path.join(args.out_dir, "appendix_b.csv")
+        with _writing(path):
+            write_csv(path, [["model", "engine", "cycles", "modal_state", "energy",
+                              "ground_share", "verdict"], *rows])
         print(f"wrote {args.out_dir}/appendix_b.csv")
     return EXIT_OK
 
@@ -586,15 +606,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
     out_dir = _make_out_dir(args.out_dir)
     csv_path = os.path.join(out_dir, "consumption.csv")
-    write_consumption_csv(csv_path, sim)
+    with _writing(csv_path):
+        write_consumption_csv(csv_path, sim)
     periods = tuple(range(len(sim.z_path)))
-    line_chart(
-        os.path.join(out_dir, "consumption.svg"),
-        [Series("closed form", periods, sim.c_exact),
-         Series("estimated policy", periods, sim.c_model)],
-        title="consumption under a first-period productivity shock",
-        x_label="period", y_label="consumption",
-    )
+    svg_path = os.path.join(out_dir, "consumption.svg")
+    with _writing(svg_path):
+        line_chart(
+            svg_path,
+            [Series("closed form", periods, sim.c_exact),
+             Series("estimated policy", periods, sim.c_model)],
+            title="consumption under a first-period productivity shock",
+            x_label="period", y_label="consumption",
+        )
     gaps = sim.rel_gap
     worst = max(range(len(gaps)), key=lambda t: gaps[t])
     print(f"x1 = {x1!r}; max relative gap {100 * gaps[worst]:.4f}% at period {worst}")
@@ -618,12 +641,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     out_dir = _make_out_dir(args.out_dir)
     grid_reads = (1, 10, 100, 1000)
     grid_times = (5.0, 20.0, 23.0, 115.0)
-    with open(os.path.join(out_dir, "bench.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["reads", "t_anneal_us", "total_us"])
-        for r in grid_reads:
-            for t in grid_times:
-                w.writerow([r, repr(t), repr(timing_report(r, t).total)])
+    path = os.path.join(out_dir, "bench.csv")
+    with _writing(path):
+        write_csv(path, [["reads", "t_anneal_us", "total_us"],
+                         *([r, repr(t), repr(timing_report(r, t).total)]
+                           for r in grid_reads for t in grid_times)])
     print("accounting totals (microseconds):")
     header = "reads".ljust(8) + "".join(f"t={t:g}".rjust(12) for t in grid_times)
     print(header)

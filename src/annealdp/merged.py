@@ -94,12 +94,14 @@ class MergedProblem:
     only (bits and activations, no auxiliaries); qubo (with its constant
     offset) is its reduction over n variables, the auxiliaries of alloc
     included. The problem is itself a QUBO model, its q that of qubo, so
-    a SamplerRequest carries the problem. alloc and n are set at build;
-    the reduction is built the first time qubo, offset or q is read, so
-    a sampler that walks poly never builds it. Anchors are the fixed
-    cross-parameters each block was built with: the valuation block
-    cannot see the live x1 bits, nor the policy block the live x3 bits,
-    so the coupling the bars denote is frozen at build time.
+    a SamplerRequest carries the problem. block_allocs (the policy
+    block's allocation, then the valuation block's) is set at build, and
+    alloc is their union; the reduction is built on them the first time
+    qubo, offset or q is read, so a sampler that walks poly never builds
+    it. Anchors are the fixed cross-parameters each block was built
+    with: the valuation block cannot see the live x1 bits, nor the
+    policy block the live x3 bits, so the coupling the bars denote is
+    frozen at build time.
     """
 
     params: RbcParams
@@ -110,7 +112,7 @@ class MergedProblem:
     x_p: int
     x_v: int
     poly: Poly
-    alloc: AuxAllocation
+    block_allocs: tuple[AuxAllocation, AuxAllocation]
     gp_poly: Poly
     gv_poly: Poly
     gammas: GammaConstants
@@ -118,6 +120,11 @@ class MergedProblem:
     x1_anchor: float
     x3_anchor: float
     bias: float
+
+    @cached_property
+    def alloc(self) -> AuxAllocation:
+        alloc_p, alloc_v = self.block_allocs
+        return AuxAllocation(self.x_v + 1, alloc_p.records + alloc_v.records)
 
     @property
     def aux_vars(self) -> tuple[int, ...]:
@@ -130,9 +137,9 @@ class MergedProblem:
     @cached_property
     def _reduction(self) -> tuple[QuboModel, float]:
         x_p, x_v = self.x_p, self.x_v
-        red_p = quadratize_full(Poly.variable(x_p) * self.gp_poly, aux_start=x_v + 1)
-        red_v = quadratize_full(Poly.variable(x_v) * self.gv_poly,
-                                aux_start=x_v + 1 + len(red_p.alloc.records))
+        alloc_p, alloc_v = self.block_allocs
+        red_p = quadratize_full(Poly.variable(x_p) * self.gp_poly, alloc=alloc_p)
+        red_v = quadratize_full(Poly.variable(x_v) * self.gv_poly, alloc=alloc_v)
         # The two reductions share no key, so their sum is their union in
         # order. Every term of x_p*g_p holds x_p, and every term of x_v*g_v
         # x_v; x_p and x_v exceed every bit, so each PTR closing pair holds
@@ -171,11 +178,11 @@ class MergedProblem:
 
     @property
     def policy_aux_count(self) -> int:
-        return sum(1 for r in self.alloc.records if self.x_p in r.term)
+        return len(self.block_allocs[0].records)
 
     @property
     def valuation_aux_count(self) -> int:
-        return sum(1 for r in self.alloc.records if self.x_v in r.term)
+        return len(self.block_allocs[1].records)
 
     def decode_states(self, states: Sequence[Sequence[int]]) -> list[tuple[float, float, float]]:
         """(x1, x2, x3) of each state: each register's integer m from its
@@ -284,7 +291,7 @@ def build_merged_problem(
         x_p=x_p,
         x_v=x_v,
         poly=merged,
-        alloc=AuxAllocation(x_v + 1, alloc_p.records + alloc_v.records),
+        block_allocs=(alloc_p, alloc_v),
         gp_poly=gp_poly,
         gv_poly=gv_poly,
         gammas=gammas,

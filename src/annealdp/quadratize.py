@@ -12,15 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .pbf import PRUNE_TOL, Poly
 
 
-@dataclass(frozen=True)
-class AuxRecord:
+class AuxRecord(NamedTuple):
     """Provenance of one auxiliary: the method that created it and the
-    original-variable term it helps reduce."""
+    original-variable term it helps reduce. A tuple, not a dataclass: an
+    allocation builds one per auxiliary."""
 
     var: int
     method: str
@@ -195,9 +195,12 @@ def aux_allocation(p: Poly, aux_start: int | None = None) -> AuxAllocation:
     return AuxAllocation(original_n, tuple(records))
 
 
-def quadratize_full(p: Poly, aux_start: int | None = None) -> ReductionResult:
+def quadratize_full(p: Poly, aux_start: int | None = None,
+                    alloc: AuxAllocation | None = None) -> ReductionResult:
     """Reduce every degree >= 3 term by sign: NTR when negative, PTR when
     positive, on the auxiliaries aux_allocation(p, aux_start) gives it.
+    A caller that already holds that allocation passes it as alloc
+    instead of aux_start.
 
     The reductions are summed into one term dict in place, so the cost
     is linear in the number of terms. After each reduction, a term whose
@@ -205,7 +208,10 @@ def quadratize_full(p: Poly, aux_start: int | None = None) -> ReductionResult:
     later contribution re-inserts it at the end: the result, key order
     included, is that of adding the reductions one Poly at a time.
     """
-    alloc = aux_allocation(p, aux_start)
+    if alloc is None:
+        alloc = aux_allocation(p, aux_start)
+    elif aux_start is not None:
+        raise ValueError("pass aux_start or alloc, not both")
     out = {k: c for k, c in p.terms.items() if len(k) <= 2}
     # Every reduction term holds one of the reduction's fresh auxiliaries,
     # except PTR's closing pair, so only that one can meet a coefficient

@@ -10,7 +10,6 @@ runs a fixed number of iterations.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,7 +19,16 @@ import numpy as np
 
 from .bqm import brute_force
 from .engines import Sampler, SampleSet, SamplerRequest, _assemble
-from .pbf import PRUNE_TOL, BinaryEncoding, LogCoefficients, Poly, ln_1mx_poly, ln_x_poly, to_qubo
+from .pbf import (
+    PRUNE_TOL,
+    BinaryEncoding,
+    LogCoefficients,
+    Poly,
+    ln_1mx_poly,
+    ln_x_poly,
+    to_qubo,
+    write_csv,
+)
 from .schedules import AnnealSchedule, forward_schedule
 
 
@@ -602,28 +610,26 @@ def simulate_consumption(
 
 
 def write_consumption_csv(path: str, sim: ConsumptionPath) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "z_index", "c_exact", "c_model", "k_exact", "k_model", "rel_gap"])
-        for t in range(len(sim.z_path)):
-            writer.writerow([
-                t, sim.z_path[t],
-                repr(sim.c_exact[t]), repr(sim.c_model[t]),
-                repr(sim.k_exact[t]), repr(sim.k_model[t]),
-                repr(sim.rel_gap[t]),
-            ])
+    rows = [["period", "z_index", "c_exact", "c_model", "k_exact", "k_model", "rel_gap"]]
+    for t in range(len(sim.z_path)):
+        rows.append([
+            t, sim.z_path[t],
+            repr(sim.c_exact[t]), repr(sim.c_model[t]),
+            repr(sim.k_exact[t]), repr(sim.k_model[t]),
+            repr(sim.rel_gap[t]),
+        ])
+    write_csv(path, rows)
 
 
 def write_iteration_csv(path: str, states: Sequence[PpiState], params: RbcParams = DEFAULT_PARAMS) -> None:
     """Per-iteration parameter and error trace for a sequence of states."""
     truth = true_parameters(params)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "x1", "x2", "x3", "err_x1_pct", "err_x2_pct", "err_x3_pct", "loss"])
-        for st in states:
-            writer.writerow([
-                st.iteration,
-                repr(st.x1), repr(st.x2), repr(st.x3),
-                *map(repr, pct_errors(st, truth)),
-                repr(st.loss_history[-1]) if st.loss_history else "",
-            ])
+    rows = [["iteration", "x1", "x2", "x3", "err_x1_pct", "err_x2_pct", "err_x3_pct", "loss"]]
+    for st in states:
+        rows.append([
+            st.iteration,
+            repr(st.x1), repr(st.x2), repr(st.x3),
+            *map(repr, pct_errors(st, truth)),
+            repr(st.loss_history[-1]) if st.loss_history else "",
+        ])
+    write_csv(path, rows)

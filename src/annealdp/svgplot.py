@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .pbf import write_text
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -148,5 +150,4 @@ def line_chart(
         )
         out.append(f'<text x="{lx + 28}" y="{ly}">{escape(s.label)}</text>')
     out.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+    write_text(path, "\n".join(out) + "\n")

@@ -551,6 +551,80 @@ class TestBench:
         assert rows[(1, 5.0)] == 9125.0
 
 
+class TestRewriteInPlace:
+    """Every writer rewrites its file in place: a rerun over longer, stale
+    files leaves exactly what a run into an empty directory writes, and a
+    file keeps its inode, mode, links and symlink target."""
+
+    # argv (out is the output directory) and the files it writes there
+    RUNS = {
+        "solve-classical": (["solve", "--algorithm", "classical", "--out-dir", "{out}"],
+                            ["classical_iterations.csv", "classical_config.txt",
+                             "classical_summary.csv", "classical_errors.svg"]),
+        "solve-one-shot": (["solve", "--algorithm", "one-shot", "--engine", "greedy",
+                            "--reads", "2", "--cycles", "1", "--out-dir", "{out}"],
+                           ["one_shot_iterations.csv", "one_shot_config.txt",
+                            "one_shot_summary.csv", "one_shot_errors.svg"]),
+        "simulate": (["simulate", "--true", "--out-dir", "{out}"],
+                     ["consumption.csv", "consumption.svg"]),
+        "appendix-b": (["appendix-b", "--engine", "greedy", "--reads", "1", "--out-dir", "{out}"],
+                       ["appendix_b.csv"]),
+        "bench": (["bench", "--out-dir", "{out}"], ["bench.csv"]),
+        "quadratize": (["quadratize", "{out}/cubic.poly", "--out", "{out}/cubic.quad"],
+                       ["cubic.quad"]),
+    }
+
+    @staticmethod
+    def _run(argv, out, capsys):
+        (out / "cubic.poly").write_text("1.5 0 1 2\n-2.0 1 2 3\n0.5 0\n")
+        assert main([a.format(out=out) for a in argv]) == EXIT_OK
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_rerun_over_longer_stale_files_writes_a_fresh_runs_bytes(self, tmp_path, capsys,
+                                                                     name):
+        argv, files = self.RUNS[name]
+        out = tmp_path / "out"
+        out.mkdir()
+        stdout = self._run(argv, out, capsys)
+        fresh = {f: (out / f).read_bytes() for f in files}
+        for f, data in fresh.items():
+            (out / f).write_bytes(b"stale," * (len(data) // 3 + 40))
+        assert self._run(argv, out, capsys) == stdout
+        assert {f: (out / f).read_bytes() for f in files} == fresh
+
+    def test_rewrite_keeps_the_files_identity(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["solve", "--algorithm", "classical", "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        summary = out / "classical_summary.csv"
+        first = summary.read_bytes()
+        link = tmp_path / "link.csv"
+        link.hardlink_to(summary)
+        summary.chmod(0o640)
+        inode = summary.stat().st_ino
+        # the errors plot is a symlink to a file elsewhere
+        target = tmp_path / "plot.svg"
+        (out / "classical_errors.svg").rename(target)
+        (out / "classical_errors.svg").symlink_to(target)
+        plot = target.read_bytes()
+        # one iteration moves the estimates, so every byte count changes
+        assert main([*argv, "--iterations", "1"]) == EXIT_OK
+        second = summary.read_bytes()
+        assert second != first and link.read_bytes() == second
+        assert summary.stat().st_ino == inode and summary.stat().st_nlink == 2
+        assert summary.stat().st_mode & 0o777 == 0o640
+        assert (out / "classical_errors.svg").is_symlink()
+        assert target.read_bytes() != plot
+        assert_svg_parses(target)
+
+    def test_unwritable_artifact_names_its_path(self, tmp_path, capsys):
+        (tmp_path / "bench.csv").mkdir()
+        assert main(["bench", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {tmp_path / 'bench.csv'}: Is a directory\n"
+
+
 class TestEntryPoint:
     def test_console_script_help(self):
         import subprocess
@@ -582,12 +656,32 @@ class TestEntryPoint:
     ["appendix-b", "--seed", "-1", "--engine", "heuristic"],
     ["solve", "--algorithm", "classical", "--out-dir", "words.csv/out"],
     ["bench", "--out-dir", ""],
+    # a directory sits where an output file goes
+    ["solve", "--algorithm", "one-shot", "--engine", "greedy", "--reads", "2", "--cycles", "1",
+     "--out-dir", "blocked"],
+    ["solve", "--algorithm", "classical", "--out-dir", "blocked-iterations"],
+    ["solve", "--algorithm", "classical", "--out-dir", "blocked-config"],
+    ["solve", "--algorithm", "classical", "--out-dir", "blocked-summary"],
+    ["solve", "--algorithm", "classical", "--out-dir", "blocked-svg"],
+    ["simulate", "--true", "--out-dir", "blocked"],
+    ["simulate", "--true", "--out-dir", "blocked-svg"],
+    ["appendix-b", "--engine", "greedy", "--reads", "1", "--out-dir", "blocked"],
+    ["bench", "--out-dir", "blocked"],
+    ["quadratize", "cubic.poly", "--out", "blocked"],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "latin1.cfg").write_bytes("seed = 1 # r\xe9sum\xe9\n".encode("latin-1"))
     (tmp_path / "latin1.poly").write_bytes("1.0 0 1 # r\xe9sum\xe9\n".encode("latin-1"))
     (tmp_path / "words.csv").write_text("parameter,mean_estimate\nx1,about a third\n")
+    (tmp_path / "cubic.poly").write_text("1.0 0 1 2\n")
+    for blocked in ("blocked/one_shot_summary.csv", "blocked/consumption.csv",
+                    "blocked/appendix_b.csv", "blocked/bench.csv",
+                    "blocked-iterations/classical_iterations.csv",
+                    "blocked-config/classical_config.txt",
+                    "blocked-summary/classical_summary.csv",
+                    "blocked-svg/classical_errors.svg", "blocked-svg/consumption.svg"):
+        (tmp_path / blocked).mkdir(parents=True)
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

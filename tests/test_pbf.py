@@ -20,7 +20,9 @@ from annealdp.pbf import (
     ln_x_poly,
     read_poly,
     to_qubo,
+    write_csv,
     write_poly,
+    write_text,
 )
 
 x = Poly.variable
@@ -304,6 +306,32 @@ class TestTextFormat:
         lines = text.count("\n") + 1
         with pytest.raises(ParseError, match=f"line {lines}: coefficient is not finite"):
             read_poly(str(path))
+
+
+class TestWriteText:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(max_size=300), min_size=1, max_size=6))
+    def test_successive_writes_leave_exactly_the_last_text(self, texts):
+        # shorter and longer texts in turn: no tail of an earlier one survives
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out.txt")
+            for text in texts:
+                write_text(path, text)
+                with open(path, "rb") as fh:
+                    assert fh.read() == text.encode("utf-8")
+
+    def test_csv_rows_end_in_crlf(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(str(path), [["a", "b,c"], [1, 'say "hi"']])
+        assert path.read_bytes() == b'a,"b,c"\r\n1,"say ""hi"""\r\n'
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_text(str(tmp_path / "new.txt"), "x\n")
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "new.txt").st_mode & 0o777 == 0o640
 
 
 class TestBinaryEncoding:

@@ -533,6 +533,21 @@ def test_aux_allocation_is_quadratize_full_allocation(case, gap, default_start):
     assert alloc == chained_quadratize_reference(p, aux_start).alloc
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_cubics(), st.integers(0, 3), st.booleans())
+def test_quadratize_full_on_a_held_allocation(case, gap, default_start):
+    # a caller that holds the allocation gets the same reduction, key
+    # order and coefficient bits included
+    n, p = case
+    aux_start = None if default_start else n + gap
+    want = quadratize_full(p, aux_start)
+    got = quadratize_full(p, alloc=aux_allocation(p, aux_start))
+    assert got.alloc == want.alloc
+    assert _float_bits(got.qubo_poly.terms.items()) == _float_bits(want.qubo_poly.terms.items())
+    with pytest.raises(ValueError, match="not both"):
+        quadratize_full(p, n, alloc=want.alloc)
+
+
 @pytest.mark.parametrize("widths", [(6, 6, 6), (0, 0, 0), (1, 4, 0), (7, 2, 9)])
 def test_merged_reductions_share_no_key(widths):
     # build_merged_problem takes the union of the two reductions for their
