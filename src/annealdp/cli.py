@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import functools
 import math
 import os
@@ -205,6 +206,33 @@ def _writing(path: str):
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_writable(paths: typing.Iterable[str]) -> None:
+    """Raises the UsageError _writing would for the first path that cannot
+    be written, without creating or changing any file: an existing file
+    must be writable and not a directory, and a new one (or a dangling
+    symlink's target) needs an existing directory it may create entries
+    in. It asks access(2), so an existing or a new file costs a few system
+    calls and no exception."""
+    for path in paths:
+        code = 0
+        if os.access(path, os.W_OK):
+            if os.path.isdir(path):
+                code = errno.EISDIR
+        else:
+            target = path
+            if os.access(path, os.F_OK, follow_symlinks=False):
+                # an unwritable file, or a symlink to a missing one
+                target = os.path.realpath(path)
+                if os.path.exists(target):
+                    code = errno.EACCES
+            parent = os.path.dirname(target)
+            if not code and not os.access(parent, os.W_OK | os.X_OK):
+                code = errno.EACCES if os.path.isdir(parent) else errno.ENOENT
+        if code:
+            with _writing(path):
+                raise OSError(code, os.strerror(code))
+
+
 def _make_out_dir(path: str) -> str:
     try:
         os.makedirs(path, exist_ok=True)
@@ -377,6 +405,11 @@ def _per_anneal_time(cfg: RunConfig) -> float | None:
 def cmd_solve(cfg: RunConfig) -> int:
     _make_out_dir(cfg.out_dir)
     tag = cfg.algorithm.replace("-", "_")
+    iterations_path, config_path, summary_path, svg_path = paths = [
+        os.path.join(cfg.out_dir, f"{tag}_{name}")
+        for name in ("iterations.csv", "config.txt", "summary.csv", "errors.svg")]
+    # a run that cannot write every artifact writes none of them
+    _check_writable(paths)
     terminals: list[PpiState] = []
     histories: list[list[PpiState]] = []
     execute = _executions(cfg)
@@ -386,12 +419,10 @@ def cmd_solve(cfg: RunConfig) -> int:
         histories.append(history)
 
     trace = histories[0] if cfg.executions == 1 and histories[0] else terminals
-    path = os.path.join(cfg.out_dir, f"{tag}_iterations.csv")
-    with _writing(path):
-        write_iteration_csv(path, trace)
-    path = os.path.join(cfg.out_dir, f"{tag}_config.txt")
-    with _writing(path):
-        write_config_artifact(path, cfg)
+    with _writing(iterations_path):
+        write_iteration_csv(iterations_path, trace)
+    with _writing(config_path):
+        write_config_artifact(config_path, cfg)
 
     truth = true_parameters(DEFAULT_PARAMS)
     est = np.array([s.as_tuple() for s in terminals])
@@ -399,11 +430,10 @@ def cmd_solve(cfg: RunConfig) -> int:
     # parameter -> (true, mean, sd, mean |error| %), for the CSV and stdout
     stats = {name: (truth[p], float(est[:, p].mean()), float(est[:, p].std()),
                     float(errs[:, p].mean())) for p, name in enumerate(("x1", "x2", "x3"))}
-    path = os.path.join(cfg.out_dir, f"{tag}_summary.csv")
-    with _writing(path):
-        write_csv(path, [["parameter", "true_value", "mean_estimate", "sd_estimate",
-                          "mean_pct_error"],
-                         *([name, *map(repr, row)] for name, row in stats.items())])
+    with _writing(summary_path):
+        write_csv(summary_path, [["parameter", "true_value", "mean_estimate", "sd_estimate",
+                                  "mean_pct_error"],
+                                 *([name, *map(repr, row)] for name, row in stats.items())])
 
     xs = tuple(range(1, len(trace) + 1)) if trace else (0,)
     trace_errs = [pct_errors(s, truth) for s in trace]
@@ -412,9 +442,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         ys = tuple(e[p] for e in trace_errs) or (0.0,)
         series.append(Series(name, xs[: len(ys)], ys))
     x_title = "iteration" if (cfg.executions == 1 and histories[0]) else "execution"
-    path = os.path.join(cfg.out_dir, f"{tag}_errors.svg")
-    with _writing(path):
-        line_chart(path, series, title=f"{cfg.algorithm}: error by {x_title}",
+    with _writing(svg_path):
+        line_chart(svg_path, series, title=f"{cfg.algorithm}: error by {x_title}",
                    x_label=x_title, y_label="absolute error (%)")
 
     print(f"algorithm: {cfg.algorithm}   engine: {cfg.engine}   seed: {cfg.seed}   "

@@ -602,7 +602,9 @@ def heuristic_anneal(
     initial_state starts every read there; one without starts each
     lockstep read, or the chain, from random rows.
 
-    The schedule is read once per request, at every sweep's midpoint.
+    The schedule is read once per request, at every sweep's midpoint, as
+    one table; the active set is recomputed only at the sweeps where the
+    moving variables change.
     RNG contract, which keeps the samples of a seed stable: a random
     start draws its rows first; then each sweep draws one row of
     `reads` uniforms (one per lockstep row, or one when chained) per
@@ -618,11 +620,14 @@ def heuristic_anneal(
     Layout. Each distinct active set has one permutation: its variables
     layer by layer, then the frozen ones in index order. The state is
     held in that order, one row of reads per variable, so every layer is
-    a contiguous slice of rows. The state is re-permuted only when the
-    active set changes, and chained reads carry it from one read to the
-    next; it returns to index order only to be read out. A layer's block
-    of w is zero, so its fields are a gemm over the rows before its slice
-    plus one over the rows after it, plus the biases. Each sweep draws
+    a contiguous slice of rows. Within a layer, whose variables are not
+    coupled to each other, the variables coupled to a later layer come
+    last. The state is re-permuted only when the active set changes, and
+    chained reads carry it from one read to the next; it returns to index
+    order only to be read out. A layer's block of w is zero, so its
+    fields are a gemm over the rows before its slice plus one over the
+    rows after it, each cut to the span of the columns that couple to the
+    layer (see _layer_plan), plus the biases. Each sweep draws
     its (active, reads) block in index order, as the RNG contract says,
     and one take puts the rows in layer order. A flip takes a value v to
     (off + on) - v, for bits and spins alike, so it adds the step
@@ -632,6 +637,13 @@ def heuristic_anneal(
     from a per-variable loop, so a field can differ from the scalar
     loop's in the last bits; the sample sets stay identical, and the
     tests hold them to that.
+
+    Acceptance. With z = min(dE / tau, 700) and q = 1 + e^z in floating
+    point, a flip is accepted when u * q < 1, which needs no reciprocal;
+    a zero field gives q = 2 exactly, so the test is u < 1/2. The Glauber
+    form u < 1 / q rounds differently, and the two can disagree only
+    where u * (1 + e^z) lies within 2^-51 of 1 (with exp within an ulp),
+    about once in 1e16 draws; the tests hold the forms to that bound.
     """
     model = req.model
     n = model.n
@@ -662,49 +674,45 @@ def heuristic_anneal(
     accept_buf = np.empty((n, count), dtype=bool)
 
     def layer_plan(active: np.ndarray) -> tuple:
-        """The active set's permutation of the variables, the positions in
-        the sweep's draws in layer order, and per layer: the gemm over the
-        rows before its slice and the one over the rows after it (None if
-        empty or all zero), the biases spread over the reads, views of its
-        state rows and uniforms, and its work buffers."""
-        split = _layers(w, active)
-        order = np.concatenate(split)
-        perm = np.concatenate((active[order], np.setdiff1d(np.arange(n), active)))
-        wp = w[np.ix_(perm, perm)]
+        """_layer_plan's permutation and draw positions, and per layer: its
+        first block and the second (None without one) as (weights, state
+        rows), the biases spread over the reads, views of its state rows
+        and uniforms, and its work buffers."""
+        perm, order, wp, spans = _layer_plan(w, active)
         layers = []
-        a = 0
-        for pos in split:
-            m = len(pos)
-            b = a + m
-            # an all-zero block would only add +-0.0 to the fields, which
-            # changes no decision (p = 1/2 at a zero field either way)
-            outside = [(np.ascontiguousarray(wp[a:b, lo:hi]), states[lo:hi])
-                       for lo, hi in ((0, a), (b, n)) if wp[a:b, lo:hi].any()]
-            # with no such block the field is the bias alone
+        for a, b, blocks in spans:
+            m = b - a
+            outside = [(np.ascontiguousarray(wp[a:b, lo:hi]), states[lo:hi]) for lo, hi in blocks]
+            # with no block the field is the bias alone
             head, *tail = outside or [(np.zeros((m, 0)), states[:0])]
             bias = np.repeat(d[perm[a:b]][:, None], count, axis=1)
             layers.append((head, tail[0] if tail else None, bias, states[a:b], uniforms[a:b],
                            f_buf[:m], step_buf[:m], p_buf[:m], accept_buf[:m]))
-            a = b
         return perm, order, layers
 
     layered: dict[bytes, tuple] = {}
     sweep_sets: list[tuple[float, bytes]] = []
     if sched.total_time > 0.0 and n > 0:
         times = [(k + 0.5) * sched.total_time / sweeps for k in range(sweeps)]
-        for row in fraction_table(sched, times, n):
-            # frozen means s >= 1; anything else, NaN included, may move
-            active = np.flatnonzero(~(row >= 1.0))
+        table = fraction_table(sched, times, n)
+        # frozen means s >= 1; anything else may move
+        moving = ~(table >= 1.0)
+        lows = table.min(axis=1).tolist()
+        # the sweeps where the moving set differs from the sweep before
+        starts = [0, *(np.flatnonzero((moving[1:] != moving[:-1]).any(axis=1)) + 1).tolist()]
+        for lo, hi in zip(starts, starts[1:] + [sweeps]):
+            active = np.flatnonzero(moving[lo])
             if not len(active):
                 continue
-            tau = t_hot * (1.0 - min(row.tolist()))
-            if not 0.0 < tau < math.inf:
-                raise ValueError(f"t_hot {t_hot!r} gives temperature {tau!r} at a sweep; "
-                                 "it must be finite and keep every moving sweep above 0")
             key = active.tobytes()
             if key not in layered:
                 layered[key] = layer_plan(active)
-            sweep_sets.append((tau, key))
+            for low in lows[lo:hi]:
+                tau = t_hot * (1.0 - low)
+                if not 0.0 < tau < math.inf:
+                    raise ValueError(f"t_hot {t_hot!r} gives temperature {tau!r} at a sweep; "
+                                     "it must be finite and keep every moving sweep above 0")
+                sweep_sets.append((tau, key))
 
     # between runs the state is in the order of the last sweep's set, so
     # a chained read continues where the previous one stopped
@@ -739,14 +747,14 @@ def heuristic_anneal(
                 step += flip_sum
                 # f becomes delta, each flip's energy change
                 f *= step
-                # 1 / (1 + exp(min(delta / tau, 700))) > u; below -700,
+                # u * (1 + exp(min(delta / tau, 700))) < 1; below -700,
                 # 1 + exp is already exactly 1, so no lower clip is needed
                 np.divide(f, tau, out=p)
                 np.minimum(p, 700.0, out=p)
                 np.exp(p, out=p)
                 p += 1.0
-                np.divide(1.0, p, out=p)
-                np.less(u, p, out=accept)
+                p *= u
+                np.less(p, 1.0, out=accept)
                 step *= accept
                 x += step
 
@@ -774,6 +782,43 @@ def _layers(w: np.ndarray, active: np.ndarray) -> list[np.ndarray]:
         below = level[:k][coupled[k, :k]]
         level[k] = 1 + (int(below.max()) if len(below) else 0)
     return [np.flatnonzero(level == lv) for lv in range(1, int(level.max(initial=0)) + 1)]
+
+
+def _layer_plan(w: np.ndarray, active: np.ndarray) -> tuple:
+    """heuristic_anneal's layout of one active set: the permutation of the
+    variables (the active ones layer by layer, then the frozen ones in
+    index order), the positions in `active` in that order, w permuted, and
+    per layer its rows (a, b) in the permuted order with its blocks.
+
+    A layer's variables coupled to a later layer come last in it, so the
+    columns that later layers need of it sit next to them. A layer's own
+    block of w is zero (see _layers); its blocks are the column spans
+    (lo, hi), one before its rows and one after them, from the first to
+    the last column that couples to the layer. A side with no such column
+    has no block: an all-zero block would only add +-0.0 to the fields,
+    which changes no decision (a zero field is accepted at 1/2 either
+    way)."""
+    n = len(w)
+    split = _layers(w, active)
+    coupled = w[np.ix_(active, active)] != 0.0
+    for k, pos in enumerate(split[:-1]):
+        later = coupled[np.ix_(pos, np.concatenate(split[k + 1:]))].any(axis=1)
+        split[k] = pos[np.argsort(later, kind="stable")]
+    order = np.concatenate(split)
+    perm = np.concatenate((active[order], np.setdiff1d(np.arange(n), active)))
+    wp = w[np.ix_(perm, perm)]
+    spans = []
+    a = 0
+    for pos in split:
+        b = a + len(pos)
+        blocks = []
+        for lo, hi in ((0, a), (b, n)):
+            cols = np.flatnonzero(wp[a:b, lo:hi].any(axis=0))
+            if len(cols):
+                blocks.append((lo + int(cols[0]), lo + int(cols[-1]) + 1))
+        spans.append((a, b, blocks))
+        a = b
+    return perm, order, wp, spans
 
 
 def _native_rows(states: np.ndarray) -> list[tuple[int, ...]]:

@@ -14,6 +14,7 @@ import dataclasses
 import gc
 import hashlib
 import io
+import os
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
@@ -623,6 +624,72 @@ class TestRewriteInPlace:
         assert main(["bench", "--out-dir", str(tmp_path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err == f"error: cannot write {tmp_path / 'bench.csv'}: Is a directory\n"
+
+
+class TestUnwritableArtifact:
+    """A solve that cannot write one of its four artifacts exits 2 before
+    it writes any: the previous run's files keep their bytes and times,
+    and no file is created."""
+
+    FILES = ["classical_iterations.csv", "classical_config.txt", "classical_summary.csv",
+             "classical_errors.svg"]
+
+    @pytest.mark.parametrize("previous", [True, False], ids=["over-a-run", "empty"])
+    @pytest.mark.parametrize("blocked", FILES)
+    def test_a_failed_solve_writes_nothing(self, tmp_path, capsys, blocked, previous):
+        out = tmp_path / "out"
+        argv = ["solve", "--algorithm", "classical", "--out-dir", str(out)]
+        out.mkdir()
+        if previous:
+            assert main(argv) == EXIT_OK
+            (out / blocked).unlink()
+        (out / blocked).mkdir()
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                  for p in out.iterdir() if p.is_file()}
+        capsys.readouterr()
+        # one iteration moves the estimates, so a rewrite would change every file
+        assert main([*argv, "--iterations", "1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: cannot write {out / blocked}: Is a directory\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(self.FILES if previous else [blocked])
+        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in out.iterdir() if p.is_file()} == before
+
+    def test_a_new_file_needs_a_writable_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        with mock.patch.object(cli.os, "access", return_value=False) as access:
+            assert main(["solve", "--algorithm", "classical", "--out-dir", str(out)]) == EXIT_USAGE
+        access.assert_called_with(str(out), os.W_OK | os.X_OK)
+        path = out / "classical_iterations.csv"
+        assert capsys.readouterr().err == f"error: cannot write {path}: Permission denied\n"
+        assert list(out.iterdir()) == []
+
+    def test_an_unwritable_file_stops_the_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["solve", "--algorithm", "classical", "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        summary = str(out / "classical_summary.csv")
+        access = os.access
+
+        def denied(path, mode, **kw):
+            return not (path == summary and mode == os.W_OK) and access(path, mode, **kw)
+
+        with mock.patch.object(cli.os, "access", side_effect=denied):
+            assert main([*argv, "--iterations", "1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: cannot write {summary}: Permission denied\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_a_dangling_symlink_needs_its_targets_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        plot = out / "classical_errors.svg"
+        plot.symlink_to(tmp_path / "gone" / "plot.svg")
+        assert main(["solve", "--algorithm", "classical", "--out-dir", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: cannot write {plot}: No such file or directory\n")
+        assert [p.name for p in out.iterdir()] == [plot.name]
 
 
 class TestEntryPoint:

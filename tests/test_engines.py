@@ -9,6 +9,7 @@ window, and the tests pin seeds to keep the checks exact."""
 import dataclasses
 import functools
 import math
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -1019,6 +1020,34 @@ class TestHeuristicMatchesScalarLoop:
         req = SamplerRequest(qubo, gs, reads=12, initial_state=(0,) * 6, seed=13)
         assert heuristic_anneal(req) == scalar_heuristic(req)
 
+    @pytest.mark.parametrize("reinitialize", [True, False])
+    def test_subnormal_hot_temperature(self, reinitialize):
+        # t_hot = 1e-323 at s = 0 keeps tau at two subnormal steps, so a
+        # nonzero field's delta / tau overflows to +-inf (clipped to 700
+        # above) and a zero field's is 0, accepted at 1/2
+        model = IsingModel(5, {0: 0.5, 2: -1.0}, {(0, 1): 1.0, (1, 2): -0.25, (3, 4): 0.0})
+        sched = AnnealSchedule(4.0, ((0.0, 0.0), (4.0, 0.0)), reinitialize=reinitialize)
+        for seed in range(6):
+            req = SamplerRequest(model, sched, reads=4, seed=seed)
+            with np.errstate(over="ignore"):
+                got = heuristic_anneal(req, sweeps=8, t_hot=1e-323)
+                want = scalar_heuristic(req, sweeps=8, t_hot=1e-323)
+            assert got == want
+
+    @pytest.mark.parametrize("reinitialize", [True, False])
+    def test_active_set_changes_almost_every_sweep(self, reinitialize):
+        # nine group windows over ten sweeps: the moving set changes at
+        # eight of the nine sweep boundaries and repeats every third window
+        model = random_ising(8, np.random.default_rng(24), density=0.6)
+        gs = grouped_cycle_schedule(9.0, [(0, 3), (1, 4), (2, 5)], cycles=3,
+                                    always_active=(6,), reinitialize=reinitialize)
+        times = [(k + 0.5) * 9.0 / 10 for k in range(10)]
+        moving = schedules_mod.fraction_table(gs, times, 8) < 1.0
+        assert (moving[1:] != moving[:-1]).any(axis=1).sum() == 8
+        for seed in range(4):
+            req = SamplerRequest(model, gs, reads=3, seed=seed)
+            assert heuristic_anneal(req, sweeps=10) == scalar_heuristic(req, sweeps=10)
+
     def test_schedule_read_once_per_distinct_path(self):
         # one table over all sweeps, each distinct path evaluated once
         _, qubo, aux = hc_problem()
@@ -1072,6 +1101,102 @@ class TestLayers:
     def test_empty_couplings_give_one_layer(self):
         assert [p.tolist() for p in engines._layers(np.zeros((4, 4)), np.arange(4))] == [
             [0, 1, 2, 3]]
+
+
+class TestHeuristicLayerPlan:
+    @staticmethod
+    def check(w, active):
+        """The plan's layers are _layers' layers; every nonzero coupling of
+        a layer's rows lies in one of its blocks, and each block starts
+        and ends at a column that couples to the layer."""
+        perm, order, wp, spans = engines._layer_plan(w, active)
+        assert sorted(perm.tolist()) == list(range(len(w)))
+        assert perm[:len(active)].tolist() == active[order].tolist()
+        assert np.array_equal(wp, w[np.ix_(perm, perm)])
+        layers = engines._layers(w, active)
+        assert [(a, b) for a, b, _ in spans] == [
+            (a, a + len(pos)) for a, pos in zip(np.cumsum([0, *map(len, layers)]).tolist(), layers)]
+        for (a, b, blocks), pos in zip(spans, layers):
+            assert sorted(order[a:b].tolist()) == pos.tolist()
+            covered = np.zeros(len(w), dtype=bool)
+            for lo, hi in blocks:
+                assert hi <= a or lo >= b
+                assert wp[a:b, lo].any() and wp[a:b, hi - 1].any()
+                covered[lo:hi] = True
+            assert not wp[a:b, ~covered].any()
+        return spans
+
+    @settings(max_examples=300, deadline=None)
+    @given(coupling_graphs())
+    def test_blocks_hold_every_coupling_on_sparse_models(self, graph):
+        self.check(*graph)
+
+    def test_merged_problem(self, merged_default):
+        # the two active sets of the default one-shot schedule: layers of
+        # (rows x columns) blocks, variables coupled to later layers last
+        problem = merged_default
+        w, _ = engines._dense_form(problem.qubo)
+        sched = merged_schedule(problem, cycles=3)
+        times = [(k + 0.5) * sched.total_time / 256 for k in range(256)]
+        moving = schedules_mod.fraction_table(sched, times, problem.n) < 1.0
+        shapes = []
+        for row in np.unique(moving, axis=0):
+            spans = self.check(w, np.flatnonzero(row))
+            shapes.append([(b - a, hi - lo) for a, b, blocks in spans for lo, hi in blocks])
+        assert sorted(shapes) == [[(35, 100), (1, 14), (1, 91), (91, 15)],
+                                  [(98, 37), (1, 7), (1, 21), (21, 8)]]
+
+
+# a uniform k * 2^-53 near 1 / q = 1 / (1 + e^z), where the forms may differ
+@st.composite
+def acceptance_draws(draw):
+    z = draw(st.floats(-750.0, 750.0))
+    k = draw(st.integers(0, 2**53 - 1))
+    if draw(st.booleans()):
+        q = float(np.exp(min(z, 700.0))) + 1.0
+        k = min(max(round(2.0**53 / q) + draw(st.integers(-3, 3)), 0), 2**53 - 1)
+    return z, k
+
+
+class TestHeuristicAcceptanceForm:
+    # The kernel accepts when fl(u * q) < 1 with q = fl(1 + fl(e^z)) and
+    # z = min(delta / tau, 700); the Glauber form is u < fl(1 / q). The
+    # forms can differ only where u * (1 + e^z) is within 2^-51 of 1.
+    @staticmethod
+    def forms(z, k):
+        u = np.array([k * 2.0**-53])
+        q = np.exp(np.minimum(np.array([z]), 700.0)) + 1.0
+        return bool((u * q < 1.0)[0]), bool((u < 1.0 / q)[0])
+
+    @staticmethod
+    def distance_from_one(z, k):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            return abs(Decimal(k) / 2**53 * (1 + Decimal(min(z, 700.0)).exp()) - 1)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(acceptance_draws())
+    @example((-0.2742644960917602, 5117345964666492))
+    @example((0.0, 2**52 - 1))
+    @example((0.0, 2**52))
+    @example((750.0, 0))
+    @example((-750.0, 2**53 - 1))
+    def test_forms_differ_only_within_the_bound(self, draw):
+        z, k = draw
+        kernel, glauber = self.forms(z, k)
+        if kernel != glauber:
+            assert self.distance_from_one(z, k) <= Decimal(2) ** -51
+
+    def test_the_forms_do_differ_near_one(self):
+        # so the bound above is not vacuous
+        z, k = -0.2742644960917602, 5117345964666492
+        assert self.forms(z, k) == (True, False)
+        assert self.distance_from_one(z, k) < Decimal(2) ** -52
+
+    def test_zero_field_accepts_below_one_half(self):
+        # 1 + e^0 is exactly 2, so the kernel's test is u < 0.5
+        assert self.forms(0.0, 2**52 - 1) == (True, True)
+        assert self.forms(0.0, 2**52) == (False, False)
 
 
 class TestAssembledEnergies:
