@@ -13,7 +13,6 @@ Usage: python scripts/run_loss_correlations.py [--reads 200] [--seed 0]
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -22,6 +21,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 from annealdp.merged import build_merged_problem, one_shot_ensemble
+from annealdp.pbf import write_csv
 from annealdp.rbc import DEFAULT_PARAMS, true_parameters
 from annealdp.svgplot import Series, line_chart
 
@@ -77,11 +77,9 @@ def run(argv=None) -> int:
         table[name] = corr
         print(f"{name:<12}" + "".join(f"{c:>10.3f}" for c in corr))
 
-    with open(os.path.join(args.out_dir, "correlations.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["measure", "corr_x1", "corr_x2", "corr_x3"])
-        for name, corr in table.items():
-            w.writerow([name, *map(repr, corr)])
+    write_csv(os.path.join(args.out_dir, "correlations.csv"),
+              [["measure", "corr_x1", "corr_x2", "corr_x3"],
+               *([name, *map(repr, corr)] for name, corr in table.items())])
 
     # adjusted loss vs error, reads sorted by error: a monotone-looking
     # curve is exactly what a high rank correlation means

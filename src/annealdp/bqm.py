@@ -430,7 +430,6 @@ def _record_candidates(
 def brute_force(
     model: IsingModel | QuboModel,
     keep_spectrum: bool = False,
-    max_vars: int = BRUTE_FORCE_MAX_VARS,
 ) -> SpectrumResult:
     """Exhaustively enumerate all 2^n states.
 
@@ -445,8 +444,9 @@ def brute_force(
     Raises ValueError if any coefficient is NaN or infinite.
     """
     n = model.n
-    if n > max_vars:
-        raise CapacityError(f"brute force over {n} variables exceeds the guard of {max_vars}")
+    if n > BRUTE_FORCE_MAX_VARS:
+        raise CapacityError(
+            f"brute force over {n} variables exceeds the guard of {BRUTE_FORCE_MAX_VARS}")
     terms = energy_terms(model)
     weights = [c for _, c in terms]
     if not all(math.isfinite(w) for w in weights):

@@ -308,8 +308,6 @@ def merged_schedule(
     total_time: float | None = None,
     reinitialize: bool = True,
     reversal_target: float = 0.0,
-    down_fraction: float = 0.2,
-    hold_fraction: float = 0.0,
 ) -> AnnealSchedule:
     """Grouped reverse anneal over the problem's two blocks.
 
@@ -324,8 +322,6 @@ def merged_schedule(
         reversal_target=reversal_target,
         always_active=problem.aux_vars,
         reinitialize=reinitialize,
-        down_fraction=down_fraction,
-        hold_fraction=hold_fraction,
     )
 
 

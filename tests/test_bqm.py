@@ -156,8 +156,6 @@ class TestBruteForce:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             brute_force(QuboModel(27))
-        with pytest.raises(CapacityError):
-            brute_force(QuboModel(5), max_vars=4)
 
     def test_zero_variables(self):
         res = brute_force(QuboModel(0))

@@ -1,36 +1,34 @@
 """Smoke test of the analysis scripts under scripts/.
 
-Each script's run(argv) is called with small arguments and an output
-directory under tmp_path; it must return 0 and write its files. This
+Each script's run function is called with small arguments and an output
+directory under tmp_path; it must succeed and write its files. This
 catches a script left behind by a change to the package's API.
 """
 
 from __future__ import annotations
 
 import contextlib
+import glob
 import importlib.util
 import io
 import os
+import re
 
 import pytest
 
-SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+from annealdp.rbc import DEFAULT_PARAMS, classical_ppi, pct_errors, true_parameters
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SCRIPTS = os.path.join(ROOT, "scripts")
 
 CASES = {
-    "run_anneal_distributions": (
-        ["--executions", "2", "--reads", "20", "--multi-reads", "3", "--cycles", "1"],
-        ["terminals.csv", "one_shot_errors.svg", "multi_anneal_errors.svg"],
-    ),
-    "run_baselines": (
-        ["--iterations", "1"],
-        [f"{alg}_{suffix}" for alg in ("classical", "combinatorial", "hybrid")
-         for suffix in ("summary.csv", "iterations.csv", "errors.svg", "config.txt")],
-    ),
     "run_loss_correlations": (
         ["--reads", "20", "--cycles", "1"],
         ["correlations.csv"] + [f"adjusted_vs_error_x{p}.svg" for p in (1, 2, 3)],
     ),
 }
+# smoke-tested here: the CASES, and solve_matrix by its own test
+SMOKE_TESTED = {*CASES, "solve_matrix"}
 
 
 def load(name: str):
@@ -48,3 +46,29 @@ def test_script_runs(name, tmp_path):
         rc = load(name).run([*argv, "--out-dir", str(out)])
     assert rc == 0
     assert sorted(os.listdir(out)) == sorted(outputs)
+
+
+def test_solve_matrix_classical(monkeypatch, tmp_path):
+    # the script pins BLAS threads in os.environ on import; keep that out
+    # of this process's environment
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    monkeypatch.chdir(tmp_path)
+    matrix = load("solve_matrix").run([["--algorithm", "classical"]], seeds=2, repeats=1)
+    assert os.listdir(tmp_path) == []  # every solve wrote into its temporary directory
+    row = matrix["configs"]["--algorithm classical"]
+    assert row["exit_codes"] == [0, 0]
+    # classical is deterministic, so every seed's terminal is the one solve's
+    expected = list(pct_errors(classical_ppi(DEFAULT_PARAMS), true_parameters(DEFAULT_PARAMS)))
+    assert row["seed_pct_errors"] == [expected, expected]
+    assert [round(e, 3) for e in expected] == [0.720, 0.065, 1.045]
+    assert [row["pct_error"][p]["max"] for p in ("x1", "x2", "x3")] == expected
+    assert row["wall_s"] > 0.0 and row["wall_ref_s"] > 0.0
+
+
+def test_readme_lists_every_script():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        listed = re.findall(r"python scripts/(\w+)\.py", fh.read())
+    for name in listed:
+        assert os.path.isfile(os.path.join(SCRIPTS, f"{name}.py")), name
+    scripts = {os.path.basename(p)[:-3] for p in glob.glob(os.path.join(SCRIPTS, "*.py"))}
+    assert scripts - {"pin_golden"} == set(listed) == SMOKE_TESTED
