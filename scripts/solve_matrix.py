@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import glob
 import io
 import json
 import os
@@ -48,6 +49,10 @@ CONFIGS = [
     ["--algorithm", "one-shot", "--engine", "greedy"],
 ]
 PARAMS = ("x1", "x2", "x3")
+# the errors come from seeds 1..SEEDS; more than one, since the iterations
+# CSV of a single execution holds its iteration history, not its terminal
+SEEDS = 20
+REPEATS = 3  # timed solves at seed 0 per config
 
 
 def solve(flags: list[str], out_dir: str) -> int:
@@ -55,17 +60,15 @@ def solve(flags: list[str], out_dir: str) -> int:
         return cli_main(["solve", *flags, "--out-dir", out_dir])
 
 
-def seed_errors(flags: list[str], out_dir: str) -> list[list[float]]:
-    """|error| % of x1, x2 and x3 per row of the solve's iterations CSV."""
-    tag = flags[flags.index("--algorithm") + 1].replace("-", "_")
-    with open(os.path.join(out_dir, f"{tag}_iterations.csv"), newline="") as fh:
+def seed_errors(out_dir: str) -> list[list[float]]:
+    """|error| % of x1, x2 and x3 per row of the one iterations CSV in out_dir."""
+    (path,) = glob.glob(os.path.join(out_dir, "*_iterations.csv"))
+    with open(path, newline="") as fh:
         return [[float(row[f"err_{p}_pct"]) for p in PARAMS] for row in csv.DictReader(fh)]
 
 
-def run(configs: list[list[str]] = CONFIGS, seeds: int = 20, repeats: int = 3) -> dict:
-    """The matrix over configs, with errors over seeds 1..seeds. seeds must
-    be at least 2: one execution's iterations CSV holds its iteration
-    history, not its terminal."""
+def run(configs: list[list[str]] = CONFIGS) -> dict:
+    """The matrix over configs."""
     host = HostSpeed()
     rows = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -73,7 +76,7 @@ def run(configs: list[list[str]] = CONFIGS, seeds: int = 20, repeats: int = 3) -
             out_dir = os.path.join(tmp, str(i))
             codes, raw, rescaled = [], [], []
             before = host.sample()
-            for _ in range(repeats):
+            for _ in range(REPEATS):
                 t0 = time.perf_counter()
                 codes.append(solve([*flags, "--seed", "0"], out_dir))
                 seconds = time.perf_counter() - t0
@@ -81,11 +84,11 @@ def run(configs: list[list[str]] = CONFIGS, seeds: int = 20, repeats: int = 3) -
                 raw.append(seconds)
                 rescaled.append(seconds / host.factor(before, after))
                 before = after
-            codes.append(solve([*flags, "--seed", "1", "--executions", str(seeds)], out_dir))
+            codes.append(solve([*flags, "--seed", "1", "--executions", str(SEEDS)], out_dir))
             row = {"exit_codes": codes, "wall_s": statistics.median(raw),
                    "wall_ref_s": statistics.median(rescaled)}
             if codes[-1] == 0:
-                errs = seed_errors(flags, out_dir)
+                errs = seed_errors(out_dir)
                 row["pct_error"] = {
                     p: {"mean": statistics.fmean(col), "sd": statistics.pstdev(col),
                         "max": max(col)}
@@ -93,7 +96,7 @@ def run(configs: list[list[str]] = CONFIGS, seeds: int = 20, repeats: int = 3) -
                 row["seed_pct_errors"] = errs
             rows[" ".join(flags)] = row
     return {"python": platform.python_version(), "cpus": os.cpu_count(),
-            "timed_seed": 0, "repeats": repeats, "error_seeds": [1, seeds], "configs": rows}
+            "timed_seed": 0, "repeats": REPEATS, "error_seeds": [1, SEEDS], "configs": rows}
 
 
 if __name__ == "__main__":

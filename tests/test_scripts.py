@@ -53,13 +53,13 @@ def test_solve_matrix_classical(monkeypatch, tmp_path):
     # of this process's environment
     monkeypatch.setattr(os, "environ", dict(os.environ))
     monkeypatch.chdir(tmp_path)
-    matrix = load("solve_matrix").run([["--algorithm", "classical"]], seeds=2, repeats=1)
+    matrix = load("solve_matrix").run([["--algorithm", "classical"]])
     assert os.listdir(tmp_path) == []  # every solve wrote into its temporary directory
     row = matrix["configs"]["--algorithm classical"]
-    assert row["exit_codes"] == [0, 0]
+    assert row["exit_codes"] == [0, 0, 0, 0]
     # classical is deterministic, so every seed's terminal is the one solve's
     expected = list(pct_errors(classical_ppi(DEFAULT_PARAMS), true_parameters(DEFAULT_PARAMS)))
-    assert row["seed_pct_errors"] == [expected, expected]
+    assert row["seed_pct_errors"] == [expected] * 20
     assert [round(e, 3) for e in expected] == [0.720, 0.065, 1.045]
     assert [row["pct_error"][p]["max"] for p in ("x1", "x2", "x3")] == expected
     assert row["wall_s"] > 0.0 and row["wall_ref_s"] > 0.0
