@@ -14,6 +14,7 @@ states are in that domain.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -212,11 +213,27 @@ def _equal_columns(table: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def _phases(coef: np.ndarray, table: np.ndarray, arg: np.ndarray, out: np.ndarray) -> None:
     """exp(i coef @ table) into the complex array out, through the real
-    buffer arg of the same shape."""
+    buffer arg of the same shape, which it overwrites.
+
+    With t = tan(a / 2), cos a = (1 - t^2) / (1 + t^2) and sin a =
+    2 t / (1 + t^2): numpy's float64 tan is vectorised and its cos and
+    sin are not, and over 2e6 angles the half-angle form took about 10 ns
+    an entry against 44 ns for a cos and a sin into the same strided
+    parts. It differs from them by at most about 3e-16 at |a| <= 1e4 (the
+    tests hold it to 4e-16). tan of a float is finite (at most about
+    1.6e16), so t^2 cannot overflow: an angle at an odd multiple of pi
+    gives cos -1 and a sin near 0."""
     np.matmul(coef, table, out=arg)
+    arg *= 0.5
+    np.tan(arg, out=arg)
     parts = out.view(np.float64)
-    np.cos(arg, out=parts[..., 0::2])
-    np.sin(arg, out=parts[..., 1::2])
+    re, im = parts[..., 0::2], parts[..., 1::2]
+    np.multiply(arg, arg, out=re)
+    np.add(re, 1.0, out=im)
+    np.subtract(1.0, re, out=re)
+    np.divide(re, im, out=re)
+    arg += arg
+    np.divide(arg, im, out=im)
 
 
 def _step_count(sched: AnnealSchedule, steps: int | None) -> int:
@@ -234,19 +251,66 @@ def _step_count(sched: AnnealSchedule, steps: int | None) -> int:
 
 
 # Multiplies from one exact evaluation of the diagonal phase to the next
-# within a run (see _Integration). Worst |p - p_scalar| against the tests'
-# per-qubit loop after a 1,280-step forward or grouped pass on the
-# hybrid's native 10- and 14-qubit valuation QUBOs (merged phase up to
-# 34.2 rad per multiply): 1.9e-14 at 8, 1.2e-13 at 16, 6.0e-13 at 32 (the
-# bound is 1e-12). At 8 a step cost x0.6-0.9 of exact phases every step
-# at 10-16 qubits, and 16 saved a few per cent more (one BLAS thread,
-# BENCH_16.json).
+# within a run (see _Integration). Worst |p - p_ref| after a 1,283-step
+# forward or grouped pass on the hybrid's native 10- and 14-qubit
+# valuation QUBOs (merged phase up to 34.2 rad per multiply), with the
+# half-angle phases: against the tests' per-qubit loop at 10 qubits
+# 9.2e-14 at 8, 2.5e-13 at 16 and 9.9e-13 at 32; against the same pass
+# with every multiply evaluated exactly, 4.3e-14 at 8, 2.0e-13 at 16 and
+# 9.4e-13 at 32, over both sizes (the bound is 1e-12). 8 stays: 16 cost
+# a 10-qubit pass about 3 % less, for a quarter of the bound.
 _ANCHOR_EVERY = 8
 # Level phases are computed for a block of steps at once, at most this
-# many (step, level) entries. A step has up to 2^n levels (every qubit on
-# its own path), so one step's levels always fit; a forward schedule has
-# n + 1, so a block holds thousands of its steps.
+# many (step, level) entries, and spread into basis order for a block of
+# those steps, at most this many (step, state) entries. A step has up to
+# 2^n levels (every qubit on its own path) and 2^n states, so one step
+# always fits; a forward schedule has n + 1 levels, so a level block
+# holds thousands of its steps, and a spread block 64 steps at 10 qubits
+# (1 MB) and one at 16. At 10 qubits, spread blocks of 16 to 64 steps
+# ran within 1 % of each other and blocks of 256 steps (4 MB) about 6 %
+# slower, on a host with 2 MB of L2 cache per core.
 _LEVEL_BLOCK = 1 << STATE_VECTOR_MAX_VARS
+
+
+def _diagonal_rows(model, path: list[int]) -> dict[tuple[int, ...], np.ndarray]:
+    """The problem diagonal's rows over the 2^n states, one per key: the
+    sorted paths of a term's variables. The linear rows come first, then
+    the coupling rows, in the order of their first terms: the row order
+    fixes the order the phase's dot sums them in.
+
+    A term's value at a state, ``w * value(u) * value(v)``, is exact
+    (every value is -1, 0 or 1) and depends on the term's own bits alone.
+    So it is added as one constant per combination of those bits whose
+    values are not zero, to the strided view of the states that have it:
+    a QUBO coupling touches a quarter of the states, in one pass. Each
+    state still adds its terms one at a time in term order from 0.0, so
+    the rows equal a loop of ``row = row + w * vals[u] * vals[v]`` over
+    whole rows bit for bit."""
+    n = model.n
+    values = value_domain(model)
+    live = [b for b in (0, 1) if values[b]]
+    rows: dict[tuple[int, ...], np.ndarray] = {}
+    for vars_, w in sorted(energy_terms(model), key=lambda t: len(t[0])):
+        key = tuple(sorted([path[v] for v in vars_]))
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = np.zeros(1 << n)
+        if len(vars_) == 1:
+            (v,) = vars_
+            # axes: the bits above v, v's bit, the bits below
+            view = row.reshape(-1, 2, 1 << v)
+            for b in live:
+                part = view[:, b]
+                part += w * values[b]
+            continue
+        u, v = vars_
+        lo, hi = min(u, v), max(u, v)
+        # axes: the bits above hi, hi's bit, the bits between, lo's, below
+        view = row.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        for bu, bv in itertools.product(live, live):
+            part = view[:, bv, :, bu] if u < v else view[:, bu, :, bv]
+            part += w * values[bu] * values[bv]
+    return rows
 
 
 class _Integration:
@@ -259,12 +323,13 @@ class _Integration:
     P_k = p_k p_{k+1} after step k and by p_{K-1} alone after the last:
     one diagonal multiply between steps. Each step takes the norm after
     its transverse stage, where it equals the norm after the multiply
-    (|P| = 1); a norm drift beyond 1e-6 in one step raises
-    IntegrationError. The step does not divide psi by its norm: 1 / norm
-    rides on the next step's level phase (a few dozen entries on most
-    schedules), so each step starts from a unit state as if it had, and
-    the last psi is divided once. The plan holds what does not change
-    between steps or reads, p_0 included, so chained reads compute it once.
+    (|P| = 1), and a ratio to the previous step's norm beyond 1 +- 1e-6
+    raises IntegrationError. Nothing divides psi by its norm between
+    steps: every stage is linear, so psi carries the product of the
+    steps' drifts (within e^0.27 of 1 even at MAX_STEPS steps of the
+    largest drift allowed), and the last psi is divided once by its
+    norm. The plan holds what does not change between steps or reads,
+    p_0 included, so chained reads compute it once.
 
     Diagonal, folded by schedule path. Variables with equal fraction
     columns share a path g, so the diagonal at a step is
@@ -272,7 +337,8 @@ class _Integration:
     linear rows of path g's variables and ``D_gh`` the weighted coupling
     rows between paths g and h. The plan keeps one row per path and per
     coupled path pair; a forward schedule has one path, so at most two
-    rows. Multiply j of the K + 1 has the phase argument ``c_j . rows``:
+    rows (built by _diagonal_rows). Multiply j of the K + 1 has the
+    phase argument ``c_j . rows``:
     c_0 is step 0's coefficients of the rows, with -dt/2 folded in, c_j the
     sum of steps j - 1 and j, and c_K step K - 1's.
 
@@ -289,12 +355,13 @@ class _Integration:
     ``q = exp(i (c_{j+2} - 2 c_{j+1} + c_j) . rows)`` fixed per run. An
     anchor evaluates m and r exactly, and a run's first anchor also q,
     from the second difference of the run's first three coefficient rows;
-    one gemm, a cos and a sin serve all of an anchor's rows. Every run's
+    one gemm and one half-angle evaluation (_phases) serve all of an
+    anchor's rows. Every run's
     first multiply is an anchor, and so is every _ANCHOR_EVERY-th after
     it; a run shorter than three is all anchors. The plan holds only the
     anchors, with their coefficient rows. Rounding accumulates only
     between anchors; _ANCHOR_EVERY = 8 keeps the worst probability
-    difference at native scale near 2e-14.
+    difference at native scale below 1e-13.
 
     Transverse stage, in the Hadamard basis. The rotations commute, so
     ``prod_i exp(i theta_i X_i) = H diag(exp(i sum_i theta_i z_i)) H / 2^n``
@@ -315,8 +382,10 @@ class _Integration:
     qubits with c set bits has z sum m - 2c, and a state's level is its
     c per group in mixed radix. The phases of every level, with the exact
     factor 2^-n folded in, are computed for a block of steps at once (one
-    gemm, a cos and a sin over at most _LEVEL_BLOCK entries); a step
-    scales its row by 1 / norm and spreads it with one take. No
+    gemm and one half-angle evaluation over at most _LEVEL_BLOCK
+    entries), and spread into basis order for a block of those steps by
+    one take along the state axis (again at most _LEVEL_BLOCK entries),
+    so a step's level work is one multiply by its spread row. No
     (steps x 2^n) or (steps x levels) table is held.
 
     Contract: the arithmetic is reordered against the per-qubit scalar
@@ -333,20 +402,9 @@ class _Integration:
         dt = sched.total_time / self.steps
         times = (np.arange(self.steps) + 0.5) * dt
         table = fraction_table(sched, times, n)
-        bits = [(np.arange(dim) >> i) & 1 for i in range(n)]
 
         paths, path = _equal_columns(table)
-        values = np.array(value_domain(model), dtype=np.float64)
-        vals = [values[b] for b in bits]
-        rows: dict[tuple[int, ...], np.ndarray] = {}
-        # the linear rows first, then the coupling rows, each in term
-        # order: the row order fixes the order the phase's dot sums them in
-        for vars_, w in sorted(energy_terms(model), key=lambda t: len(t[0])):
-            key = tuple(sorted(path[v] for v in vars_))
-            row = w
-            for v in vars_:
-                row = row * vals[v]
-            rows[key] = rows.get(key, 0.0) + row
+        rows = _diagonal_rows(model, path)
         self.rows = np.zeros((len(rows), dim))
         coef = np.empty((self.steps, len(rows)))
         for r, (key, row) in enumerate(rows.items()):
@@ -390,7 +448,10 @@ class _Integration:
         angles, group = _equal_columns(theta)
         width = np.bincount(group, minlength=len(angles))
         radix = np.cumprod([1, *(width[:-1] + 1)])
-        level = sum(radix[g] * bits[i] for i, g in enumerate(group))
+        level = np.zeros(1, dtype=np.int64)
+        for g in group:
+            # the states with this qubit's bit set follow those without
+            level = np.concatenate((level, level + radix[g]))
         counts = np.indices(tuple(width[::-1] + 1)).reshape(len(width), -1)[::-1].T
         self.zsums = (width - 2 * counts).astype(np.float64)
         self.angles = np.ascontiguousarray(angles.T)
@@ -400,6 +461,9 @@ class _Integration:
         shape = (min(self.block_steps, self.steps), len(self.zsums))
         self.level_angle = np.empty(shape)
         self.level_phase = np.empty(shape, dtype=np.complex128)
+        # and spread into basis order for a block of its steps at once
+        self.spread_steps = max(1, _LEVEL_BLOCK // dim)
+        self.spread = np.empty((min(self.spread_steps, shape[0]), dim), dtype=np.complex128)
 
         count = -(-n // _AXIS_BITS)
         sizes = [1 << (n // count + (a >= count - n % count)) for a in range(count)]
@@ -430,13 +494,13 @@ class _Integration:
         for make in passes[0] + passes[1]:
             cur = len(self.stages) % 2
             self.stages.append(make(self.basis[cur], self.basis[1 - cur]))
-        self.spread = np.empty(dim, dtype=np.complex128)
 
     def run(self, psi: np.ndarray) -> tuple[np.ndarray, float]:
         """Evolve psi over the pass; returns (new psi, worst norm drift)."""
         rec, arg, anchors, spread = self.recurrence, self.arg, self.anchors, self.spread
         phase, ratio, curve = rec
         per, level_angle, level_phase = self.block_steps, self.level_angle, self.level_phase
+        per_spread = self.spread_steps
         half = len(self.stages) // 2
         first, second = self.stages[:half], self.stages[half:]
         mid, out = self.basis[half % 2], self.basis[0]
@@ -454,16 +518,17 @@ class _Integration:
                 block = level_phase[:stop - k]
                 _phases(self.angles[k:stop], self.zsums.T, level_angle[:stop - k], block)
                 block *= self.scale
-            row = level_phase[i]
-            # the previous step's renormalisation rides on the level phase
-            row *= 1.0 / nrm
-            # levels are in range, so the take can skip its bounds check
-            row.take(self.level, out=spread, mode="wrap")
-            mid *= spread
+            j = i % per_spread
+            if not j:
+                # spread into basis order for the next steps of the block;
+                # levels are in range, so the take can skip its bounds check
+                span = block[i:i + per_spread]
+                span.take(self.level, axis=1, out=spread[:len(span)], mode="wrap")
+            mid *= spread[j]
             for op, x, y, z in second:
                 op(x, y, z)
-            nrm = math.sqrt(np.dot(flat, flat))
-            drift = abs(nrm - 1.0)
+            last, nrm = nrm, math.sqrt(np.dot(flat, flat))
+            drift = abs(nrm / last - 1.0)
             if drift > 1e-6:
                 raise IntegrationError(f"norm drifted by {drift:.2e} in one step")
             worst_drift = max(worst_drift, drift)
@@ -505,15 +570,20 @@ def schrodinger_anneal(req: SamplerRequest, steps: int | None = None) -> SampleS
     terms scaled by s_i and coupling terms by s_i s_j]. Integration is
     second-order operator splitting with the schedule evaluated at step
     midpoints, and the half-step diagonal phases of neighbouring steps
-    merged into one multiply between them. The norm is taken each step
-    and a drift beyond 1e-6 in any single step raises IntegrationError,
-    and each step's renormalisation is folded into the next step's
-    phase. All qubit rotations of a step are one phase in the Hadamard
-    basis, applied by real gemms, with the phases of its few distinct
-    levels computed for blocks of steps at once. The diagonal is folded
-    by schedule path, and its phase advances by a recurrence that is
-    evaluated exactly at every schedule breakpoint and every
-    _ANCHOR_EVERY multiplies (see _Integration). So probabilities match a
+    merged into one multiply between them. The norm is taken each step,
+    and a step that moves it by a ratio beyond 1 +- 1e-6 raises
+    IntegrationError; psi is not renormalised between steps but divided
+    once by its norm at the end. All qubit rotations of a step are one
+    phase in the Hadamard basis, applied by real gemms, with the phases
+    of its few distinct levels computed for blocks of steps at once and
+    spread into basis order for blocks of steps, so a step multiplies by
+    one precomputed row. The diagonal is folded by schedule path, and its
+    phase advances by a recurrence that is evaluated exactly at every
+    schedule breakpoint and every _ANCHOR_EVERY multiplies (see
+    _Integration). Every phase exp(i a) is formed from t = tan(a / 2)
+    (_phases): numpy's float64 tan is vectorised and its cos and sin
+    are not, so the half-angle form ran about four times faster per
+    entry, within about 3e-16 of cos and sin. So probabilities match a
     per-qubit rotation loop within 1e-12; the samples drawn for a seed
     are the same.
     """

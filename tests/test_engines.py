@@ -26,9 +26,11 @@ from annealdp.bqm import (
     QuboModel,
     brute_force,
     energy_of_bits,
+    energy_terms,
     ising_energy,
     qubo_energy,
     random_ising,
+    value_domain,
 )
 from annealdp.cli import RunConfig, _valuation_encodings
 from annealdp.engines import (
@@ -1599,6 +1601,7 @@ class TestIntegratorMergedPhase:
         assert len(plan.zsums) == 1 << n
         assert plan.level_phase.size <= engines._LEVEL_BLOCK
         assert plan.level_angle.size <= engines._LEVEL_BLOCK
+        assert plan.spread.size <= engines._LEVEL_BLOCK
         # a forward schedule's n + 1 levels put many steps in one block
         plan = engines._Integration(model, forward_schedule(2.0), 40)
         assert plan.level_phase.shape == (40, n + 1)
@@ -1626,6 +1629,166 @@ class TestIntegratorMergedPhase:
         assert np.max(np.abs(np.abs(got) ** 2 - np.abs(want) ** 2)) <= PROBABILITY_BOUND
         rng = functools.partial(np.random.default_rng, req.seed)
         assert np.array_equal(measure(got, req.reads, rng()), measure(want, req.reads, rng()))
+
+
+def phases_of(angles):
+    """engines._phases of each angle alone: a 1 x 1 coefficient of one
+    times a row of the angles, which the gemm reproduces exactly."""
+    angles = np.asarray(angles, dtype=np.float64).reshape(1, -1)
+    out = np.empty(angles.shape, dtype=np.complex128)
+    engines._phases(np.ones((1, 1)), angles, np.empty(angles.shape), out)
+    return out[0]
+
+
+def assert_unit_phases(angles, got):
+    """got within 4e-16 of cos + i sin of the angles, part by part."""
+    assert np.max(np.abs(got.real - np.cos(angles))) <= 4e-16
+    assert np.max(np.abs(got.imag - np.sin(angles))) <= 4e-16
+
+
+class TestIntegratorPhases:
+    """_phases forms exp(i a) from t = tan(a / 2); it must stay within
+    4e-16 of numpy's cos and sin wherever the integrator evaluates it."""
+
+    def test_special_points(self):
+        tiny = np.nextafter(0.0, 1.0)
+        points = np.array([0.0, -0.0, tiny, 1e-300, 1e-17, math.pi / 2, math.pi])
+        points = np.concatenate((points, -points))
+        got = phases_of(points)
+        assert_unit_phases(points, got)
+        # a zero angle is exactly 1, and small angles keep their sign
+        half = len(points) // 2
+        assert got[0] == 1.0 and got[half] == 1.0
+        assert np.array_equal(np.signbit(got.imag[[3, 4, half + 3, half + 4]]),
+                              [False, False, True, True])
+
+    def test_odd_multiples_of_half_pi_near_the_native_phase(self):
+        # the merged phase at native scale turns up to about 34 rad; t is
+        # largest (and cos is formed by cancellation) next to odd
+        # multiples of pi / 2 and of pi
+        k = np.arange(15, 29)
+        base = k * (math.pi / 2)
+        near = np.concatenate([base, *(np.nextafter(base, d) for d in (-np.inf, np.inf)),
+                               base + 1e-9, base - 1e-9])
+        angles = np.concatenate((near, -near))
+        assert_unit_phases(angles, phases_of(angles))
+
+    def test_wide_range(self):
+        rng = np.random.default_rng(26)
+        spread = rng.uniform(-1e4, 1e4, 200_000)
+        scales = 10.0 ** rng.uniform(-8, 4, 50_000) * rng.choice([-1.0, 1.0], 50_000)
+        angles = np.concatenate((spread, scales, [1e4, -1e4]))
+        assert_unit_phases(angles, phases_of(angles))
+
+    def test_anchor_rows_of_a_native_plan(self, native_valuation_qubo):
+        # every exact evaluation of a 1,283-step pass on the 10-qubit
+        # valuation QUBO, forward and grouped: m, r and q rows
+        model = native_valuation_qubo
+        for sched in (forward_schedule(1283 / 32.0),
+                      grouped_cycle_schedule(1283 / 32.0, [tuple(range(5)), tuple(range(5, 10))],
+                                             down_fraction=0.3)):
+            plan = engines._Integration(model, sched, 1283)
+            coef = np.concatenate(list(plan.anchors.values()))
+            angles = coef @ plan.rows
+            out = np.empty(angles.shape, dtype=np.complex128)
+            engines._phases(coef, plan.rows, np.empty(angles.shape), out)
+            assert np.abs(angles).max() > 30.0
+            assert_unit_phases(angles, out)
+
+
+class TestIntegratorSpreadBlocks:
+    """Level phases are spread into basis order for a block of steps at
+    once: with the entry budget shrunk, passes that end just before, at
+    and after a spread block and a level block match the scalar loop."""
+
+    # 5 qubits: 32 states and, on a forward schedule, 6 levels. A budget
+    # of 96 entries gives spread blocks of 3 steps inside level blocks of
+    # 16 (the last spread block of each 1 step); with every qubit on its
+    # own path, 32 levels, both blocks are 3 steps.
+    @pytest.mark.parametrize("steps", [2, 3, 4, 15, 16, 17, 35])
+    @pytest.mark.parametrize("paths", ["shared", "own"])
+    def test_block_boundaries(self, steps, paths):
+        model = edge_models()[0]
+        sched = forward_schedule(2.0)
+        if paths == "own":
+            sched = own_paths(sched, model.n, np.linspace(0.2, 1.0, model.n))
+        req = merged_phase_request(model, sched)
+        with mock.patch.object(engines, "_LEVEL_BLOCK", 96):
+            plan = engines._Integration(model, sched, steps)
+            assert plan.spread_steps == 3
+            assert plan.block_steps == (16 if paths == "shared" else 3)
+            assert plan.spread.shape == (min(3, steps), 32)
+            got = final_probabilities(req, steps)
+            samples = schrodinger_anneal(req, steps)
+        assert np.max(np.abs(got - scalar_probabilities(req, steps))) <= PROBABILITY_BOUND
+        assert samples.records == scalar_sampled(req, steps).records
+
+
+def reference_rows(model, path):
+    """The diagonal rows as whole-row products added one term at a time:
+    ``rows[key] + w * vals[u] * vals[v]`` per term, keys in order of first
+    appearance, the linear terms first."""
+    dim = 1 << model.n
+    values = np.array(value_domain(model), dtype=np.float64)
+    vals = [values[(np.arange(dim) >> i) & 1] for i in range(model.n)]
+    rows = {}
+    for vars_, w in sorted(energy_terms(model), key=lambda t: len(t[0])):
+        key = tuple(sorted(path[v] for v in vars_))
+        row = w
+        for v in vars_:
+            row = row * vals[v]
+        rows[key] = rows.get(key, 0.0) + row
+    return rows
+
+
+def assert_rows_match(model, path):
+    """_diagonal_rows equals reference_rows key for key and bit for bit,
+    the signs of zeros included."""
+    got = engines._diagonal_rows(model, path)
+    want = reference_rows(model, path)
+    assert list(got) == list(want)
+    for key in want:
+        assert np.array_equal(got[key], want[key])
+        assert np.array_equal(np.signbit(got[key]), np.signbit(want[key]))
+
+
+class TestIntegratorDiagonalRows:
+    """_diagonal_rows adds each term to the states it is not zero on,
+    through strided views; the rows must equal whole-row products added
+    one term at a time, bit for bit and key for key."""
+
+    @pytest.mark.parametrize("j", [4, 6])
+    @pytest.mark.parametrize("paths", ["shared", "halves", "own"])
+    def test_native_valuation_qubos(self, j, paths):
+        model = valuation_qubo(j)
+        n = model.n
+        path = {"shared": [0] * n, "halves": [2 * v // n for v in range(n)],
+                "own": list(range(n))}[paths]
+        assert_rows_match(model, path)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_small_models(self, seed):
+        # Ising (values -1 and 1) and QUBO models, couplings listed either
+        # way round, zero weights, on 1 to 7 qubits and mixed paths
+        rng = np.random.default_rng(seed)
+        n = 1 + seed
+        weights = rng.choice([-1.5, -0.0, 0.0, 0.3, 2.0 ** -60, 7.25], size=(n, n))
+        if seed % 2:
+            model = IsingModel(n, {i: weights[i, i] for i in range(n)},
+                               {(j, i) if (i + j) % 2 else (i, j): weights[i, j]
+                                for i in range(n) for j in range(i + 1, n)})
+        else:
+            model = QuboModel(n, {(i, j): weights[i, j] for i in range(n) for j in range(i, n)})
+        path = rng.integers(0, 3, n).tolist()
+        assert_rows_match(model, path)
+
+    def test_plan_rows_are_the_diagonal_rows(self, native_valuation_qubo):
+        model = native_valuation_qubo
+        sched = grouped_cycle_schedule(4.0, [tuple(range(5)), tuple(range(5, 10))],
+                                       down_fraction=0.3)
+        plan = engines._Integration(model, sched, 64)
+        path = [v // 5 for v in range(10)]
+        assert np.array_equal(plan.rows, np.array(list(reference_rows(model, path).values())))
 
 
 class TestNormCheck:
