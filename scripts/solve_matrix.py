@@ -1,9 +1,9 @@
 """Wall time and |error| % of `annealdp solve` for each algorithm x engine pair.
 
 For each configuration in CONFIGS this times three in-process solves at
-seed 0, then runs one solve over seeds 1-20 with --executions, whose
-iterations CSV holds one terminal row per execution, in seed order. It
-prints one JSON object: per configuration, every exit code, the median
+seed 0, then runs one solve over seeds 1-20 with --executions and reads
+each execution's terminal, the last of its rows in the iterations CSV.
+It prints one JSON object: per configuration, every exit code, the median
 wall time (as measured, and rescaled to the reference host speed of
 perfbench/hostspeed.py) and the mean, sd and worst |error| % of each
 parameter over the seeds. BLAS runs on one thread, and every file the
@@ -49,9 +49,7 @@ CONFIGS = [
     ["--algorithm", "one-shot", "--engine", "greedy"],
 ]
 PARAMS = ("x1", "x2", "x3")
-# the errors come from seeds 1..SEEDS; more than one, since the iterations
-# CSV of a single execution holds its iteration history, not its terminal
-SEEDS = 20
+SEEDS = 20  # the errors come from seeds 1..SEEDS
 REPEATS = 3  # timed solves at seed 0 per config
 
 
@@ -61,10 +59,12 @@ def solve(flags: list[str], out_dir: str) -> int:
 
 
 def seed_errors(out_dir: str) -> list[list[float]]:
-    """|error| % of x1, x2 and x3 per row of the one iterations CSV in out_dir."""
+    """|error| % of x1, x2 and x3 at each execution's last row of the one
+    iterations CSV in out_dir, in seed order."""
     (path,) = glob.glob(os.path.join(out_dir, "*_iterations.csv"))
     with open(path, newline="") as fh:
-        return [[float(row[f"err_{p}_pct"]) for p in PARAMS] for row in csv.DictReader(fh)]
+        last = {row["execution"]: row for row in csv.DictReader(fh)}
+    return [[float(row[f"err_{p}_pct"]) for p in PARAMS] for row in last.values()]
 
 
 def run(configs: list[list[str]] = CONFIGS) -> dict:

@@ -5,7 +5,6 @@ Subcommands:
   quadratize  reduce a polynomial file to quadratic, with provenance
   appendix-b  the two didactic activation models under cyclic schedules
   simulate    consumption path of an estimated policy vs the closed form
-  bench       device timing accounting table
 
 Configuration merges three layers with increasing precedence: built-in
 defaults, a key=value config file (--config), and explicit flags. Every
@@ -314,11 +313,11 @@ def _noop_state() -> PpiState:
     return PpiState(*true_parameters(DEFAULT_PARAMS), iteration=0)
 
 
-def _executions(cfg: RunConfig) -> typing.Callable[[int], tuple[PpiState, list[PpiState]]]:
+def _executions(cfg: RunConfig) -> typing.Callable[[int], list[PpiState]]:
     """The configured algorithm as one execution per seed, returning its
-    terminal state and iteration history. Executions differ only in their
-    seed, so the grid, the problem, its sampler and its schedule are built
-    here, once per solve."""
+    states in iteration order; the last is its terminal. Executions
+    differ only in their seed, so the grid, the problem, its sampler and
+    its schedule are built here, once per solve."""
     grid = collocation_grid(DEFAULT_PARAMS, cfg.k_count)
     init = true_parameters(DEFAULT_PARAMS) if cfg.init_true else DEFAULT_INIT
     alg = cfg.algorithm
@@ -328,7 +327,7 @@ def _executions(cfg: RunConfig) -> typing.Callable[[int], tuple[PpiState, list[P
         if iters == 0:
             if not cfg.init_true:
                 raise UsageError("iterations = 0 is only meaningful with init_true")
-            return lambda seed: (_noop_state(), [])
+            return lambda seed: [_noop_state()]
         if alg == "classical":
             driver = functools.partial(classical_ppi, DEFAULT_PARAMS, grid=grid, init=init,
                                        fixed_iterations=iters)
@@ -343,13 +342,14 @@ def _executions(cfg: RunConfig) -> typing.Callable[[int], tuple[PpiState, list[P
                                        init=init, iterations=iters, reads=_resolved_reads(cfg),
                                        keep_fraction=cfg.keep_fraction)
 
-        def execute(seed: int) -> tuple[PpiState, list[PpiState]]:
+        def execute(seed: int) -> list[PpiState]:
+            # the driver's history ends with the terminal it returns
             history: list[PpiState] = []
             if alg == "hybrid":
-                state = driver(seed=seed, history=history)
+                driver(seed=seed, history=history)
             else:
-                state = driver(history=history)
-            return state, history
+                driver(history=history)
+            return history
 
         return execute
 
@@ -370,12 +370,7 @@ def _executions(cfg: RunConfig) -> typing.Callable[[int], tuple[PpiState, list[P
         merged_driver = functools.partial(one_shot_ppi, problem, sampler=sampler,
                                           schedule=schedule, reads=_resolved_reads(cfg),
                                           cycles=cycles, keep_fraction=cfg.keep_fraction)
-
-    def execute_merged(seed: int) -> tuple[PpiState, list[PpiState]]:
-        state = merged_driver(seed=seed)
-        return state, [state]
-
-    return execute_merged
+    return lambda seed: [merged_driver(seed=seed)]
 
 
 def _sampler(cfg: RunConfig, problem: MergedProblem | None = None) -> Sampler:
@@ -402,6 +397,14 @@ def _per_anneal_time(cfg: RunConfig) -> float | None:
     return CYCLE_BASE_US * (2 * _resolved_cycles(cfg) - 1)
 
 
+def _modelled_device_time(cfg: RunConfig, t_anneal: float) -> tuple[int, float]:
+    """Programs one execution submits to the device (one per iteration for
+    hybrid, one for a merged algorithm) and their modelled device time in
+    microseconds: the accounting model's billing, not a measurement."""
+    programs = _resolved_iterations(cfg) if cfg.algorithm == "hybrid" else 1
+    return programs, programs * timing_report(_resolved_reads(cfg), t_anneal).total
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     _make_out_dir(cfg.out_dir)
     tag = cfg.algorithm.replace("-", "_")
@@ -410,21 +413,15 @@ def cmd_solve(cfg: RunConfig) -> int:
         for name in ("iterations.csv", "config.txt", "summary.csv", "errors.svg")]
     # a run that cannot write every artifact writes none of them
     _check_writable(paths)
-    terminals: list[PpiState] = []
-    histories: list[list[PpiState]] = []
     execute = _executions(cfg)
-    for e in range(cfg.executions):
-        state, history = execute(cfg.seed + e)
-        terminals.append(state)
-        histories.append(history)
-
-    trace = histories[0] if cfg.executions == 1 and histories[0] else terminals
+    runs = {seed: execute(seed) for seed in range(cfg.seed, cfg.seed + cfg.executions)}
     with _writing(iterations_path):
-        write_iteration_csv(iterations_path, trace)
+        write_iteration_csv(iterations_path, runs)
     with _writing(config_path):
         write_config_artifact(config_path, cfg)
 
     truth = true_parameters(DEFAULT_PARAMS)
+    terminals = [run[-1] for run in runs.values()]
     est = np.array([s.as_tuple() for s in terminals])
     errs = np.array([pct_errors(s, truth) for s in terminals])
     # parameter -> (true, mean, sd, mean |error| %), for the CSV and stdout
@@ -435,16 +432,14 @@ def cmd_solve(cfg: RunConfig) -> int:
                                   "mean_pct_error"],
                                  *([name, *map(repr, row)] for name, row in stats.items())])
 
-    xs = tuple(range(1, len(trace) + 1)) if trace else (0,)
-    trace_errs = [pct_errors(s, truth) for s in trace]
-    series = []
-    for p, name in enumerate(("x1", "x2", "x3")):
-        ys = tuple(e[p] for e in trace_errs) or (0.0,)
-        series.append(Series(name, xs[: len(ys)], ys))
-    x_title = "iteration" if (cfg.executions == 1 and histories[0]) else "execution"
+    # at each row number of an execution, the mean |error| % over executions
+    rows = [[pct_errors(s, truth) for s in states] for states in zip(*runs.values())]
+    xs = range(1, len(rows) + 1)
+    series = [Series(name, xs, [math.fsum(e[p] for e in row) / len(row) for row in rows])
+              for p, name in enumerate(("x1", "x2", "x3"))]
     with _writing(svg_path):
-        line_chart(svg_path, series, title=f"{cfg.algorithm}: error by {x_title}",
-                   x_label=x_title, y_label="absolute error (%)")
+        line_chart(svg_path, series, title=f"{cfg.algorithm}: error by iteration",
+                   x_label="iteration", y_label="absolute error (%)")
 
     print(f"algorithm: {cfg.algorithm}   engine: {cfg.engine}   seed: {cfg.seed}   "
           f"executions: {cfg.executions}")
@@ -453,9 +448,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         print(f"{name:<10}{true:>14.6f}{mean:>14.6f}{sd:>12.2e}{err:>12.4f}")
     t_anneal = _per_anneal_time(cfg)
     if t_anneal is not None:
-        rep = timing_report(_resolved_reads(cfg), t_anneal)
-        print(f"per-anneal time: {t_anneal:.1f} us   reads: {rep.reads}   "
-              f"accounting total: {rep.total:.0f} us")
+        programs, device_us = _modelled_device_time(cfg, t_anneal)
+        print(f"per-anneal time: {t_anneal:.1f} us   reads: {_resolved_reads(cfg)}   "
+              f"programs: {programs}   modelled device time per execution: {device_us:.0f} us")
     print(f"artifacts in {cfg.out_dir}/{tag}_*")
     return EXIT_OK
 
@@ -664,28 +659,6 @@ def _x1_from_summary(path: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    out_dir = _make_out_dir(args.out_dir)
-    grid_reads = (1, 10, 100, 1000)
-    grid_times = (5.0, 20.0, 23.0, 115.0)
-    path = os.path.join(out_dir, "bench.csv")
-    with _writing(path):
-        write_csv(path, [["reads", "t_anneal_us", "total_us"],
-                         *([r, repr(t), repr(timing_report(r, t).total)]
-                           for r in grid_reads for t in grid_times)])
-    print("accounting totals (microseconds):")
-    header = "reads".ljust(8) + "".join(f"t={t:g}".rjust(12) for t in grid_times)
-    print(header)
-    for r in grid_reads:
-        row = f"{r:<8}" + "".join(f"{timing_report(r, t).total:>12.0f}" for t in grid_times)
-        print(row)
-    print(f"wrote {out_dir}/bench.csv")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # parser
 
 @functools.cache
@@ -735,10 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--k0", type=float, default=None)
     pm.add_argument("--out-dir", dest="out_dir", default="runs")
     pm.set_defaults(func=cmd_simulate)
-
-    pn = sub.add_parser("bench", help="device timing accounting table")
-    pn.add_argument("--out-dir", dest="out_dir", default="runs")
-    pn.set_defaults(func=cmd_bench)
 
     return parser
 

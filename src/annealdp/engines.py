@@ -422,13 +422,16 @@ class _Integration:
         _phases(c[:1], self.rows, self.arg[:1], first)
         self.first = first[0]
         # a segment's steps have their midpoints between the same two
-        # breakpoints of any path
-        knots = np.unique([t for pts in (sched.breakpoints, *(sched.variable_paths or {}).values())
-                           for t, _ in pts])
+        # breakpoints of any path (sorted sets here and below: np.unique
+        # loads numpy.ma, some 15 ms of a fresh process)
+        knots = np.array(sorted({t for pts in (sched.breakpoints,
+                                               *(sched.variable_paths or {}).values())
+                                 for t, _ in pts}))
         starts = np.flatnonzero(np.diff(np.searchsorted(knots, times))) + 1
         # the runs of multiplies with quadratic c_j, between the ones that
         # stand alone: the first, the one before each segment and the last
-        bounds = np.unique([1, *starts, *(starts + 1), self.steps, self.steps + 1]).tolist()
+        bounds = sorted({1, *starts.tolist(), *(starts + 1).tolist(), self.steps,
+                         self.steps + 1})
         # per anchor multiply, the coefficient rows of its exact evaluations
         self.anchors: dict[int, np.ndarray] = {}
         for a, b in zip(bounds, bounds[1:]):
@@ -875,7 +878,9 @@ def _layer_plan(w: np.ndarray, active: np.ndarray) -> tuple:
         later = coupled[np.ix_(pos, np.concatenate(split[k + 1:]))].any(axis=1)
         split[k] = pos[np.argsort(later, kind="stable")]
     order = np.concatenate(split)
-    perm = np.concatenate((active[order], np.setdiff1d(np.arange(n), active)))
+    frozen = np.ones(n, dtype=bool)  # not np.setdiff1d, which loads numpy.ma
+    frozen[active] = False
+    perm = np.concatenate((active[order], np.flatnonzero(frozen)))
     wp = w[np.ix_(perm, perm)]
     spans = []
     a = 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -621,15 +621,20 @@ def write_consumption_csv(path: str, sim: ConsumptionPath) -> None:
     write_csv(path, rows)
 
 
-def write_iteration_csv(path: str, states: Sequence[PpiState], params: RbcParams = DEFAULT_PARAMS) -> None:
-    """Per-iteration parameter and error trace for a sequence of states."""
+def write_iteration_csv(path: str, runs: Mapping[int, Sequence[PpiState]],
+                        params: RbcParams = DEFAULT_PARAMS) -> None:
+    """Parameter and error trace of executions: one row per state of each
+    execution, keyed by the execution's seed, in order. An execution's
+    terminal is its last row."""
     truth = true_parameters(params)
-    rows = [["iteration", "x1", "x2", "x3", "err_x1_pct", "err_x2_pct", "err_x3_pct", "loss"]]
-    for st in states:
-        rows.append([
-            st.iteration,
-            repr(st.x1), repr(st.x2), repr(st.x3),
-            *map(repr, pct_errors(st, truth)),
-            repr(st.loss_history[-1]) if st.loss_history else "",
-        ])
+    rows = [["execution", "iteration", "x1", "x2", "x3", "err_x1_pct", "err_x2_pct",
+             "err_x3_pct", "loss"]]
+    for seed, states in runs.items():
+        for st in states:
+            rows.append([
+                seed, st.iteration,
+                repr(st.x1), repr(st.x2), repr(st.x3),
+                *map(repr, pct_errors(st, truth)),
+                repr(st.loss_history[-1]) if st.loss_history else "",
+            ])
     write_csv(path, rows)

@@ -15,11 +15,14 @@ import gc
 import hashlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -296,16 +299,39 @@ class TestSolve:
 
     @pytest.mark.parametrize("engine,flags,line", [
         # the state-vector engine integrates 40 us by default, the others 20 us
-        ("statevector", (), "per-anneal time: 40.0 us   reads: 100   accounting total: 25000 us"),
-        ("heuristic", (), "per-anneal time: 20.0 us   reads: 100   accounting total: 23000 us"),
+        ("statevector", (), "per-anneal time: 40.0 us   reads: 100   programs: 1   "
+                            "modelled device time per execution: 25000 us"),
+        ("heuristic", (), "per-anneal time: 20.0 us   reads: 100   programs: 1   "
+                          "modelled device time per execution: 23000 us"),
         ("statevector", ("--anneal-time", "25"),
-         "per-anneal time: 25.0 us   reads: 100   accounting total: 23500 us"),
+         "per-anneal time: 25.0 us   reads: 100   programs: 1   "
+         "modelled device time per execution: 23500 us"),
     ])
     def test_hybrid_per_anneal_line(self, tmp_path, capsys, engine, flags, line):
         rc = main(["solve", "--algorithm", "hybrid", "--engine", engine, "--j2", "3",
                    "--j3", "3", "--iterations", "1", *flags, "--out-dir", str(tmp_path)])
         assert rc == EXIT_OK
         assert line in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("flags,programs,device_us", [
+        # a hybrid execution submits one program per iteration, 23000 us each
+        (("--algorithm", "hybrid", "--engine", "heuristic"), 2, 46000),
+        (("--algorithm", "hybrid", "--engine", "heuristic", "--iterations", "5"), 5, 115000),
+        # and none when it starts at the closed form and iterates zero times
+        (("--algorithm", "hybrid", "--engine", "heuristic", "--init-true"), 0, 0),
+        # a merged execution is one program, as before: 9000 + 2 * (23 + 120) us
+        (("--algorithm", "one-shot", "--engine", "greedy", "--reads", "2", "--cycles", "1",
+          "--executions", "2"), 1, 9286),
+        (("--algorithm", "multi-anneal", "--engine", "greedy", "--reads", "2", "--j1", "3"),
+         1, 9286),
+    ])
+    def test_modelled_device_time_counts_programs(self, tmp_path, capsys, flags, programs,
+                                                  device_us):
+        rc = main(["solve", *flags, "--j2", "3", "--j3", "3", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "programs:" in ln]
+        assert line.endswith(f"   programs: {programs}   "
+                             f"modelled device time per execution: {device_us} us")
 
     def test_multi_anneal_greedy_small(self, tmp_path):
         out = tmp_path / "out"
@@ -379,10 +405,9 @@ class TestSolve:
                    "--out-dir", str(out)])
         assert rc == EXIT_OK
         with open(out / "one_shot_iterations.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 3
+            terminals = {r["execution"]: float(r["x1"]) for r in csv.DictReader(fh)}
         summary = read_summary(out / "one_shot_summary.csv")
-        assert float(summary["x1"]["sd_estimate"]) >= 0.0
+        assert float(summary["x1"]["sd_estimate"]) == np.std(list(terminals.values()))
 
     def test_executions_build_the_problem_once(self, tmp_path):
         # executions differ only in their seed: one problem, one schedule
@@ -395,8 +420,6 @@ class TestSolve:
                        "--out-dir", str(tmp_path)])
         assert rc == EXIT_OK
         assert build.call_count == 1 and schedule.call_count == 1
-        with open(tmp_path / "one_shot_iterations.csv", newline="") as fh:
-            assert len(list(csv.DictReader(fh))) == 3
 
     def test_same_seed_identical_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -419,6 +442,74 @@ class TestSolve:
             outs.append(read_summary(out / "one_shot_summary.csv"))
         est = [tuple(o[n]["mean_estimate"] for n in ("x1", "x2", "x3")) for o in outs]
         assert est[0] != est[1]
+
+
+class TestIterationsCsv:
+    """The iterations CSV holds every execution's rows in seed order, keyed
+    by the seed in its `execution` column; an execution's terminal is its
+    last row."""
+
+    # solve flags -> rows per execution
+    CASES = {
+        "classical": (("--algorithm", "classical"), 2),
+        "hybrid-greedy": (("--algorithm", "hybrid", "--engine", "greedy", "--j2", "4",
+                           "--j3", "4"), 2),
+        "one-shot-greedy": (("--algorithm", "one-shot", "--engine", "greedy", "--reads", "2",
+                             "--cycles", "1"), 1),
+        "multi-anneal-greedy": (("--algorithm", "multi-anneal", "--engine", "greedy",
+                                 "--reads", "2", "--j1", "3", "--j2", "3", "--j3", "3"), 1),
+        "classical-init-true": (("--algorithm", "classical", "--init-true"), 1),
+    }
+    SEED = 4
+
+    @staticmethod
+    def _solve(flags, out, seed, executions):
+        assert main(["solve", *flags, "--seed", str(seed), "--executions", str(executions),
+                     "--out-dir", str(out)]) == EXIT_OK
+        tag = flags[1].replace("-", "_")
+        with open(out / f"{tag}_iterations.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        return rows, read_summary(out / f"{tag}_summary.csv")
+
+    @pytest.mark.parametrize("executions", [1, 3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_per_execution(self, tmp_path, case, executions):
+        flags, per_run = self.CASES[case]
+        rows, summary = self._solve(flags, tmp_path / "all", self.SEED, executions)
+        seeds = [str(self.SEED + e) for e in range(executions)]
+        assert len(rows) == executions * per_run
+        assert [r["execution"] for r in rows] == [s for s in seeds for _ in range(per_run)]
+        by_seed = {s: [r for r in rows if r["execution"] == s] for s in seeds}
+        if executions > 1:
+            for s in seeds:
+                alone, _ = self._solve(flags, tmp_path / s, int(s), 1)
+                strip = [{k: v for k, v in r.items() if k != "execution"} for r in by_seed[s]]
+                assert strip == [{k: v for k, v in r.items() if k != "execution"}
+                                 for r in alone]
+        for p in ("x1", "x2", "x3"):
+            last = [float(by_seed[s][-1][f"err_{p}_pct"]) for s in seeds]
+            assert float(summary[p]["mean_pct_error"]) == np.mean(last)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_solve_leaves_numpy_ma_unloaded(engine):
+    # numpy.ma costs some 15 ms of a fresh process; no solve may load it
+    runs = [["--algorithm", "hybrid", "--engine", engine, "--j2", "4", "--j3", "4"]]
+    if engine != "statevector":
+        runs.append(["--algorithm", "one-shot", "--engine", engine, "--reads", "4",
+                     "--sweeps", "8", "--cycles", "1"])
+    script = f"""
+import contextlib, io, sys, tempfile
+import numpy
+before = "numpy.ma" in sys.modules
+from annealdp.cli import main
+for flags in {runs!r}:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        assert main(["solve", *flags, "--out-dir", tmp]) == 0, flags
+    assert before or "numpy.ma" not in sys.modules, flags
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestQuadratize:
@@ -539,19 +630,6 @@ class TestSimulate:
         assert main(["simulate", "--from-summary", str(bad)]) == EXIT_USAGE
 
 
-class TestBench:
-    def test_worked_total_present(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        rc = main(["bench", "--out-dir", str(out)])
-        assert rc == EXIT_OK
-        assert "23000" in capsys.readouterr().out
-        with open(out / "bench.csv", newline="") as fh:
-            rows = {(int(r["reads"]), float(r["t_anneal_us"])): float(r["total_us"])
-                    for r in csv.DictReader(fh)}
-        assert rows[(100, 20.0)] == 23000.0
-        assert rows[(1, 5.0)] == 9125.0
-
-
 class TestRewriteInPlace:
     """Every writer rewrites its file in place: a rerun over longer, stale
     files leaves exactly what a run into an empty directory writes, and a
@@ -570,7 +648,6 @@ class TestRewriteInPlace:
                      ["consumption.csv", "consumption.svg"]),
         "appendix-b": (["appendix-b", "--engine", "greedy", "--reads", "1", "--out-dir", "{out}"],
                        ["appendix_b.csv"]),
-        "bench": (["bench", "--out-dir", "{out}"], ["bench.csv"]),
         "quadratize": (["quadratize", "{out}/cubic.poly", "--out", "{out}/cubic.quad"],
                        ["cubic.quad"]),
     }
@@ -620,10 +697,11 @@ class TestRewriteInPlace:
         assert_svg_parses(target)
 
     def test_unwritable_artifact_names_its_path(self, tmp_path, capsys):
-        (tmp_path / "bench.csv").mkdir()
-        assert main(["bench", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        (tmp_path / "appendix_b.csv").mkdir()
+        assert main(["appendix-b", "--engine", "greedy", "--reads", "1",
+                     "--out-dir", str(tmp_path)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err == f"error: cannot write {tmp_path / 'bench.csv'}: Is a directory\n"
+        assert err == f"error: cannot write {tmp_path / 'appendix_b.csv'}: Is a directory\n"
 
 
 class TestUnwritableArtifact:
@@ -694,13 +772,10 @@ class TestUnwritableArtifact:
 
 class TestEntryPoint:
     def test_console_script_help(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run([sys.executable, "-m", "annealdp.cli", "--help"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
-        for name in ("solve", "quadratize", "appendix-b", "simulate", "bench"):
+        for name in ("solve", "quadratize", "appendix-b", "simulate"):
             assert name in proc.stdout
 
 
@@ -722,7 +797,7 @@ class TestEntryPoint:
     ["simulate", "--from-summary", "words.csv"],
     ["appendix-b", "--seed", "-1", "--engine", "heuristic"],
     ["solve", "--algorithm", "classical", "--out-dir", "words.csv/out"],
-    ["bench", "--out-dir", ""],
+    ["simulate", "--true", "--out-dir", ""],
     # a directory sits where an output file goes
     ["solve", "--algorithm", "one-shot", "--engine", "greedy", "--reads", "2", "--cycles", "1",
      "--out-dir", "blocked"],
@@ -733,7 +808,6 @@ class TestEntryPoint:
     ["simulate", "--true", "--out-dir", "blocked"],
     ["simulate", "--true", "--out-dir", "blocked-svg"],
     ["appendix-b", "--engine", "greedy", "--reads", "1", "--out-dir", "blocked"],
-    ["bench", "--out-dir", "blocked"],
     ["quadratize", "cubic.poly", "--out", "blocked"],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv):
@@ -743,7 +817,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, ar
     (tmp_path / "words.csv").write_text("parameter,mean_estimate\nx1,about a third\n")
     (tmp_path / "cubic.poly").write_text("1.0 0 1 2\n")
     for blocked in ("blocked/one_shot_summary.csv", "blocked/consumption.csv",
-                    "blocked/appendix_b.csv", "blocked/bench.csv",
+                    "blocked/appendix_b.csv",
                     "blocked-iterations/classical_iterations.csv",
                     "blocked-config/classical_config.txt",
                     "blocked-summary/classical_summary.csv",

@@ -653,14 +653,17 @@ class TestConsumption:
             assert float(row["rel_gap"]) == sim.rel_gap[t]
 
     def test_iteration_csv(self, tmp_path):
-        st = classical_ppi(fixed_iterations=2)
+        history = []
+        st = classical_ppi(fixed_iterations=2, history=history)
         path = tmp_path / "iters.csv"
-        write_iteration_csv(str(path), [st])
+        write_iteration_csv(str(path), {7: history, 9: [st]})
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 1
-        assert float(rows[0]["x1"]) == st.x1
-        assert float(rows[0]["err_x2_pct"]) == pytest.approx(
+        assert [(r["execution"], r["iteration"]) for r in rows] == [
+            ("7", "1"), ("7", "2"), ("9", "2")]
+        assert rows[1] == {**rows[2], "execution": "7"}
+        assert float(rows[2]["x1"]) == st.x1
+        assert float(rows[2]["err_x2_pct"]) == pytest.approx(
             100.0 * abs(st.x2 / TRUTH[1] - 1.0), rel=1e-12
         )
 
