@@ -5,9 +5,11 @@ seed 0, then runs one solve over seeds 1-20 with --executions and reads
 each execution's terminal, the last of its rows in the iterations CSV.
 It prints one JSON object: per configuration, every exit code, the median
 wall time (as measured, and rescaled to the reference host speed of
-perfbench/hostspeed.py) and the mean, sd and worst |error| % of each
-parameter over the seeds. BLAS runs on one thread, and every file the
-solves write goes to a temporary directory.
+perfbench/hostspeed.py), the modelled device time per execution that the
+first solve prints (null for a config without a sampler, which prints
+none) and the mean, sd and worst |error| % of each parameter over the
+seeds. BLAS runs on one thread, and every file the solves write goes to
+a temporary directory.
 
 Usage: python scripts/solve_matrix.py > matrix.json
 """
@@ -21,6 +23,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import sys
 import tempfile
@@ -53,9 +56,20 @@ SEEDS = 20  # the errors come from seeds 1..SEEDS
 REPEATS = 3  # timed solves at seed 0 per config
 
 
-def solve(flags: list[str], out_dir: str) -> int:
-    with contextlib.redirect_stdout(io.StringIO()):
-        return cli_main(["solve", *flags, "--out-dir", out_dir])
+DEVICE_LINE = re.compile(r"modelled device time per execution: (\S+) us")
+
+
+def solve(flags: list[str], out_dir: str) -> tuple[int, str]:
+    """The exit code and stdout of one solve."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli_main(["solve", *flags, "--out-dir", out_dir])
+    return code, out.getvalue()
+
+
+def modelled_device_us(stdout: str) -> float | None:
+    """The modelled device time per execution a solve printed, if any."""
+    match = DEVICE_LINE.search(stdout)
+    return float(match.group(1)) if match else None
 
 
 def seed_errors(out_dir: str) -> list[list[float]]:
@@ -74,19 +88,22 @@ def run(configs: list[list[str]] = CONFIGS) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for i, flags in enumerate(configs):
             out_dir = os.path.join(tmp, str(i))
-            codes, raw, rescaled = [], [], []
+            codes, outs, raw, rescaled = [], [], [], []
             before = host.sample()
             for _ in range(REPEATS):
                 t0 = time.perf_counter()
-                codes.append(solve([*flags, "--seed", "0"], out_dir))
+                code, out = solve([*flags, "--seed", "0"], out_dir)
                 seconds = time.perf_counter() - t0
+                codes.append(code)
+                outs.append(out)
                 after = host.sample()
                 raw.append(seconds)
                 rescaled.append(seconds / host.factor(before, after))
                 before = after
-            codes.append(solve([*flags, "--seed", "1", "--executions", str(SEEDS)], out_dir))
+            codes.append(solve([*flags, "--seed", "1", "--executions", str(SEEDS)], out_dir)[0])
             row = {"exit_codes": codes, "wall_s": statistics.median(raw),
-                   "wall_ref_s": statistics.median(rescaled)}
+                   "wall_ref_s": statistics.median(rescaled),
+                   "modelled_device_us": modelled_device_us(outs[0])}
             if codes[-1] == 0:
                 errs = seed_errors(out_dir)
                 row["pct_error"] = {

@@ -697,12 +697,15 @@ def heuristic_anneal(
     coupled to each other, the variables coupled to a later layer come
     last. The state is re-permuted only when the active set changes, and
     chained reads carry it from one read to the next; it returns to index
-    order only to be read out. A layer's block of w is zero, so its
-    fields are a gemm over the rows before its slice plus one over the
-    rows after it, each cut to the span of the columns that couple to the
-    layer (see _layer_plan), plus the biases. Each sweep draws
-    its (active, reads) block in index order, as the RNG contract says,
-    and one take puts the rows in layer order. A flip takes a value v to
+    order only to be read out. A layer's fields are one gemm over its
+    active block, the span of active columns that couple to it (across
+    its own rows, whose block of w is zero), plus its biases: d plus a
+    gemm over its frozen block, the span of frozen columns that couple to
+    it (see _layer_plan). Frozen rows hold still while their set does, so
+    the biases are built on entering a set, and at each run's first
+    sweep, rather than at every sweep. Each sweep draws its (active,
+    reads) block in index order, as the RNG contract says, and one take
+    puts the rows in layer order. A flip takes a value v to
     (off + on) - v, for bits and spins alike, so it adds the step
     (off + on) - 2v, and the accepted flips need no mask: x += step *
     accept. Every value is exactly 0/1 or +-1, so every step is exact.
@@ -742,26 +745,28 @@ def heuristic_anneal(
     draws = np.empty((n, count))
     uniforms = np.empty((n, count))
     f_buf = np.empty((n, count))
+    bias_buf = np.empty((n, count))
     step_buf = np.empty((n, count))
     p_buf = np.empty((n, count))
     accept_buf = np.empty((n, count), dtype=bool)
 
     def layer_plan(active: np.ndarray) -> tuple:
-        """_layer_plan's permutation and draw positions, and per layer: its
-        first block and the second (None without one) as (weights, state
-        rows), the biases spread over the reads, views of its state rows
-        and uniforms, and its work buffers."""
+        """_layer_plan's permutation and draw positions; per layer, what
+        builds its biases (frozen weights and state rows, d as a column,
+        its rows of the bias buffer); and per layer, what its sweep uses
+        (active weights and state rows, its biases, views of its state
+        rows and uniforms, and its work buffers)."""
         perm, order, wp, spans = _layer_plan(w, active)
-        layers = []
-        for a, b, blocks in spans:
+        biases, layers = [], []
+        for a, b, (alo, ahi), (flo, fhi) in spans:
             m = b - a
-            outside = [(np.ascontiguousarray(wp[a:b, lo:hi]), states[lo:hi]) for lo, hi in blocks]
-            # with no block the field is the bias alone
-            head, *tail = outside or [(np.zeros((m, 0)), states[:0])]
-            bias = np.repeat(d[perm[a:b]][:, None], count, axis=1)
-            layers.append((head, tail[0] if tail else None, bias, states[a:b], uniforms[a:b],
-                           f_buf[:m], step_buf[:m], p_buf[:m], accept_buf[:m]))
-        return perm, order, layers
+            bias = bias_buf[a:b]
+            biases.append((np.ascontiguousarray(wp[a:b, flo:fhi]), states[flo:fhi],
+                           d[perm[a:b]][:, None], bias))
+            layers.append((np.ascontiguousarray(wp[a:b, alo:ahi]), states[alo:ahi], bias,
+                           states[a:b], uniforms[a:b], f_buf[:m], step_buf[:m], p_buf[:m],
+                           accept_buf[:m]))
+        return perm, order, biases, layers
 
     layered: dict[bytes, tuple] = {}
     sweep_sets: list[tuple[float, bytes]] = []
@@ -792,28 +797,31 @@ def heuristic_anneal(
     prev = sweep_sets[-1][1] if sweep_sets else None
     home = layered[prev][0] if sweep_sets else np.arange(n)
     plan: list[tuple] = []
-    for tau, key in sweep_sets:
-        perm, order, layers = layered[key]
+    for k, (tau, key) in enumerate(sweep_sets):
+        perm, order, biases, layers = layered[key]
         # rows of the previous order that make up this one
         move = None if key == prev else np.argsort(layered[prev][0])[perm]
+        # the biases hold while the set does; a run's first sweep builds
+        # them too, as the first run has none yet
+        build = biases if k == 0 or key != prev else ()
         m = len(order)
-        plan.append((tau, move, draws[:m], order, uniforms[:m], layers))
+        plan.append((tau, move, build, draws[:m], order, uniforms[:m], layers))
         prev = key
     states[...] = start[home]
     native = np.argsort(home)
 
     def run() -> None:
-        for tau, move, block, order, u_all, layers in plan:
+        for tau, move, build, block, order, u_all, layers in plan:
             if move is not None:
                 states[...] = states[move]
+            for w_frz, x_frz, d_col, bias in build:
+                np.matmul(w_frz, x_frz, out=bias)
+                bias += d_col
             rng.random(out=block)
             # the positions are in range, so the take can skip its bounds check
             np.take(block, order, axis=0, out=u_all, mode="wrap")
-            for (w_in, x_in), tail, bias, x, u, f, step, p, accept in layers:
-                np.matmul(w_in, x_in, out=f)
-                if tail is not None:
-                    np.matmul(tail[0], tail[1], out=step)
-                    f += step
+            for w_act, x_act, bias, x, u, f, step, p, accept in layers:
+                np.matmul(w_act, x_act, out=f)
                 f += bias
                 # a flip takes v to (off + on) - v
                 np.multiply(x, -2.0, out=step)
@@ -861,16 +869,17 @@ def _layer_plan(w: np.ndarray, active: np.ndarray) -> tuple:
     """heuristic_anneal's layout of one active set: the permutation of the
     variables (the active ones layer by layer, then the frozen ones in
     index order), the positions in `active` in that order, w permuted, and
-    per layer its rows (a, b) in the permuted order with its blocks.
+    per layer its rows (a, b) in the permuted order with its two blocks.
 
     A layer's variables coupled to a later layer come last in it, so the
-    columns that later layers need of it sit next to them. A layer's own
-    block of w is zero (see _layers); its blocks are the column spans
-    (lo, hi), one before its rows and one after them, from the first to
-    the last column that couples to the layer. A side with no such column
-    has no block: an all-zero block would only add +-0.0 to the fields,
-    which changes no decision (a zero field is accepted at 1/2 either
-    way)."""
+    columns that later layers need of it sit next to them. Each block is
+    the column span (lo, hi) from the first to the last column that
+    couples to the layer: the active block among the active columns
+    (below len(active)), which may run across the layer's own rows, whose
+    block of w is zero (see _layers), and the frozen block among the
+    frozen columns. A block with no such column is empty (lo == hi): an
+    all-zero block would only add +-0.0 to the fields, which changes no
+    decision (a zero field is accepted at 1/2 either way)."""
     n = len(w)
     split = _layers(w, active)
     coupled = w[np.ix_(active, active)] != 0.0
@@ -887,11 +896,10 @@ def _layer_plan(w: np.ndarray, active: np.ndarray) -> tuple:
     for pos in split:
         b = a + len(pos)
         blocks = []
-        for lo, hi in ((0, a), (b, n)):
+        for lo, hi in ((0, len(active)), (len(active), n)):
             cols = np.flatnonzero(wp[a:b, lo:hi].any(axis=0))
-            if len(cols):
-                blocks.append((lo + int(cols[0]), lo + int(cols[-1]) + 1))
-        spans.append((a, b, blocks))
+            blocks.append((lo + int(cols[0]), lo + int(cols[-1]) + 1) if len(cols) else (lo, lo))
+        spans.append((a, b, *blocks))
         a = b
     return perm, order, wp, spans
 

@@ -1109,21 +1109,26 @@ class TestHeuristicLayerPlan:
     @staticmethod
     def check(w, active):
         """The plan's layers are _layers' layers; every nonzero coupling of
-        a layer's rows lies in one of its blocks, and each block starts
-        and ends at a column that couples to the layer."""
+        a layer's rows lies in its active block or its frozen block, the
+        active block holds only active columns and the frozen block only
+        frozen ones, and each nonempty block starts and ends at a column
+        that couples to the layer."""
         perm, order, wp, spans = engines._layer_plan(w, active)
+        k = len(active)
         assert sorted(perm.tolist()) == list(range(len(w)))
-        assert perm[:len(active)].tolist() == active[order].tolist()
+        assert perm[:k].tolist() == active[order].tolist()
         assert np.array_equal(wp, w[np.ix_(perm, perm)])
         layers = engines._layers(w, active)
-        assert [(a, b) for a, b, _ in spans] == [
+        assert [(a, b) for a, b, *_ in spans] == [
             (a, a + len(pos)) for a, pos in zip(np.cumsum([0, *map(len, layers)]).tolist(), layers)]
-        for (a, b, blocks), pos in zip(spans, layers):
+        for (a, b, (alo, ahi), (flo, fhi)), pos in zip(spans, layers):
             assert sorted(order[a:b].tolist()) == pos.tolist()
+            assert 0 <= alo <= ahi <= k <= flo <= fhi <= len(w)
+            assert not np.isin(perm[flo:fhi], active).any()
             covered = np.zeros(len(w), dtype=bool)
-            for lo, hi in blocks:
-                assert hi <= a or lo >= b
-                assert wp[a:b, lo].any() and wp[a:b, hi - 1].any()
+            for lo, hi in ((alo, ahi), (flo, fhi)):
+                if lo < hi:
+                    assert wp[a:b, lo].any() and wp[a:b, hi - 1].any()
                 covered[lo:hi] = True
             assert not wp[a:b, ~covered].any()
         return spans
@@ -1135,7 +1140,8 @@ class TestHeuristicLayerPlan:
 
     def test_merged_problem(self, merged_default):
         # the two active sets of the default one-shot schedule: layers of
-        # (rows x columns) blocks, variables coupled to later layers last
+        # (rows, active columns, frozen columns), variables coupled to
+        # later layers last
         problem = merged_default
         w, _ = engines._dense_form(problem.qubo)
         sched = merged_schedule(problem, cycles=3)
@@ -1144,9 +1150,56 @@ class TestHeuristicLayerPlan:
         shapes = []
         for row in np.unique(moving, axis=0):
             spans = self.check(w, np.flatnonzero(row))
-            shapes.append([(b - a, hi - lo) for a, b, blocks in spans for lo, hi in blocks])
-        assert sorted(shapes) == [[(35, 100), (1, 14), (1, 91), (91, 15)],
-                                  [(98, 37), (1, 7), (1, 21), (21, 8)]]
+            shapes.append([(b - a, ahi - alo, fhi - flo)
+                           for a, b, (alo, ahi), (flo, fhi) in spans])
+        assert sorted(shapes) == [[(35, 92, 8), (1, 106, 0), (91, 15, 0)],
+                                  [(98, 22, 15), (1, 29, 0), (21, 8, 0)]]
+
+
+def frozen_bias_models():
+    """A dense spin model and the QUBO with its coefficients."""
+    ising = random_ising(8, np.random.default_rng(28), density=0.8)
+    diagonal = {(i, i): c for i, c in ising.biases.items()}
+    return [ising, QuboModel(8, {**diagonal, **ising.couplings})]
+
+
+class TestFrozenBias:
+    # A layer's couplings to frozen variables enter its fields as a bias,
+    # built on entering an active set and at each run's first sweep.
+
+    @pytest.mark.parametrize("reinitialize", [True, False])
+    @pytest.mark.parametrize("model", frozen_bias_models(), ids=["ising", "qubo"])
+    def test_frozen_on_values_couple_to_active_ones(self, model, reinitialize):
+        # every variable starts at the on value and the groups take turns,
+        # so each window's layers read the other group's on values (and
+        # variable 7's, never active) through their frozen blocks
+        gs = grouped_cycle_schedule(12.0, [(0, 2, 4), (1, 3, 5)], cycles=2,
+                                    always_active=(6,), reinitialize=reinitialize)
+        w, _ = engines._dense_form(model)
+        for active in ((0, 2, 4, 6), (1, 3, 5, 6)):
+            spans = engines._layer_plan(w, np.array(active))[3]
+            assert any(fhi > flo for *_, (flo, fhi) in spans)
+        for seed in range(4):
+            req = SamplerRequest(model, gs, reads=3, initial_state=(1,) * 8, seed=seed)
+            assert heuristic_anneal(req, sweeps=12) == scalar_heuristic(req, sweeps=12)
+
+    @pytest.mark.parametrize("model", frozen_bias_models(), ids=["ising", "qubo"])
+    def test_chained_read_starts_in_its_last_set(self, model):
+        # windows A, B, A: each read's first sweep is in the set of the
+        # previous read's last one, so no set change marks it, and the
+        # first read's first sweep must build the biases all the same
+        path_a = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (2.0, 0.0), (3.0, 0.0))
+        path_b = ((0.0, 1.0), (1.0, 1.0), (1.0, 0.3), (2.0, 0.3), (2.0, 1.0), (3.0, 1.0))
+        paths = {**dict.fromkeys((0, 1, 2), path_a), **dict.fromkeys((3, 4), path_b)}
+        sched = AnnealSchedule(3.0, ((0.0, 1.0), (3.0, 1.0)), variable_paths=paths,
+                               reinitialize=False)
+        times = [(k + 0.5) * 3.0 / 6 for k in range(6)]
+        moving = schedules_mod.fraction_table(sched, times, 8) < 1.0
+        sets = [np.flatnonzero(row).tolist() for row in moving]
+        assert sets == [[0, 1, 2]] * 2 + [[3, 4]] * 2 + [[0, 1, 2]] * 2
+        for seed in range(4):
+            req = SamplerRequest(model, sched, reads=4, initial_state=(1,) * 8, seed=seed)
+            assert heuristic_anneal(req, sweeps=6) == scalar_heuristic(req, sweeps=6)
 
 
 # a uniform k * 2^-53 near 1 / q = 1 / (1 + e^z), where the forms may differ

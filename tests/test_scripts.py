@@ -16,6 +16,7 @@ import re
 
 import pytest
 
+from annealdp import cli
 from annealdp.rbc import DEFAULT_PARAMS, classical_ppi, pct_errors, true_parameters
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -48,12 +49,16 @@ def test_script_runs(name, tmp_path):
     assert sorted(os.listdir(out)) == sorted(outputs)
 
 
-def test_solve_matrix_classical(monkeypatch, tmp_path):
+def run_solve_matrix(monkeypatch, tmp_path, flags):
     # the script pins BLAS threads in os.environ on import; keep that out
     # of this process's environment
     monkeypatch.setattr(os, "environ", dict(os.environ))
     monkeypatch.chdir(tmp_path)
-    matrix = load("solve_matrix").run([["--algorithm", "classical"]])
+    return load("solve_matrix").run([flags])
+
+
+def test_solve_matrix_classical(monkeypatch, tmp_path):
+    matrix = run_solve_matrix(monkeypatch, tmp_path, ["--algorithm", "classical"])
     assert os.listdir(tmp_path) == []  # every solve wrote into its temporary directory
     row = matrix["configs"]["--algorithm classical"]
     assert row["exit_codes"] == [0, 0, 0, 0]
@@ -63,6 +68,16 @@ def test_solve_matrix_classical(monkeypatch, tmp_path):
     assert [round(e, 3) for e in expected] == [0.720, 0.065, 1.045]
     assert [row["pct_error"][p]["max"] for p in ("x1", "x2", "x3")] == expected
     assert row["wall_s"] > 0.0 and row["wall_ref_s"] > 0.0
+    # no sampler, so no modelled device time
+    assert row["modelled_device_us"] is None
+
+
+def test_solve_matrix_modelled_device_time(monkeypatch, tmp_path):
+    flags = ["--algorithm", "hybrid", "--engine", "greedy"]
+    row = run_solve_matrix(monkeypatch, tmp_path, flags)["configs"][" ".join(flags)]
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["solve", *flags]))
+    _, device_us = cli._modelled_device_time(cfg, cli._per_anneal_time(cfg))
+    assert row["modelled_device_us"] == device_us == 46000.0
 
 
 def test_readme_lists_every_script():
