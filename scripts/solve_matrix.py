@@ -11,6 +11,12 @@ none) and the mean, sd and worst |error| % of each parameter over the
 seeds. BLAS runs on one thread, and every file the solves write goes to
 a temporary directory.
 
+The median of three solves does not resolve a change of a few per cent:
+run back to back on two consecutive commits, it read the one-shot
+heuristic solve at 0.0832 s and then 0.0938 s, where ten alternating
+pairs of perfbench/run.py runs put the second commit 3 % faster. Compare
+two commits' times with such pairs; compare their errors here.
+
 Usage: python scripts/solve_matrix.py > matrix.json
 """
 

@@ -126,13 +126,11 @@ class SpectrumResult:
     """Outcome of exhaustive enumeration.
 
     argmin_states are in the model's native domain (spins for Ising,
-    bits for QUBO), ordered by state index. spectrum, when kept, lists
-    (state, energy) for every state in index order.
+    bits for QUBO), ordered by state index.
     """
 
     min_energy: float
     argmin_states: tuple[tuple[int, ...], ...]
-    spectrum: tuple[tuple[tuple[int, ...], float], ...] | None = None
 
 
 def ising_energy(model: IsingModel, s: SpinState) -> float:
@@ -427,17 +425,14 @@ def _record_candidates(
         yield np.concatenate(found)
 
 
-def brute_force(
-    model: IsingModel | QuboModel,
-    keep_spectrum: bool = False,
-) -> SpectrumResult:
+def brute_force(model: IsingModel | QuboModel) -> SpectrumResult:
     """Exhaustively enumerate all 2^n states.
 
     A first pass ranks every state approximately with gemms over a split
     of the bits; a second pass rescores, with the exact fold over
     energy_terms, every state within a proven rounding bound of the
-    approximate minimum (every state when keep_spectrum is set). The
-    reported energies are those exact folds, bit-for-bit equal to
+    approximate minimum (every state when that bound would overflow).
+    The reported energies are those exact folds, bit-for-bit equal to
     energy_of_bits, so results do not depend on the gemm or on the block
     size. States are reported in the model's native domain. All states
     attaining the exact minimum are returned, ordered by state index.
@@ -451,9 +446,9 @@ def brute_force(
     weights = [c for _, c in terms]
     if not all(math.isfinite(w) for w in weights):
         raise ValueError("brute force needs finite coefficients")
-    total = 1 << n
-    candidates = None if keep_spectrum else _near_minimum(model, weights)
+    candidates = _near_minimum(model, weights)
     if candidates is None:
+        total = 1 << n
         block = 1 << min(n, _BLOCK_BITS)
         chunks: Iterable[np.ndarray] = (
             np.arange(start, min(start + block, total), dtype=np.int64)
@@ -464,35 +459,15 @@ def brute_force(
     domain = value_domain(model)
     min_energy = np.inf
     argmin_idx: list[int] = []
-    spectrum_energies: list[np.ndarray] = []
     for idx in chunks:
         energies = fold_indices(terms, idx, n, domain)
-        if keep_spectrum:
-            spectrum_energies.append(energies)
         bmin = float(energies.min())
         if bmin < min_energy:
             min_energy = bmin
             argmin_idx = []
         if bmin == min_energy:
             argmin_idx.extend(idx[energies == min_energy].tolist())
-
-    spectrum = None
-    if keep_spectrum:
-        flat = np.concatenate(spectrum_energies) if spectrum_energies else np.zeros(0)
-        spectrum = tuple((_index_state(k, n, domain), float(flat[k])) for k in range(total))
     return SpectrumResult(
         min_energy=float(min_energy),
         argmin_states=tuple(_index_state(k, n, domain) for k in argmin_idx),
-        spectrum=spectrum,
     )
-
-
-def random_ising(n: int, rng: np.random.Generator, density: float = 0.5) -> IsingModel:
-    """Random dense-ish test instance with coefficients in [-1, 1]."""
-    biases = {i: float(rng.uniform(-1, 1)) for i in range(n)}
-    couplings = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                couplings[(i, j)] = float(rng.uniform(-1, 1))
-    return IsingModel(n, biases, couplings)

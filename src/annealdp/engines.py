@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,25 +53,20 @@ class TimingReport:
 
     reads: int
     t_anneal: float
-    t_program: float = 9000.0
-    t_readout: float = 120.0
+    t_program: ClassVar[float] = 9000.0
+    t_readout: ClassVar[float] = 120.0
 
     @property
     def total(self) -> float:
         return self.t_program + self.reads * (self.t_anneal + self.t_readout)
 
 
-def timing_report(
-    reads: int,
-    t_anneal: float,
-    t_program: float = 9000.0,
-    t_readout: float = 120.0,
-) -> TimingReport:
+def timing_report(reads: int, t_anneal: float) -> TimingReport:
     if reads < 1:
         raise ValueError("reads must be >= 1")
     if t_anneal < 5.0:
         raise ValueError("anneal time below the 5 microsecond device minimum")
-    return TimingReport(reads, t_anneal, t_program, t_readout)
+    return TimingReport(reads, t_anneal)
 
 
 @dataclass(frozen=True)

@@ -490,17 +490,13 @@ def losses(
     the true parameters instead and is reported only when a reference
     is given.
     """
-    _check_read(outcome_params, problem)
-    if anchor is None:
-        anchor = outcome_params
-    return _scorer(problem, anchor, reference)(outcome_params)
-
-
-def _check_read(outcome_params: tuple[float, float, float], problem: MergedProblem) -> None:
     x1, x2, x3 = outcome_params
     _check_range("x1", x1, problem.enc1)
     _check_range("x2", x2, problem.enc2)
     _check_range("x3", x3, problem.enc3)
+    if anchor is None:
+        anchor = outcome_params
+    return _scorer(problem, anchor, reference)(outcome_params)
 
 
 def _scorer(
@@ -567,10 +563,8 @@ def one_shot_ensemble(
         schedule = merged_schedule(problem, cycles=cycles, reinitialize=True)
     records = sampler(SamplerRequest(problem, schedule, reads=reads, seed=seed)).records
     decoded, g_p, g_v = _decoded_reads(problem, records)
+    # decoded reads lie inside their encodings' ranges by construction
     distinct = dict.fromkeys(decoded)
-    for d in distinct:
-        _check_read(d, problem)
-
     lowest = _keep_lowest([lp + lv for lp, lv in zip(g_p, g_v)], keep_fraction)
     anchor = tuple(float(np.mean([decoded[i][p] for i in lowest])) for p in range(3))
     score = _scorer(problem, anchor, reference)

@@ -93,12 +93,6 @@ class Poly:
     def variable(cls, i: int) -> "Poly":
         return cls({frozenset((i,)): 1.0})
 
-    @classmethod
-    def linear(cls, coeffs: Mapping[int, float], constant: float = 0.0) -> "Poly":
-        terms: dict[frozenset[int], float] = {frozenset((i,)): c for i, c in coeffs.items()}
-        terms[frozenset()] = constant
-        return cls(terms)
-
     @property
     def degree(self) -> int:
         return max((len(k) for k in self.terms), default=0)
@@ -164,10 +158,6 @@ class Poly:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
-
-    def approx_eq(self, other: "Poly", tol: float = 1e-9) -> bool:
-        keys = set(self.terms) | set(other.terms)
-        return all(abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys)
 
     def evaluate(self, x: Assignment) -> float:
         getter = x.__getitem__
@@ -238,13 +228,6 @@ def to_qubo(poly: Poly, n: int | None = None) -> tuple[QuboModel, float]:
         i, j = next(key for key in q if key[0] < 0 or key[1] >= n)
         raise ValueError(f"variable index ({i},{j}) out of range for n={n}")
     return QuboModel._canonical(n, q), offset
-
-
-def from_qubo(model: QuboModel, offset: float = 0.0) -> Poly:
-    terms: dict[frozenset[int], float] = {frozenset(): offset}
-    for (i, j), w in model.q.items():
-        terms[frozenset((i, j))] = terms.get(frozenset((i, j)), 0.0) + w
-    return Poly(terms)
 
 
 def write_poly(poly: Poly, path: str) -> None:

@@ -53,16 +53,11 @@ Z_GRID = (0.9792, 0.9896, 1.0000, 1.0106, 1.0212)
 
 @dataclass(frozen=True)
 class RbcParams:
-    """Model calibration.
-
-    delta is carried for documentation; everything downstream requires
-    full depreciation, where the savings rate is constant and the exact
-    solution is available in closed form.
-    """
+    """Model calibration. Depreciation is full, so the savings rate is
+    constant and the exact solution is available in closed form."""
 
     alpha: float = 0.33
     beta: float = 0.95
-    delta: float = 1.0
     z_grid: tuple[float, ...] = Z_GRID
     transition: tuple[tuple[float, ...], ...] = TRANSITION
 
@@ -174,15 +169,9 @@ def closed_form_step(k: float, z_index: int, params: RbcParams = DEFAULT_PARAMS)
         raise ValueError("capital must be positive")
     if not 0 <= z_index < len(params.z_grid):
         raise ValueError("z_index out of range")
-    _require_full_depreciation(params)
     ab = params.alpha * params.beta
     y = params.z_grid[z_index] * k ** params.alpha
     return (1.0 - ab) * y, ab * y
-
-
-def _require_full_depreciation(params: RbcParams) -> None:
-    if params.delta != 1.0:
-        raise ValueError("closed form requires full depreciation (delta = 1)")
 
 
 def true_parameters(params: RbcParams = DEFAULT_PARAMS) -> tuple[float, float, float]:
@@ -191,7 +180,6 @@ def true_parameters(params: RbcParams = DEFAULT_PARAMS) -> tuple[float, float, f
     The intercept uses E[ln z'] under the stationary distribution of the
     chain; the slope and savings rate are distribution-free.
     """
-    _require_full_depreciation(params)
     ab = params.alpha * params.beta
     x1 = ab
     x3 = 1.0 / (1.0 - ab)
@@ -560,7 +548,7 @@ class ConsumptionPath:
     k_exact: tuple[float, ...]
     k_model: tuple[float, ...]
 
-    @property
+    @cached_property
     def rel_gap(self) -> tuple[float, ...]:
         return tuple(abs(m - e) / e for m, e in zip(self.c_model, self.c_exact))
 
@@ -570,29 +558,25 @@ def simulate_consumption(
     params: RbcParams = DEFAULT_PARAMS,
     periods: int = 10,
     k0: float | None = None,
-    z_path: Sequence[int] | None = None,
     shock_index: int = 0,
     shock_period: int = 1,
 ) -> ConsumptionPath:
     """Run the estimated savings rate against the exact policy.
 
     Both paths start from the same capital and see the same productivity
-    draw. The default draw sits at the middle state and drops to
-    shock_index from shock_period onward.
+    draw: the middle state, dropping to shock_index from shock_period
+    onward.
     """
     if not 0.0 < x1_hat < 1.0:
         raise ValueError("x1_hat must lie in (0, 1)")
     if periods < 1:
         raise ValueError("periods must be >= 1")
-    _require_full_depreciation(params)
-    if z_path is None:
-        mid = len(params.z_grid) // 2
-        z_path = [mid] * min(shock_period, periods) + [shock_index] * max(0, periods - shock_period)
-    z_path = tuple(int(z) for z in z_path)
-    if len(z_path) != periods:
-        raise ValueError("z_path length must equal periods")
-    if any(not 0 <= z < len(params.z_grid) for z in z_path):
-        raise ValueError("z_path index out of range")
+    if not 0 <= shock_index < len(params.z_grid):
+        raise ValueError("shock_index out of range")
+    if shock_period < 0:
+        raise ValueError("shock_period must be >= 0")
+    mid = len(params.z_grid) // 2
+    z_path = (mid,) * min(shock_period, periods) + (shock_index,) * max(0, periods - shock_period)
     k_e = k_m = params.k_bar if k0 is None else k0
     if k_e <= 0.0:
         raise ValueError("capital must be positive")

@@ -51,24 +51,20 @@ class AnnealSchedule:
 
     total_time is in microseconds. breakpoints is the global path; a
     variable listed in variable_paths follows its own path instead.
-    reversal_target records the lowest fraction a reversal reaches
-    (0.0 = full reversal); cycles counts repetitions of the per-group
-    subschedule; reinitialize says whether each read restarts from the
-    initial state or continues from the previous read's terminal state.
+    cycles counts repetitions of the per-group subschedule; reinitialize
+    says whether each read restarts from the initial state or continues
+    from the previous read's terminal state.
     """
 
     total_time: float
     breakpoints: Path
     variable_paths: Mapping[int, Path] | None = None
-    reversal_target: float = 0.0
     cycles: int = 1
     reinitialize: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.total_time < math.inf:
             raise ValueError("total_time must be finite and nonnegative")
-        if not 0.0 <= self.reversal_target <= 1.0:
-            raise ValueError("reversal_target must lie in [0, 1]")
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
         _validate_path(tuple(self.breakpoints), self.total_time, "global path")
@@ -207,7 +203,6 @@ def grouped_cycle_schedule(
         total_time,
         ((0.0, 1.0), (total_time, 1.0)),
         variable_paths=variable_paths,
-        reversal_target=reversal_target,
         cycles=cycles,
         reinitialize=reinitialize,
     )

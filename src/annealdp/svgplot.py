@@ -45,10 +45,10 @@ def _fmt(v: float) -> str:
     return "0" if s == "-0" else s
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         raise ValueError("empty range")
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag + 1e-12 * mag)
     first = math.ceil(lo / step - 1e-9) * step
@@ -75,17 +75,16 @@ def line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 720,
-    height: int = 440,
     markers: bool = True,
 ) -> None:
-    """Write a multi-series line chart to an SVG file."""
+    """Write a 720 x 440 multi-series line chart to an SVG file."""
     series = list(series)
     if not series:
         raise ValueError("need at least one series")
     if len(series) > len(PALETTE):
         raise ValueError(f"at most {len(PALETTE)} series supported")
 
+    width, height = 720, 440
     ml, mr, mt, mb = 64, 18, 34 if title else 16, 46
     pw, ph = width - ml - mr, height - mt - mb
     x_lo, x_hi = _padded_range([x for s in series for x in s.xs])

@@ -23,10 +23,10 @@ from annealdp.bqm import (
     fold_indices,
     ising_energy,
     qubo_energy,
-    random_ising,
     value_domain,
 )
 from annealdp.rbc import combinatorial_ppi
+from support import random_ising
 
 # Two-spin instance used throughout: h0=0.5, h1=-0.3, J01=-0.8.
 TWO_SPIN = IsingModel(2, {0: 0.5, 1: -0.3}, {(0, 1): -0.8})
@@ -98,31 +98,23 @@ class TestBruteForce:
         assert res.min_energy == 0.0
         assert res.argmin_states == ((0, 0), (1, 0), (0, 1), (1, 1))
 
-    def test_spectrum_matches_scalar_energies(self):
-        rng = np.random.default_rng(7)
-        ising = random_ising(5, rng)
-        res = brute_force(ising, keep_spectrum=True)
-        assert res.spectrum is not None
-        assert len(res.spectrum) == 32
-        for state, energy in res.spectrum:
-            assert energy == ising_energy(ising, state)
-
     def test_blocking_is_bit_for_bit(self, monkeypatch):
         # Force tiny blocks and compare against a single-block run.
         import annealdp.bqm as bqm_mod
 
         rng = np.random.default_rng(19)
         ising = random_ising(8, rng)
-        whole = brute_force(ising, keep_spectrum=True)
+        whole = brute_force(ising)
         monkeypatch.setattr(bqm_mod, "_BLOCK_BITS", 3)
-        split = brute_force(ising, keep_spectrum=True)
+        split = brute_force(ising)
         assert whole == split
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
     def test_partition_free_at_any_block_size(self, n, spin, seed):
-        # Spectrum and argmin bits must not depend on the block size, also
-        # with small integer weights that make exact ties across blocks.
+        # The argmin and its energy bits must not depend on the block
+        # size, also with small integer weights that make exact ties
+        # across blocks.
         rng = np.random.default_rng(seed)
         scale = float(rng.choice([1.0, 0.5]))
         weight = (lambda: float(rng.integers(-2, 3))) if seed % 2 else rng.normal
@@ -135,12 +127,9 @@ class TestBruteForce:
         results = []
         for bits in (1, 3, 14, 20):
             with mock.patch.object(bqm_mod, "_BLOCK_BITS", bits):
-                results.append(brute_force(model, keep_spectrum=True))
+                results.append(brute_force(model))
         first = results[0]
-        energies = np.array([e for _, e in first.spectrum])
         for res in results[1:]:
-            assert np.array([e for _, e in res.spectrum]).tobytes() == energies.tobytes()
-            assert [s for s, _ in res.spectrum] == [s for s, _ in first.spectrum]
             assert res.argmin_states == first.argmin_states
             assert np.float64(res.min_energy).tobytes() == np.float64(first.min_energy).tobytes()
 
@@ -163,13 +152,9 @@ class TestBruteForce:
         assert res.argmin_states == ((),)
 
 
-def exhaustive_reference(
-    model: IsingModel | QuboModel,
-    keep_spectrum: bool = False,
-    max_vars: int = BRUTE_FORCE_MAX_VARS,
-):
+def exhaustive_reference(model: IsingModel | QuboModel, max_vars: int = BRUTE_FORCE_MAX_VARS):
     """The enumerator brute_force replaced: every state folded exactly in
-    fixed index blocks. Kept verbatim as the equality reference."""
+    fixed index blocks. Kept as the equality reference."""
     n = model.n
     if n > max_vars:
         raise CapacityError(f"brute force over {n} variables exceeds the guard of {max_vars}")
@@ -177,13 +162,10 @@ def exhaustive_reference(
     block = 1 << min(n, _BLOCK_BITS)
     min_energy = np.inf
     argmin_idx: list[int] = []
-    spectrum_energies: list[np.ndarray] = []
     for start in range(0, total, block):
         stop = min(start + block, total)
         energies = fold_indices(energy_terms(model), np.arange(start, stop, dtype=np.int64),
                                 n, value_domain(model))
-        if keep_spectrum:
-            spectrum_energies.append(energies)
         bmin = float(energies.min())
         if bmin < min_energy:
             min_energy = bmin
@@ -197,14 +179,9 @@ def exhaustive_reference(
             return tuple(2 * b - 1 for b in bits)
         return bits
 
-    spectrum = None
-    if keep_spectrum:
-        flat = np.concatenate(spectrum_energies) if spectrum_energies else np.zeros(0)
-        spectrum = tuple((to_state(k), float(flat[k])) for k in range(total))
     return bqm_mod.SpectrumResult(
         min_energy=float(min_energy),
         argmin_states=tuple(to_state(k) for k in argmin_idx),
-        spectrum=spectrum,
     )
 
 
@@ -235,11 +212,10 @@ def _same_result(got, want) -> bool:
     return (
         np.float64(got.min_energy).tobytes() == np.float64(want.min_energy).tobytes()
         and got.argmin_states == want.argmin_states
-        and got.spectrum == want.spectrum
     )
 
 
-WEIGHT_KINDS = ("dyadic", "integer", "mixed", "zero")
+WEIGHT_KINDS = ("dyadic", "integer", "mixed", "zero", "huge")
 # a dyadic QUBO with 9 states strictly between delta and 2 delta of its minimum
 NEAR_TIE_N, NEAR_TIE_SEED = 9, 58
 
@@ -260,16 +236,26 @@ def _kind_model(n: int, spin: bool, kind: str, seed: int) -> IsingModel | QuboMo
     def weight() -> float:
         if kind == "dyadic":
             return float(rng.integers(-1, 2)) + float(rng.integers(-3, 4)) * unit
-        if kind == "integer":
+        if kind in ("integer", "huge"):
             return float(rng.integers(-2, 3))
         if kind == "mixed":
             return float(rng.choice([1e12, 1.0, 0.1, 0.3, 0.7])) * float(rng.choice([-1.0, 1.0]))
         return 0.0
 
+    if spin:  # the biases first, as the Ising energy adds them
+        pairs = [p for p in pairs if p[0] == p[1]] + [p for p in pairs if p[0] != p[1]]
+    weights = {p: weight() for p in pairs}
+    total = math.fsum(abs(w) for w in weights.values())
+    if kind == "huge" and total:
+        # a power of two puts sum |w| in [2^1021, 2^1022): past 2^1020,
+        # where every state is rescored, with no energy overflowing and
+        # the ties kept
+        shift = 1022 - math.frexp(total)[1]
+        weights = {p: math.ldexp(w, shift) for p, w in weights.items()}
     if spin:
-        return IsingModel(n, {i: weight() for i, j in pairs if i == j},
-                          {(i, j): weight() for i, j in pairs if i != j})
-    return QuboModel(n, {p: weight() for p in pairs})
+        return IsingModel(n, {i: w for (i, j), w in weights.items() if i == j},
+                          {(i, j): w for (i, j), w in weights.items() if i != j})
+    return QuboModel(n, weights)
 
 
 def _delta_window(model: IsingModel | QuboModel) -> tuple[set[int], set[int], set[int]]:
@@ -296,19 +282,20 @@ def _delta_window(model: IsingModel | QuboModel) -> tuple[set[int], set[int], se
 class TestSplitEnumeration:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 14), st.booleans(), st.sampled_from(WEIGHT_KINDS),
-           st.booleans(), st.integers(0, 2**32 - 1))
-    def test_equals_exhaustive_reference(self, n, spin, kind, keep, seed):
+           st.integers(0, 2**32 - 1))
+    def test_equals_exhaustive_reference(self, n, spin, kind, seed):
         # an all-zero model makes every state a candidate; keep it small
         n = min(n, 10) if kind == "zero" else n
-        keep = keep and n <= 8
         model = _kind_model(n, spin, kind, seed)
-        want = exhaustive_reference(model, keep_spectrum=keep)
-        window = _delta_window(model) if kind == "dyadic" and not keep else None
+        want = exhaustive_reference(model)
+        window = _delta_window(model) if kind == "dyadic" else None
         for bits in (1, 3, 14, 20):
             results = []
             with mock.patch.object(bqm_mod, "_BLOCK_BITS", bits):
-                rescored = rescored_indices(model, lambda: results.append(brute_force(model, keep)))
+                rescored = rescored_indices(model, lambda: results.append(brute_force(model)))
             assert _same_result(results[0], want), (bits, results[0], want)
+            if kind == "huge" and any(c for _, c in energy_terms(model)):
+                assert rescored == list(range(1 << n))
             if window is not None:
                 assert window[0] <= set(rescored) <= window[1]
                 assert rescored == sorted(rescored)
@@ -365,9 +352,8 @@ class TestSplitEnumeration:
             models = [QuboModel(2, {(0, 0): bad, (1, 1): -1.0}),
                       QuboModel(2, {(1, 1): -1.0, (0, 1): bad})]
         for model in models:
-            for keep in (False, True):
-                with pytest.raises(ValueError, match="finite"):
-                    brute_force(model, keep_spectrum=keep)
+            with pytest.raises(ValueError, match="finite"):
+                brute_force(model)
 
 
 @settings(max_examples=40, deadline=None)

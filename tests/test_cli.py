@@ -809,6 +809,7 @@ class TestEntryPoint:
     ["simulate", "--true", "--out-dir", "blocked-svg"],
     ["appendix-b", "--engine", "greedy", "--reads", "1", "--out-dir", "blocked"],
     ["quadratize", "cubic.poly", "--out", "blocked"],
+    ["simulate", "--true", "--shock-period", "-1"],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -828,6 +829,8 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, ar
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "runs").exists()
+    if "--shock-period" in argv:
+        assert "shock_period" in err
 
 
 @settings(max_examples=40, deadline=None)

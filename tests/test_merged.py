@@ -37,7 +37,7 @@ from annealdp.merged import (
     one_shot_ensemble,
     one_shot_ppi,
 )
-from annealdp.pbf import BinaryEncoding, from_qubo, to_qubo
+from annealdp.pbf import BinaryEncoding, to_qubo
 from annealdp.quadratize import min_over_aux
 from annealdp.rbc import (
     DEFAULT_PARAMS,
@@ -57,6 +57,7 @@ from annealdp.engines import (
     SamplerRequest,
     sequential_greedy,
 )
+from support import from_qubo
 
 TRUTH = (0.3135, -18.116633445402133, 1.4566642388929352)
 
@@ -230,6 +231,28 @@ class TestBuild:
             want = tuple(enc.decode_assignment(assign) for enc in (wide.enc1, wide.enc2, wide.enc3))
             assert _bytes(got) == _bytes(want)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 64),
+                              st.floats(1e-300, 1e250) | st.floats(-1e250, -1e-300)),
+                    min_size=3, max_size=3),
+           st.data())
+    def test_decoded_values_inside_encoding_ranges(self, registers, data):
+        # scale * m for 0 <= m <= max_int lies in [0, scale * max_int],
+        # rounding being monotone, so no decoded read needs a range check
+        encs, base = [], 0
+        for bits, scale in registers:
+            encs.append(BinaryEncoding(base, bits, scale))
+            base += bits
+        problem = types.SimpleNamespace(x_p=base, enc1=encs[0], enc2=encs[1], enc3=encs[2])
+        states = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=base, max_size=base),
+                                    max_size=6))
+        states += [[0] * base, [1] * base]
+        for values in MergedProblem.decode_states(problem, states):
+            for name, value, enc in zip(("x1", "x2", "x3"), values, encs):
+                lo, hi = sorted((0.0, enc.scale * enc.max_int))
+                assert lo <= value <= hi
+                merged._check_range(name, value, enc)
+
     def test_encode_initial(self, prob6):
         state = prob6.encode_initial(TRUTH)
         assert len(state) == prob6.n
@@ -315,7 +338,8 @@ class TestSchedule:
 
     def test_full_reversal_and_reinit_flag(self, prob6):
         sched = merged_schedule(prob6, reinitialize=False)
-        assert sched.reversal_target == 0.0
+        # each window dips all the way to s = 0
+        assert min(f for path in sched.variable_paths.values() for _, f in path) == 0.0
         assert not sched.reinitialize
         assert merged_schedule(prob6).reinitialize
 

@@ -19,6 +19,7 @@ from annealdp.quadratize import (
     ptr_reduce,
     quadratize_full,
 )
+from support import poly_approx_eq
 
 x = Poly.variable
 
@@ -73,7 +74,7 @@ class TestFiveVarExpansion:
                 frozenset(): 1.0,
             }
         )
-        assert h.approx_eq(expected, tol=1e-12)
+        assert poly_approx_eq(h, expected, tol=1e-12)
 
     def test_ground_state(self):
         h = five_var_constraint_poly()

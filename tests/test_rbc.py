@@ -39,6 +39,7 @@ from annealdp.rbc import (
     write_consumption_csv,
     write_iteration_csv,
 )
+from support import poly_approx_eq
 
 AB = 0.33 * 0.95
 
@@ -168,13 +169,6 @@ class TestClosedForm:
     def test_bad_z_index(self):
         with pytest.raises(ValueError, match="z_index"):
             closed_form_step(0.1, 5)
-
-    def test_partial_depreciation_unsupported(self):
-        params = RbcParams(delta=0.1)
-        with pytest.raises(ValueError, match="depreciation"):
-            closed_form_step(0.1, 2, params)
-        with pytest.raises(ValueError, match="depreciation"):
-            true_parameters(params)
 
 
 class TestTrueParameters:
@@ -314,7 +308,7 @@ class TestGpPbo:
         poly = build_gp_pbo(1.2, enc, coeffs)
         kappa = AB * 1.2
         direct = -ln_1mx_poly(enc, coeffs) - kappa * ln_x_poly(enc, coeffs)
-        assert poly.approx_eq(direct, tol=1e-12)
+        assert poly_approx_eq(poly, direct, tol=1e-12)
 
     def test_quadratic_in_policy_bits(self):
         enc = self.ENC
@@ -623,6 +617,17 @@ class TestConsumption:
         sim = simulate_consumption(0.3)
         assert sim.z_path == (2, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("shock_period,want", [(0, (0, 0, 0)), (2, (2, 2, 0)), (5, (2, 2, 2))])
+    def test_shock_period_bounds(self, shock_period, want):
+        sim = simulate_consumption(0.3, periods=3, shock_period=shock_period)
+        assert sim.z_path == want
+
+    def test_gaps_computed_once(self):
+        # the CSV writer reads one gap per row: a gap tuple rebuilt on
+        # every read made a long simulation take time quadratic in periods
+        sim = simulate_consumption(0.3, periods=50)
+        assert sim.rel_gap is sim.rel_gap
+
     def test_resource_identity_along_exact_path(self):
         sim = simulate_consumption(0.3, periods=6)
         for t in range(5):
@@ -631,10 +636,12 @@ class TestConsumption:
     def test_validation(self):
         with pytest.raises(ValueError, match="x1_hat"):
             simulate_consumption(1.2)
-        with pytest.raises(ValueError, match="length"):
-            simulate_consumption(0.3, periods=3, z_path=(2, 2))
-        with pytest.raises(ValueError, match="out of range"):
-            simulate_consumption(0.3, periods=2, z_path=(2, 9))
+        with pytest.raises(ValueError, match="shock_period"):
+            simulate_consumption(0.3, shock_period=-1)
+        with pytest.raises(ValueError, match="shock_index out of range"):
+            simulate_consumption(0.3, periods=2, shock_index=9)
+        with pytest.raises(ValueError, match="shock_index out of range"):
+            simulate_consumption(0.3, shock_index=-1)
         with pytest.raises(ValueError, match="periods"):
             simulate_consumption(0.3, periods=0)
         with pytest.raises(ValueError, match="positive"):

@@ -58,8 +58,9 @@ class TestValidation:
             AnnealSchedule(total, ((0.0, 0.0),))
 
     def test_reversal_target_range(self):
-        with pytest.raises(ValueError, match="reversal_target"):
-            AnnealSchedule(10.0, ((0.0, 0.0), (10.0, 1.0)), reversal_target=1.5)
+        # the target is a fraction of every dipping path
+        with pytest.raises(ValueError, match="fraction 1.5 outside"):
+            grouped_cycle_schedule(10.0, [(0,)], reversal_target=1.5)
 
     def test_cycles_minimum(self):
         with pytest.raises(ValueError, match="cycles"):
@@ -178,7 +179,7 @@ class TestSharedPaths:
         copies = AnnealSchedule(
             sched.total_time, sched.breakpoints,
             {v: [list(pt) for pt in p] for v, p in sched.variable_paths.items()},
-            reversal_target=sched.reversal_target, cycles=sched.cycles)
+            cycles=sched.cycles)
         assert copies.variable_paths == sched.variable_paths
         assert copies.variable_paths[0] is not copies.variable_paths[3]
         times = np.linspace(-1.0, 31.0, 203).tolist() + [t for p in sched.variable_paths.values()
@@ -212,7 +213,7 @@ class TestFractionTable:
         assert copies.variable_paths[0] is not copies.variable_paths[3]
         # a reverse anneal with a hold plateau on the global path
         reverse = AnnealSchedule(
-            9.0, ((0.0, 1.0), (2.7, 0.3), (6.3, 0.3), (9.0, 1.0)), reversal_target=0.3)
+            9.0, ((0.0, 1.0), (2.7, 0.3), (6.3, 0.3), (9.0, 1.0)))
         override = AnnealSchedule(
             10.0, ((0.0, 0.0), (10.0, 1.0)), variable_paths={1: ((0.0, 1.0), (10.0, 0.5))})
         return [
