@@ -4,15 +4,14 @@ Both model classes store sparse coefficient dicts keyed by canonical
 index pairs. An energy is the fold of its terms in dict insertion order:
 energy_terms lists them, and fold_values and fold_indices add any such
 term list over many states at once, bit-for-bit equal to the scalar
-sums. brute_force ranks states approximately with gemms, within a proven
-rounding bound, and reports only those exact folds.
+sums. The exhaustive search ranks states approximately with gemms,
+within a proven rounding bound, and reports only those exact folds.
 
 Only the public per-class functions (the energies, energy_terms and
 value_domain) read a model's dicts or ask its class; a model that is
 not an IsingModel is read as a QUBO, through its n and q. The
-exhaustive search reads a model through energy_terms and value_domain
-alone, and its split ranking takes any term list, such as a greedy
-group's fold.
+exhaustive search takes any term list: brute_force runs it over a
+model's energy_terms, engines.sequential_greedy over a group's fold.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ BinaryState = Sequence[int]
 
 BRUTE_FORCE_MAX_VARS = 26
 # States per enumeration block, as a power of two: the approximate pass
-# ranks about this many states per gemm chunk, exact folds run in chunks
-# of this size, and engines.sequential_greedy ranks or scores its group
-# assignments in such chunks. Measured per brute_force call on the
+# ranks about this many states per gemm chunk, and exact folds run in
+# chunks of this size. Measured per brute_force call on the
 # 18-variable combinatorial QUBO (median of 15, one BLAS thread):
 # 2^20 1.8 ms, 2^16 1.6 ms, 2^15 1.6 ms, 2^14 1.7 ms, 2^13 2.3 ms, 2^12 2.4 ms,
 # 2^10 5.0 ms.
@@ -261,7 +259,8 @@ def _index_state(k: int, n: int, domain: tuple[int, int]) -> tuple[int, ...]:
     return tuple(domain[(k >> v) & 1] for v in range(n))
 
 
-# Candidate set of the approximate pass. Every term of an energy is the
+# Candidate set of the approximate pass over a term list, a model's
+# energy_terms or a greedy group's fold. Every term of an energy is the
 # coefficient times a value in {-1, 0, 1}, so it is exactly +-w or 0,
 # and a product of a rounded partial sum with such a value is exact too.
 # Any summation order (gemm blocking and FMA included) therefore computes
@@ -277,7 +276,13 @@ def _index_state(k: int, n: int, domain: tuple[int, int]) -> tuple[int, ...]:
 # roundings, each at most a factor 1 - u, which the 1 + 2^-50 = 1 + 8u
 # factor outweighs; the threshold sum is then stepped one float up.
 # Past S = 2^1020 a partial sum may overflow, and every state is a
-# candidate instead.
+# candidate instead. A greedy fold may hold two terms on the same pair
+# of variables. Across the split, _split_ranking sums them into one
+# entry of the cross matrix: fl(c1 + c2) v = fl(c1 v + c2 v) for v in
+# {-1, 0, 1} is one rounding of a sum of the fold's terms. Inside a
+# half, it folds them unmerged. Either way e~ is still a sum of the
+# fold's m terms with at most m - 1 roundings, and delta is taken over
+# the fold's own coefficients.
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -339,18 +344,21 @@ def _split_ranking(
         yield b0 << n_lo, approx.ravel()
 
 
-def _near_minimum(model: IsingModel | QuboModel, weights: list[float]) -> np.ndarray | None:
-    """Sorted indices of every state whose split-ranked energy is within
-    the proven bound of the approximate minimum; None when every state
-    must be a candidate (the bound would overflow)."""
-    bound = _rank_bound(weights)
+def _near_minimum(
+    terms: Sequence[tuple[Sequence[int], float]], n: int, domain: tuple[int, int]
+) -> np.ndarray | None:
+    """Sorted indices of every state of a term list (each term on one or
+    two variables) whose split-ranked energy is within the proven bound
+    of the approximate minimum; None when every state must be a
+    candidate (the bound would overflow)."""
+    bound = _rank_bound(c for _, c in terms)
     if bound is None:
         return None
     emin = np.inf
     thr = np.inf
     found_idx: list[np.ndarray] = []
     found_e: list[np.ndarray] = []
-    for m0, flat in _split_ranking(energy_terms(model), model.n, value_domain(model)):
+    for m0, flat in _split_ranking(terms, n, domain):
         cmin = flat.min()
         if cmin < emin:
             emin = cmin
@@ -362,101 +370,35 @@ def _near_minimum(model: IsingModel | QuboModel, weights: list[float]) -> np.nda
     return idx[np.concatenate(found_e) <= thr]
 
 
-# Candidate set of a first-improvement scan (engines.sequential_greedy).
-# The scan starts from an exact energy e_start and takes each entry that
-# beats its running best by more than a tolerance, so it takes only
-# strict exact prefix records of (e_start, e_0, e_1, ...): entries i with
-# e_i < min(e_start, min_{j<i} e_j). With |e~ - e| <= delta as above,
-# such an entry satisfies
-#     e~_i <= e_i + delta < e_start + delta   and
-#     e~_i <= e_i + delta < e_j + delta <= e~_j + 2 delta  for all j < i,
-# so e~_i - e_start <= delta and e~_i - min_{j<i} e~_j <= 2 delta, with
-# the running minimum of e~ carried across chunks. Rounding is monotone
-# and the float bound is at least 2 delta, so the computed differences
-# meet the same inequalities against bound / 2 and bound: no threshold
-# needs a step up. An entry outside this set is never taken, and an
-# entry that is not taken never changes the running best. By induction
-# over the entries in index order, the running best before each
-# candidate is the same in a scan over the candidates alone as in the
-# full scan, so both take exactly the same entries. Brute force's band
-# around the approximate minimum is not enough here: a record taken
-# before the scan reaches that band moves the running best, and with it
-# which entries inside the band beat it by the tolerance. The scan's
-# fold may hold two terms on the same pair of variables. Across the
-# split, _split_ranking sums them into one entry of the cross matrix:
-# fl(c1 + c2) v = fl(c1 v + c2 v) for v in {-1, 0, 1} is one rounding of
-# a sum of the fold's terms. Inside a half, it folds them unmerged.
-# Either way e~ is still a sum of the fold's m terms with at most m - 1
-# roundings, and delta is taken over the fold's own coefficients.
+# Term lists over at least this many variables, each term on one or two
+# of them, are ranked by the split gemm before the exact fold; smaller
+# or higher-degree ones are folded whole. Median brute_force call on a
+# random QUBO with normal weights, one BLAS thread, whole against split:
+# dense, 8 bits 0.08/0.12 ms, 9 0.11/0.14, 10 0.17/0.15, 11 0.31/0.18,
+# 12 0.85/0.20, 14 3.5/0.27; 30 % of the pairs, 10 bits 0.10/0.11,
+# 11 0.15/0.11, 12 0.51/0.13.
+_SPLIT_MIN_BITS = 10
 
 
-def _record_candidates(
-    ranked: Iterable[tuple[int, np.ndarray]], e_start: float, bound: float
-) -> Iterator[np.ndarray]:
-    """The sorted int64 indices of every state of a split ranking that can
-    be a strict exact prefix record of (e_start, e_0, ...), given the
-    proven bound 2 delta between ranking and exact fold; yielded in
-    batches of at least 2^_BLOCK_BITS indices (the last may be smaller)."""
-    half = bound / 2.0
-    run = np.inf
-    found: list[np.ndarray] = []
-    count = 0
-    for m0, flat in ranked:
-        cmin = float(flat.min())
-        prior, run = run, min(run, cmin)
-        # rounding is monotone: if the chunk's minimum fails a test below
-        # against `prior`, every entry of the chunk fails it
-        if cmin - prior > bound or cmin - e_start > half:
-            continue
-        # the approximate minimum over every earlier state
-        before = np.empty_like(flat)
-        before[0] = prior
-        np.minimum.accumulate(flat[:-1], out=before[1:])
-        np.minimum(before, prior, out=before)
-        keep = np.subtract(flat, before, out=before) <= bound
-        keep &= flat - e_start <= half
-        hits = np.flatnonzero(keep) + m0
-        found.append(hits)
-        count += len(hits)
-        if count >= 1 << _BLOCK_BITS:
-            yield np.concatenate(found)
-            found, count = [], 0
-    if found:
-        yield np.concatenate(found)
-
-
-def brute_force(model: IsingModel | QuboModel) -> SpectrumResult:
-    """Exhaustively enumerate all 2^n states.
-
-    A first pass ranks every state approximately with gemms over a split
-    of the bits; a second pass rescores, with the exact fold over
-    energy_terms, every state within a proven rounding bound of the
-    approximate minimum (every state when that bound would overflow).
-    The reported energies are those exact folds, bit-for-bit equal to
-    energy_of_bits, so results do not depend on the gemm or on the block
-    size. States are reported in the model's native domain. All states
-    attaining the exact minimum are returned, ordered by state index.
-    Raises ValueError if any coefficient is NaN or infinite.
-    """
-    n = model.n
-    if n > BRUTE_FORCE_MAX_VARS:
-        raise CapacityError(
-            f"brute force over {n} variables exceeds the guard of {BRUTE_FORCE_MAX_VARS}")
-    terms = energy_terms(model)
-    weights = [c for _, c in terms]
-    if not all(math.isfinite(w) for w in weights):
-        raise ValueError("brute force needs finite coefficients")
-    candidates = _near_minimum(model, weights)
+def _exact_minimum(
+    terms: Sequence[tuple[Sequence[int], float]], n: int, domain: tuple[int, int]
+) -> tuple[float, list[int]]:
+    """The exact minimum of a term list over the 2^n states of n
+    variables and the indices of every state attaining it, in index
+    order. Only the states _near_minimum keeps are folded exactly when
+    the split applies, every state otherwise, in chunks of
+    2^_BLOCK_BITS; the minimum is an exact fold either way."""
+    candidates = None
+    if n >= _SPLIT_MIN_BITS and all(len(vars_) <= 2 for vars_, _ in terms):
+        candidates = _near_minimum(terms, n, domain)
     if candidates is None:
-        total = 1 << n
         block = 1 << min(n, _BLOCK_BITS)
         chunks: Iterable[np.ndarray] = (
-            np.arange(start, min(start + block, total), dtype=np.int64)
-            for start in range(0, total, block)
+            np.arange(start, min(start + block, 1 << n), dtype=np.int64)
+            for start in range(0, 1 << n, block)
         )
     else:
         chunks = (candidates,)
-    domain = value_domain(model)
     min_energy = np.inf
     argmin_idx: list[int] = []
     for idx in chunks:
@@ -467,7 +409,33 @@ def brute_force(model: IsingModel | QuboModel) -> SpectrumResult:
             argmin_idx = []
         if bmin == min_energy:
             argmin_idx.extend(idx[energies == min_energy].tolist())
+    return float(min_energy), argmin_idx
+
+
+def brute_force(model: IsingModel | QuboModel) -> SpectrumResult:
+    """Exhaustively enumerate all 2^n states.
+
+    Over at least _SPLIT_MIN_BITS variables, a first pass ranks every
+    state approximately with gemms over a split of the bits; a second
+    pass rescores, with the exact fold over energy_terms, every state
+    within a proven rounding bound of the approximate minimum (every
+    state when that bound would overflow, or below that width). The
+    reported energies are those exact folds, bit-for-bit equal to
+    energy_of_bits, so results do not depend on the gemm or on the block
+    size. States are reported in the model's native domain. All states
+    attaining the exact minimum are returned, ordered by state index.
+    Raises ValueError if any coefficient is NaN or infinite.
+    """
+    n = model.n
+    if n > BRUTE_FORCE_MAX_VARS:
+        raise CapacityError(
+            f"brute force over {n} variables exceeds the guard of {BRUTE_FORCE_MAX_VARS}")
+    terms = energy_terms(model)
+    if not all(math.isfinite(c) for _, c in terms):
+        raise ValueError("brute force needs finite coefficients")
+    domain = value_domain(model)
+    min_energy, argmin_idx = _exact_minimum(terms, n, domain)
     return SpectrumResult(
-        min_energy=float(min_energy),
+        min_energy=min_energy,
         argmin_states=tuple(_index_state(k, n, domain) for k in argmin_idx),
     )

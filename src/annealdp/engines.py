@@ -17,20 +17,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
 from .bqm import (
-    _BLOCK_BITS,
     BRUTE_FORCE_MAX_VARS,
     CapacityError,
     IsingModel,
     QuboModel,
+    _exact_minimum,
     _index_state,
-    _rank_bound,
-    _record_candidates,
-    _split_ranking,
     energy_terms,
     fold_indices,
     fold_values,
@@ -904,11 +901,6 @@ def _native_rows(states: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(r) for r in states.astype(np.int64).tolist()]
 
 
-# A greedy candidate must beat the running best by more than this; see
-# sequential_greedy for its size against the folded energies.
-_TIE_TOL = 1e-12
-
-
 def _native_terms(model):
     """(variables, coefficient) per term, in the order the model's energy
     adds them; a Poly's are its own, the constant included."""
@@ -936,76 +928,15 @@ def _fold(terms, pos: dict[int, int], state: Sequence[int]) -> dict[tuple[int, .
     return local
 
 
-def _last_improvement(energies: np.ndarray, best_e: float) -> tuple[int, float]:
-    """Where a scan of `energies` in order ends when it takes each entry
-    that beats the running best (initially best_e) by more than
-    _TIE_TOL. Returns (index, energy), or (-1, best_e) if it takes none.
-
-    Only strict prefix-minimum records can be taken: a taken entry lies
-    below the running best minus the tolerance, and no earlier entry lies
-    below that. The records decrease, so the next one taken after a value
-    is found by bisection, and a run of records each more than the
-    tolerance below the last is taken whole; only near-ties loop here.
-    """
-    before = np.minimum.accumulate(np.concatenate(([best_e], energies[:-1])))
-    rec = np.flatnonzero(energies < before)
-    vals = energies[rec]
-    neg = -vals
-    near = np.flatnonzero(vals[1:] >= vals[:-1] - _TIE_TOL)
-
-    def first_below(e) -> int:
-        return int(np.searchsorted(neg, -(e - _TIE_TOL), side="right"))
-
-    taken = -1
-    p = first_below(best_e)
-    while p < len(vals):
-        j = int(np.searchsorted(near, p))
-        taken = int(near[j]) if j < len(near) else len(vals) - 1
-        p = first_below(vals[taken])
-    if taken < 0:
-        return -1, best_e
-    return int(rec[taken]), float(vals[taken])
-
-
-# Groups at least this wide are ranked by the split gemm when their fold
-# is quadratic; narrower ones are scored whole. Median group step on a
-# dense random QUBO fold, one BLAS thread, whole scan against split
-# ranking: 10 bits 0.60/0.76 ms, 11 0.83/1.02, 12 1.29/1.18, 13 2.6/1.4,
-# 14 5.8/1.8, 16 26/2.0.
-_SPLIT_MIN_BITS = 12
-
-
-def _split_candidates(local, width: int, domain, e_start: float) -> Iterator[np.ndarray] | None:
-    """The assignments that can change a first-improvement scan from
-    e_start, in batches in enumeration order (bqm's prefix-record
-    set); None when the fold is not quadratic or its coefficient sum
-    admits no rounding bound."""
-    if any(len(k) > 2 for k in local):
-        return None
-    bound = _rank_bound(local.values())
-    if bound is None:
-        return None
-    return _record_candidates(_split_ranking(local.items(), width, domain), e_start, bound)
-
-
 def _best_assignment(terms, group: tuple[int, ...], domain, state: Sequence[int]) -> int:
-    """Index of the group assignment the first-improvement scan settles on,
-    starting from the group's current assignment."""
-    pos = {v: b for b, v in enumerate(group)}
-    local = _fold(terms, pos, state)
-    width = len(group)
-    best_m = sum(1 << b for b, v in enumerate(group) if state[v] == domain[1])
-    best_e = float(fold_indices(local.items(), np.array([best_m]), width, domain)[0])
-    chunks = _split_candidates(local, width, domain, best_e) if width >= _SPLIT_MIN_BITS else None
-    if chunks is None:
-        block = 1 << min(width, _BLOCK_BITS)
-        chunks = (np.arange(start, min(start + block, 1 << width))
-                  for start in range(0, 1 << width, block))
-    for idx in chunks:
-        k, best_e = _last_improvement(fold_indices(local.items(), idx, width, domain), best_e)
-        if k >= 0:
-            best_m = int(idx[k])
-    return best_m
+    """Index of the group assignment the group step takes: the current
+    one when its exact fold attains the fold's minimum, else the
+    lowest-index assignment that does. With no fold a number (a NaN
+    coefficient), there is no minimum and the current one stays."""
+    local = _fold(terms, {v: b for b, v in enumerate(group)}, state)
+    current = sum(1 << b for b, v in enumerate(group) if state[v] == domain[1])
+    _, argmin = _exact_minimum(local.items(), len(group), domain)
+    return argmin[0] if argmin and current not in argmin else current
 
 
 def sequential_greedy(
@@ -1025,25 +956,15 @@ def sequential_greedy(
     deactivate). Ungrouped variables never move.
 
     Each stage folds the fixed variables into the terms touching the
-    group, a polynomial over the group's bits, and runs a first-improvement
-    scan over the 2^|group| assignments in enumeration order (bit b of
-    index m is (m >> b) & 1): starting from the current assignment, it
-    takes each one that beats the running best by more than 1e-12, as a
-    scalar scan over them would. A quadratic fold of at least
-    _SPLIT_MIN_BITS bits is ranked the way bqm.brute_force ranks a QUBO,
-    by gemms over a low/high split of its bits; only the assignments that
-    can be strict prefix records within the proven rounding bound are
-    rescored with the exact fold and scanned, which takes the same
-    entries as the full scan (the proof is in bqm). Narrower groups,
-    cubic folds and folds whose coefficient sum admits no bound are
-    scored whole, in blocks of 2^_BLOCK_BITS. A group wider than
-    BRUTE_FORCE_MAX_VARS raises CapacityError before any stage runs.
-
-    The tolerance is absolute and keeps every decision equal to the
-    scalar scan's, which the tests hold the walk to. At the defaults it
-    never decides: folded energies reach |E| = 623, where 1e-12 is about
-    9 ulps, and the smallest gap between distinct folded energies of any
-    group step is 5.5e-7 (one-shot and multi-anneal greedy, seeds 1-3).
+    group, a polynomial over the group's bits, and takes the exact argmin
+    of that fold over the 2^|group| assignments (bit b of index m is
+    (m >> b) & 1) from the exhaustive search brute_force runs: the
+    current assignment when its fold equals the minimum, else the
+    lowest-index assignment attaining it. That is where a scalar
+    first-improvement scan in index order, starting from the current
+    assignment and taking each strictly lower energy, ends. A group
+    wider than BRUTE_FORCE_MAX_VARS raises CapacityError before any
+    stage runs.
 
     The model may also be a binary polynomial of any degree; its terms
     are folded directly, so cubic-and-up problems need no reduction.
@@ -1105,5 +1026,5 @@ def sequential_greedy(
             if act is not None:
                 local = _fold(act_terms[gi], {act: 0}, state)
                 e_off, e_on = fold_indices(local.items(), np.arange(2), 1, domain)
-                state[act] = domain[1] if e_on < e_off - _TIE_TOL else domain[0]
+                state[act] = domain[1] if e_on < e_off else domain[0]
     return tuple(state)

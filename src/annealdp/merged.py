@@ -37,7 +37,7 @@ from .engines import (
     heuristic_anneal,
     sequential_greedy,
 )
-from .pbf import BinaryEncoding, LogCoefficients, Poly, to_qubo
+from .pbf import BinaryEncoding, Poly, to_qubo
 from .quadratize import AuxAllocation, aux_allocation, quadratize_full
 from .rbc import (
     DEFAULT_INIT,
@@ -116,7 +116,6 @@ class MergedProblem:
     gp_poly: Poly
     gv_poly: Poly
     gammas: GammaConstants
-    coeffs: LogCoefficients
     x1_anchor: float
     x3_anchor: float
     bias: float
@@ -271,8 +270,7 @@ def build_merged_problem(
         anchors = (x1_star, x3_star)
     x1_anchor, x3_anchor = anchors
 
-    coeffs = fit_log_coefficients(x3_anchor, params)
-    gp_poly = build_gp_pbo(x3_anchor, enc1, coeffs, params)
+    gp_poly = build_gp_pbo(x3_anchor, enc1, params=params)
     gv_poly, gammas = build_gv_pbo(x1_anchor, enc2, enc3, grid)
 
     prod_p = Poly.variable(x_p) * gp_poly
@@ -295,7 +293,6 @@ def build_merged_problem(
         gp_poly=gp_poly,
         gv_poly=gv_poly,
         gammas=gammas,
-        coeffs=coeffs,
         x1_anchor=x1_anchor,
         x3_anchor=x3_anchor,
         bias=bias,

@@ -195,12 +195,9 @@ def aux_allocation(p: Poly, aux_start: int | None = None) -> AuxAllocation:
     return AuxAllocation(original_n, tuple(records))
 
 
-def quadratize_full(p: Poly, aux_start: int | None = None,
-                    alloc: AuxAllocation | None = None) -> ReductionResult:
+def quadratize_full(p: Poly, alloc: AuxAllocation | None = None) -> ReductionResult:
     """Reduce every degree >= 3 term by sign: NTR when negative, PTR when
-    positive, on the auxiliaries aux_allocation(p, aux_start) gives it.
-    A caller that already holds that allocation passes it as alloc
-    instead of aux_start.
+    positive, on the auxiliaries of alloc, by default aux_allocation(p).
 
     The reductions are summed into one term dict in place, so the cost
     is linear in the number of terms. After each reduction, a term whose
@@ -209,9 +206,7 @@ def quadratize_full(p: Poly, aux_start: int | None = None,
     included, is that of adding the reductions one Poly at a time.
     """
     if alloc is None:
-        alloc = aux_allocation(p, aux_start)
-    elif aux_start is not None:
-        raise ValueError("pass aux_start or alloc, not both")
+        alloc = aux_allocation(p)
     out = {k: c for k, c in p.terms.items() if len(k) <= 2}
     # Every reduction term holds one of the reduction's fresh auxiliaries,
     # except PTR's closing pair, so only that one can meet a coefficient

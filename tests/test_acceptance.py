@@ -37,7 +37,7 @@ from annealdp.merged import (
     one_shot_ppi,
 )
 from annealdp.pbf import BinaryEncoding, Poly
-from annealdp.quadratize import min_over_aux, quadratize_full
+from annealdp.quadratize import aux_allocation, min_over_aux, quadratize_full
 from annealdp.rbc import (
     DEFAULT_PARAMS,
     classical_ppi,
@@ -161,7 +161,7 @@ def test_criterion_03_quadratization_oracle_suite():
                 coeff = 1.0
             terms[key] = terms.get(key, 0.0) + coeff
         poly = Poly(terms)
-        res = quadratize_full(poly, aux_start=n)
+        res = quadratize_full(poly, alloc=aux_allocation(poly, n))
         assert res.qubo_poly.degree <= 2
         for k in range(1 << n):
             assign = {v: (k >> v) & 1 for v in range(n)}

@@ -192,10 +192,12 @@ def exact_folds(run) -> list[tuple[IsingModel | QuboModel, list[int]]]:
     fold = bqm_mod.fold_indices
 
     def spy(terms, idx, n, domain=(0, 1)):
-        # brute_force's rescoring only, not the split ranking's half folds
+        # the exhaustive search's rescoring under brute_force only, not
+        # the split ranking's half folds nor a greedy group step's
         caller = sys._getframe(1)
-        if caller.f_code is bqm_mod.brute_force.__code__:
-            folds.append((caller.f_locals["model"], idx.tolist()))
+        if (caller.f_code is bqm_mod._exact_minimum.__code__
+                and caller.f_back.f_code is bqm_mod.brute_force.__code__):
+            folds.append((caller.f_back.f_locals["model"], idx.tolist()))
         return fold(terms, idx, n, domain)
 
     with mock.patch.object(bqm_mod, "fold_indices", spy):
@@ -279,7 +281,10 @@ def _delta_window(model: IsingModel | QuboModel) -> tuple[set[int], set[int], se
     )
 
 
+@mock.patch.object(bqm_mod, "_SPLIT_MIN_BITS", 0)
 class TestSplitEnumeration:
+    """The split ranking at every width, down to models below the cut."""
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 14), st.booleans(), st.sampled_from(WEIGHT_KINDS),
            st.integers(0, 2**32 - 1))
@@ -315,9 +320,9 @@ class TestSplitEnumeration:
         # while the split ranking gives state 7 -0.20000000000000007.
         model = QuboModel(4, {(0, 1): 0.1, (0, 2): -0.3, (0, 3): 0.7, (1, 2): -0.7,
                               (1, 3): -0.2, (2, 2): 0.7, (2, 3): 0.3})
-        weights = [c for _, c in bqm_mod.energy_terms(model)]
+        terms = bqm_mod.energy_terms(model)
         with mock.patch.object(bqm_mod, "_UNIT_ROUNDOFF", 0.0):
-            assert bqm_mod._near_minimum(model, weights).tolist() == [7]
+            assert bqm_mod._near_minimum(terms, 4, (0, 1)).tolist() == [7]
         results = []
         rescored = rescored_indices(model, lambda: results.append(brute_force(model)))
         assert len(rescored) > 1 and 10 in rescored

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annealdp import cli, engines
+from annealdp import cli, engines, rbc
 from annealdp.cli import (
     ALGORITHMS,
     ENGINES,
@@ -397,6 +397,16 @@ class TestSolve:
         assert rc == EXIT_CAPACITY
         err = capsys.readouterr().err
         assert err == "error: greedy group of 42 variables exceeds the guard of 26\n"
+
+    def test_huge_k_count_exits_4(self, tmp_path, capsys):
+        # the node guard fires before the grid's linspace allocates
+        with mock.patch.object(rbc.np, "linspace", side_effect=AssertionError):
+            rc = main(["solve", "--algorithm", "combinatorial", "--k-count", "100000000000",
+                       "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert err == ("error: k_count 100000000000 exceeds the guard of 1000000 "
+                       "capital nodes\n")
 
     def test_executions_logged_per_run(self, tmp_path):
         out = tmp_path / "out"
@@ -785,6 +795,8 @@ class TestEntryPoint:
     ["simulate", "--true", "--periods", "0"],
     ["simulate", "--true", "--shock-index", "9"],
     ["simulate", "--true", "--k0", "-1"],
+    ["simulate", "--x1", "0.5", "--k0", "nan"],
+    ["simulate", "--x1", "0.5", "--k0", "inf"],
     ["appendix-b", "--reads", "0", "--engine", "heuristic"],
     ["appendix-b", "--reads", "0", "--engine", "greedy"],
     ["appendix-b", "--reads", "0"],

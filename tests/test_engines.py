@@ -389,8 +389,8 @@ class TestSequentialGreedy:
 
 def scalar_greedy(model, groups, initial, cycles=1, activations=None):
     """Reference walk: the group step as a scalar scan that evaluates the
-    whole model once per candidate, first improvement by more than 1e-12
-    in enumeration order."""
+    whole model once per candidate, taking each strictly lower energy in
+    enumeration order."""
     domain = (-1, 1) if isinstance(model, IsingModel) else (0, 1)
     state = list(initial)
     if isinstance(model, Poly):
@@ -417,7 +417,7 @@ def scalar_greedy(model, groups, initial, cycles=1, activations=None):
                 for v, val in zip(group, cand):
                     state[v] = val
                 e = energy()
-                if e < best_e - 1e-12:
+                if e < best_e:
                     best, best_e = cand, e
             for v, val in zip(group, best):
                 state[v] = val
@@ -425,7 +425,7 @@ def scalar_greedy(model, groups, initial, cycles=1, activations=None):
                 e_on = energy()
                 state[act] = domain[0]
                 e_off = energy()
-                if e_on < e_off - 1e-12:
+                if e_on < e_off:
                     state[act] = domain[1]
     return tuple(state)
 
@@ -434,9 +434,9 @@ def scalar_greedy(model, groups, initial, cycles=1, activations=None):
 def greedy_cases(draw):
     """A model, disjoint groups, optional activations, a start and cycles.
 
-    Coefficients are dyadic (integers over 8, or over 2^42 so that many
-    energy gaps fall inside the 1e-12 tolerance): every sum is exact in
-    any order, so the vectorised and scalar walks see identical energies.
+    Coefficients are dyadic (integers over 8, or over 2^42 so that
+    distinct energies lie as close as 2^-42): every sum is exact in any
+    order, so the vectorised and scalar walks see identical energies.
     Small numerators force exact ties.
     """
     n = draw(st.integers(1, 8))
@@ -478,21 +478,21 @@ class TestGreedyMatchesScalarWalk:
         # small blocks make the walk carry its running best across blocks
         model, groups, initial, cycles, activations = case
         want = scalar_greedy(model, groups, initial, cycles, activations)
-        with mock.patch.object(engines, "_BLOCK_BITS", block_bits):
+        with mock.patch.object(bqm_mod, "_BLOCK_BITS", block_bits):
             got = sequential_greedy(model, groups, initial, cycles=cycles, activations=activations)
         assert got == want
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=200), st.integers(-30, 40))
-    def test_scan_rule_on_near_ties(self, ks, k0):
-        # steps of 2^-42 put up to four consecutive levels inside the tolerance
-        energies = np.array(ks, dtype=np.float64) * 2.0 ** -42
-        best_e = k0 * 2.0 ** -42
-        want_k, want_e = -1, best_e
-        for k, e in enumerate(energies):
-            if e < want_e - 1e-12:
-                want_k, want_e = k, e
-        assert engines._last_improvement(energies, best_e) == (want_k, want_e)
+    def test_near_tie_takes_the_exact_minimum(self):
+        # (1, 0) and (0, 1) differ by 2^-42, well inside any tolerance a
+        # scan might allow; the group step takes the lower one
+        model = QuboModel(2, {(0, 0): -1.0, (1, 1): -1.0 - 2**-42, (0, 1): 5.0})
+        assert sequential_greedy(model, [(0, 1)], (0, 0)) == (0, 1)
+
+    def test_nan_fold_keeps_the_current_assignment(self):
+        # every fold of a NaN coefficient is NaN: no assignment attains a
+        # minimum and the group stays where it is
+        model = QuboModel(1, {(0, 0): math.nan})
+        assert sequential_greedy(model, [(0,)], (1,)) == (1,)
 
 
 def _block_energies(local, width, domain, start, stop):
@@ -512,7 +512,7 @@ def _block_energies(local, width, domain, start, stop):
 
 def block_scan_best_assignment(terms, group, domain, state):
     """Reference group step: every assignment scored in enumeration order,
-    in blocks, by the first-improvement scan."""
+    in blocks, by a scan that takes each strictly lower energy."""
     pos = {v: b for b, v in enumerate(group)}
     local = engines._fold(terms, pos, state)
     width = len(group)
@@ -521,16 +521,16 @@ def block_scan_best_assignment(terms, group, domain, state):
     block = 1 << min(width, 14)
     for start in range(0, 1 << width, block):
         energies = _block_energies(local, width, domain, start, min(start + block, 1 << width))
-        k, best_e = engines._last_improvement(energies, best_e)
-        if k >= 0:
-            best_m = start + k
+        for k, e in enumerate(energies.tolist()):
+            if e < best_e:
+                best_m, best_e = start + k, e
     return best_m
 
 
 # Coefficient draws for the split ranking. Decimal tenths are not dyadic,
 # so states with equal real energies fold and rank to different floats;
-# multiples of 1e-13 do the same with gaps inside the 1e-12 tolerance;
-# multiples of 2^-42 sum exactly with gaps inside it; small integers tie.
+# multiples of 1e-13 do the same with gaps near 1e-13; multiples of
+# 2^-42 sum exactly with gaps of 2^-42; small integers tie.
 SPLIT_COEFFS = {
     "decimal": st.integers(-7, 7).map(lambda k: k / 10),
     "near_tie": st.integers(-30, 30).map(lambda k: k * 1e-13),
@@ -582,42 +582,10 @@ class TestSplitGreedyStep:
         model, groups, initial, cycles, activations = case
         with mock.patch.object(engines, "_best_assignment", block_scan_best_assignment):
             want = sequential_greedy(model, groups, initial, cycles=cycles, activations=activations)
-        with mock.patch.object(engines, "_SPLIT_MIN_BITS", min_bits), \
-                mock.patch.object(engines, "_BLOCK_BITS", block_bits), \
+        with mock.patch.object(bqm_mod, "_SPLIT_MIN_BITS", min_bits), \
                 mock.patch.object(bqm_mod, "_BLOCK_BITS", block_bits):
             got = sequential_greedy(model, groups, initial, cycles=cycles, activations=activations)
         assert got == want
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data(), st.integers(1, 12), st.sampled_from(sorted(SPLIT_COEFFS)), st.booleans(),
-           st.sampled_from([1, 3, 14]))
-    def test_candidates_hold_every_exact_prefix_record(self, data, width, coeff_kind, spin, block_bits):
-        keys = st.sampled_from([(i,) for i in range(width)]
-                               + [(i, j) for i in range(width) for j in range(width) if i != j])
-        local = data.draw(st.dictionaries(keys, SPLIT_COEFFS[coeff_kind], max_size=40))
-        domain = (-1, 1) if spin else (0, 1)
-        exact = bqm_mod.fold_indices(local.items(), np.arange(1 << width), width, domain)
-        e_start = float(exact[data.draw(st.integers(0, (1 << width) - 1))])
-        before = np.minimum.accumulate(np.concatenate(([e_start], exact[:-1])))
-        records = np.flatnonzero(exact < before)
-        with mock.patch.object(bqm_mod, "_BLOCK_BITS", block_bits):
-            chunks = list(engines._split_candidates(local, width, domain, e_start))
-        cands = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-        assert np.all(np.diff(cands) > 0)
-        assert set(records.tolist()) <= set(cands.tolist())
-
-    def test_candidates_hold_a_record_the_ranking_puts_late(self):
-        # States 1 and 5 both have real energy -0.7. The exact fold gives
-        # state 1 -0.6999999999999998 and state 5 -0.7, a strict record,
-        # while the ranking gives them -0.7000000000000001 and
-        # -0.6999999999999998: only the 2 delta margin keeps state 5, and
-        # a band around the minimum (states 6 and 7) keeps neither.
-        local = {(0, 1): 0.3, (0, 2): 0.3, (1, 2): -0.3, (2, 1): -0.5, (0,): -0.4,
-                 (1,): -0.4, (2,): -0.5, (1, 0): 0.4, (2, 0): -0.6}
-        exact = bqm_mod.fold_indices(local.items(), np.arange(8), 3, (-1, 1))
-        assert exact[5] < exact[1] < exact[2]
-        cands = np.concatenate(list(engines._split_candidates(local, 3, (-1, 1), float(exact[2]))))
-        assert cands.tolist() == [1, 5, 6, 7]
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), st.integers(1, 8), st.sampled_from(sorted(SPLIT_COEFFS)),
@@ -668,13 +636,20 @@ class TestSplitGreedyStep:
             bits = [[(m >> v) & 1 for v in range(width)] for m in idx.tolist()]
             assert scalar.tobytes() == np.array([want(b) for b in bits], dtype=np.float64).tobytes()
 
-    def test_cubic_fold_keeps_the_block_scan(self):
+    def test_cubic_and_huge_folds_fold_every_state(self):
+        # a cubic fold has no split, and a coefficient sum past 2^1020 no
+        # rounding bound: the search folds every assignment exactly
         cubic, _, _ = hc_problem()
         terms, domain = engines._native_terms(cubic), (0, 1)
         local = engines._fold(terms, {v: v for v in range(4)}, (0, 0, 0, 0))
-        assert engines._split_candidates(local, 4, domain, 0.0) is None
         huge = {(0,): 2.0**1021, (1,): -1.0}
-        assert engines._split_candidates(huge, 2, domain, 0.0) is None
+        assert bqm_mod._near_minimum(list(huge.items()), 2, domain) is None
+        for fold, width in ((local, 4), (huge, 2)):
+            exact = bqm_mod.fold_indices(fold.items(), np.arange(1 << width), width, domain)
+            want = (float(exact.min()), np.flatnonzero(exact == exact.min()).tolist())
+            with mock.patch.object(bqm_mod, "_SPLIT_MIN_BITS", 0), \
+                    mock.patch.object(bqm_mod, "_split_ranking", side_effect=AssertionError):
+                assert bqm_mod._exact_minimum(fold.items(), width, domain) == want
 
     def test_pipeline_fold_rescores_few_assignments(self):
         # the default valuation group: 14 bits, a quadratic fold; only a
@@ -686,7 +661,7 @@ class TestSplitGreedyStep:
         group = prob.groups[1]
         local = engines._fold(terms, {v: b for b, v in enumerate(group)}, state)
         assert len(group) == 14 and max(map(len, local)) == 2
-        cands = np.concatenate(list(engines._split_candidates(local, 14, domain, 0.0)))
+        cands = bqm_mod._near_minimum(list(local.items()), 14, domain)
         assert 0 < len(cands) < 1 << 10
         assert (engines._best_assignment(terms, group, domain, state)
                 == block_scan_best_assignment(terms, group, domain, state))

@@ -289,7 +289,7 @@ class TestQuadratizeFull:
         assert res.alloc.original_n == 8
         assert res.alloc.aux_vars == (8, 9)
         assert res.alloc.records[0].term == (0, 1, 3)  # sorted term order
-        res2 = quadratize_full(p, aux_start=20)
+        res2 = quadratize_full(p, alloc=aux_allocation(p, aux_start=20))
         assert res2.alloc.aux_vars == (20, 21)
 
     def test_min_over_aux_exactness_small(self):
@@ -309,8 +309,8 @@ class TestQuadratizeFull:
         # aux_start=2 would reuse x2 for the auxiliary of 2 x0 x1 x2
         p = 2 * (x(0) * x(1) * x(2)) + x(3)
         with pytest.raises(ValueError, match="aux_start 2"):
-            quadratize_full(p, aux_start=2)
-        assert quadratize_full(p, aux_start=4).alloc.aux_vars == (4,)
+            aux_allocation(p, aux_start=2)
+        assert aux_allocation(p, aux_start=4).aux_vars == (4,)
 
     def test_cancelled_pair_reenters_at_end(self):
         # the PTR pair of x0x2x3 cancels -x2x3; x1x2x3 then re-adds it
@@ -344,7 +344,7 @@ def random_pbfs(draw):
 @given(random_pbfs())
 def test_quadratize_full_exact_property(case):
     n, p = case
-    res = quadratize_full(p, aux_start=n)
+    res = quadratize_full(p, alloc=aux_allocation(p, n))
     assert res.qubo_poly.degree <= 2
     for a in assignments(range(n)):
         assert min_over_aux(res.qubo_poly, res.alloc.aux_vars, a) == pytest.approx(
@@ -435,7 +435,7 @@ def cancelling_pbfs(draw):
 def test_quadratize_full_matches_chained_reference(case, gap):
     n, p = case
     for aux_start in (None, n + gap):
-        got = quadratize_full(p, aux_start=aux_start)
+        got = quadratize_full(p, alloc=aux_allocation(p, aux_start))
         want = chained_quadratize_reference(p, aux_start=aux_start)
         assert list(got.qubo_poly.terms.items()) == list(want.qubo_poly.terms.items())
         assert got.alloc == want.alloc
@@ -530,7 +530,8 @@ def test_aux_allocation_is_quadratize_full_allocation(case, gap, default_start):
     n, p = case
     aux_start = None if default_start else n + gap
     alloc = aux_allocation(p, aux_start)
-    assert alloc == quadratize_full(p, aux_start).alloc
+    if default_start:
+        assert alloc == quadratize_full(p).alloc
     assert alloc == chained_quadratize_reference(p, aux_start).alloc
 
 
@@ -541,12 +542,13 @@ def test_quadratize_full_on_a_held_allocation(case, gap, default_start):
     # order and coefficient bits included
     n, p = case
     aux_start = None if default_start else n + gap
-    want = quadratize_full(p, aux_start)
+    want = chained_quadratize_reference(p, aux_start)
     got = quadratize_full(p, alloc=aux_allocation(p, aux_start))
     assert got.alloc == want.alloc
     assert _float_bits(got.qubo_poly.terms.items()) == _float_bits(want.qubo_poly.terms.items())
-    with pytest.raises(ValueError, match="not both"):
-        quadratize_full(p, n, alloc=want.alloc)
+    if default_start:
+        assert _float_bits(quadratize_full(p).qubo_poly.terms.items()) == _float_bits(
+            got.qubo_poly.terms.items())
 
 
 @pytest.mark.parametrize("widths", [(6, 6, 6), (0, 0, 0), (1, 4, 0), (7, 2, 9)])
@@ -556,9 +558,9 @@ def test_merged_reductions_share_no_key(widths):
     # valuation key x_v or a valuation auxiliary, and no key holds both
     prob = build_merged_problem(encodings=default_merged_encodings(j1=widths[0], j2=widths[1], j3=widths[2]))
     x_p, x_v = prob.x_p, prob.x_v
-    red_p = quadratize_full(Poly.variable(x_p) * prob.gp_poly, aux_start=x_v + 1)
-    red_v = quadratize_full(Poly.variable(x_v) * prob.gv_poly,
-                            aux_start=x_v + 1 + len(red_p.alloc.records))
+    prod_p, prod_v = Poly.variable(x_p) * prob.gp_poly, Poly.variable(x_v) * prob.gv_poly
+    red_p = quadratize_full(prod_p, alloc=aux_allocation(prod_p, x_v + 1))
+    red_v = quadratize_full(prod_v, alloc=aux_allocation(prod_v, x_v + 1 + len(red_p.alloc.records)))
     own_p = {x_p, *red_p.alloc.aux_vars}
     own_v = {x_v, *red_v.alloc.aux_vars}
     assert all(k & own_p and not k & own_v for k in red_p.qubo_poly.terms)

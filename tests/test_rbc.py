@@ -4,17 +4,19 @@ import csv
 import dataclasses
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annealdp.bqm import brute_force
+from annealdp.bqm import CapacityError, brute_force
 from annealdp.engines import SampleRecord, SampleSet, heuristic_anneal
 from annealdp.merged import build_merged_problem, default_merged_encodings
 from annealdp.pbf import BinaryEncoding, LogCoefficients, Poly, ln_1mx_poly, ln_x_poly, to_qubo
 from annealdp.rbc import (
+    COLLOCATION_MAX_NODES,
     DEFAULT_PARAMS,
     CollocationGrid,
     GammaConstants,
@@ -646,6 +648,9 @@ class TestConsumption:
             simulate_consumption(0.3, periods=0)
         with pytest.raises(ValueError, match="positive"):
             simulate_consumption(0.3, k0=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                simulate_consumption(0.3, k0=bad)
 
     def test_csv_roundtrip(self, tmp_path):
         sim = simulate_consumption(0.31)
@@ -693,5 +698,12 @@ class TestGridType:
     def test_validation(self):
         with pytest.raises(ValueError, match="k_count"):
             collocation_grid(k_count=1)
+        # the guard passes the bound and fires before linspace allocates
+        with mock.patch.object(np, "linspace", return_value=np.ones(2)) as linspace:
+            collocation_grid(k_count=COLLOCATION_MAX_NODES)
+        assert linspace.call_count == 1
+        with mock.patch.object(np, "linspace", side_effect=AssertionError), \
+                pytest.raises(CapacityError, match="k_count 1000001"):
+            collocation_grid(k_count=COLLOCATION_MAX_NODES + 1)
         with pytest.raises(ValueError, match="positive"):
             CollocationGrid(DEFAULT_PARAMS, (0.1, -0.2))
